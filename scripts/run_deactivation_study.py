@@ -19,7 +19,7 @@ from samdyn.checks import (
     first_stage_epochs,
     scaled_tau,
 )
-from samdyn.data import DataParams, gen_dataset, make_signal, stack
+from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.network import NetConfig
 from samdyn.optim import TrainConfig, train
 
@@ -52,7 +52,7 @@ def main():
         for seed in range(args.seeds):
             ds = gen_dataset(params, make_signal(args.d, args.mu_norm), args.n,
                              seed=3000 + seed)
-            rec = SamDeactivationRecorder(stack(ds).y, t1)
+            rec = SamDeactivationRecorder(ds.y, t1)
             cfg = TrainConfig(eta=args.eta, B=args.B, epochs=epochs, algo="sam",
                               tau=tau, seed=seed)
             train(ds, net, cfg, hooks=(rec,))

@@ -365,7 +365,7 @@ def _deactivation_violations(
     total = 0
     for seed in seeds:
         ds = gen_dataset(params, make_signal(params.d, params.mu_norm), n, seed=1000 + seed)
-        rec = SamDeactivationRecorder(np.array([s.y for s in ds.samples], dtype=float), t1)
+        rec = SamDeactivationRecorder(ds.y, t1)
         cfg = TrainConfig(eta=eta, B=B, epochs=epochs, algo="sam", tau=tau, seed=seed)
         train(ds, net, cfg, hooks=(rec,))
         total += rec.violations

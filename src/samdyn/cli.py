@@ -35,7 +35,6 @@ from .data import (
     load_dataset,
     make_signal,
     save_dataset,
-    stack,
 )
 from .decomposition import CoeffTracker, basis_from_dataset, oracle_solve, write_coeff_csv
 from .experiments import run_grid
@@ -106,16 +105,8 @@ def _cmd_grid(args) -> int:
     spec, raw = load_grid_spec(args.config, seed_override=args.seed)
     out = Path(args.out)
     write_manifest(out, "grid", raw, spec.base_seed,
-                   ["results.csv", "heatmap_<algo>.csv", "heatmap_<algo>.pgm", "checks/"])
+                   ["results.csv", "heatmap_<algo>.csv", "heatmap_<algo>.pgm"])
     results = run_grid(spec, out, jobs=args.jobs, resume=args.resume)
-    checks_dir = out / "checks"
-    checks_dir.mkdir(exist_ok=True)
-    for r in results:
-        name = f"{r.algo}_d{r.d}_mu{r.mu_norm:g}_s{r.seed}.csv"
-        with open(checks_dir / name, "w") as fh:
-            fh.write("check,window,violations,total,worst_case_value,detail\n")
-            fh.write(f"set_inclusion,run,{r.invariant_violations},,,\n")
-            fh.write(f"trial_failed,run,{int(r.failed)},1,,{r.error}\n")
     failed = sum(r.failed for r in results)
     print(f"grid complete: {len(results)} trials, {failed} failed -> {out / 'results.csv'}")
     return 0 if failed == 0 else 1
@@ -129,21 +120,20 @@ def _cmd_check(args) -> int:
     cfg = dataclasses.replace(setup.train, seed=train_seed)
     mu = make_signal(setup.params.d, setup.params.mu_norm)
     ds = gen_dataset(setup.params, mu, setup.n, seed=data_ss)
-    arrays = stack(ds)
     tracker = CoeffTracker(ds, setup.net.m)
-    deact = SamDeactivationRecorder(arrays.y)
+    deact = SamDeactivationRecorder(ds.y)
     traj = train(ds, setup.net, cfg, hooks=(tracker, deact))
 
     thr = activation_threshold(effective_sigma0(setup.net), setup.params.sigma_p, setup.params.d)
     consts = TheoryConstants.from_run(
-        traj.w0, arrays.mu, arrays.xi, setup.params.P, setup.params.sigma_p,
+        traj.w0, ds.mu, ds.xi, setup.params.P, setup.params.sigma_p,
         t_star=max(cfg.epochs, 3),
     )
     reports = [
-        check_set_monotonicity(traj, arrays.y, thr),
+        check_set_monotonicity(traj, ds.y, thr),
         check_logit_ratio(traj, consts.c1_logit),
         *check_coeff_bounds(tracker.history, consts, setup.params.d),
-        check_good_batches(traj.schedules, arrays.y, arrays.y_hat, cfg.B),
+        check_good_batches(traj.schedules, ds.y, ds.y_hat, cfg.B),
         check_sam_deactivation(deact),
     ]
     write_report_csv(out / "report.csv", reports)

@@ -8,13 +8,16 @@ probability p.
 
 Conventions
 -----------
-- labels are +1/-1 ints on Sample, stacked to float64 arrays for arithmetic
+- a Dataset holds (mu, xi, y, y_hat, signal_pos) as arrays, labels as
+  float64 +1/-1; Dataset.patches is the only code that builds the
+  (n, P, d) input tensor from them
 - a Dataset is reproducible from (params, seed): per-sample generators are
   spawned from one SeedSequence, so generation order never matters
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,51 +38,73 @@ class DataParams:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.P < 2:
             raise ValueError(f"P must be >= 2, got {self.P}")
-        if not self.sigma_p > 0:
-            raise ValueError(f"sigma_p must be > 0, got {self.sigma_p}")
+        if not (math.isfinite(self.sigma_p) and self.sigma_p > 0):
+            raise ValueError(f"sigma_p must be finite and > 0, got {self.sigma_p}")
         if not 0 <= self.p < 0.5:
             raise ValueError(f"p must be in [0, 0.5), got {self.p}")
-        if self.mu_norm < 0:
-            raise ValueError(f"mu_norm must be >= 0, got {self.mu_norm}")
+        if not (math.isfinite(self.mu_norm) and self.mu_norm >= 0):
+            raise ValueError(f"mu_norm must be finite and >= 0, got {self.mu_norm}")
 
 
 @dataclass
 class Sample:
-    """One data point.
+    """One row of a Dataset, for callers of the per-sample API.
 
-    patches[signal_pos] == y_hat * mu exactly; every other patch is the
-    shared noise vector xi.
+    xi is a view of the dataset's row; patches are built on read.
     """
 
-    patches: np.ndarray  # (P, d)
     y: int               # observed label, +1/-1
     y_hat: int           # true label, +1/-1
     xi: np.ndarray       # (d,)
     signal_pos: int
+    # the row as a one-sample Dataset of array views; it does not refer back
+    # to the parent Dataset, so dropping a Dataset frees its arrays at once
+    row: "Dataset" = field(repr=False)
+
+    @property
+    def patches(self) -> np.ndarray:
+        return self.row.patches()[0]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: list[Sample]
-    mu: np.ndarray
+    """n samples as one array record.
+
+    Sample i is the P patches with patch signal_pos[i] equal to
+    y_hat[i] * mu and every other patch equal to xi[i]; y[i] is its
+    observed label.
+    """
+
+    mu: np.ndarray          # (d,)
+    xi: np.ndarray          # (n, d)
+    y: np.ndarray           # (n,) float64, +1/-1
+    y_hat: np.ndarray       # (n,) float64, +1/-1
+    signal_pos: np.ndarray  # (n,) int64
     params: DataParams
     seed: int | None = None
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return len(self.y)
 
+    def patches(self, idx=None) -> np.ndarray:
+        """The (n, P, d) input tensor, or the (len(idx), P, d) rows idx."""
+        rows = slice(None) if idx is None else idx
+        xi = self.xi[rows]
+        out = np.repeat(xi[:, None, :], self.params.P, axis=1)
+        out[np.arange(len(xi)), self.signal_pos[rows]] = self.y_hat[rows, None] * self.mu
+        return out
 
-@dataclass
-class StackedData:
-    """Array view of a Dataset used by the training loop."""
-
-    patches: np.ndarray     # (n, P, d)
-    y: np.ndarray           # (n,) float64
-    y_hat: np.ndarray       # (n,) float64
-    xi: np.ndarray          # (n, d)
-    signal_pos: np.ndarray  # (n,) int
-    mu: np.ndarray          # (d,)
+    @cached_property
+    def samples(self) -> tuple[Sample, ...]:
+        """Per-sample row views, built once; samdyn itself reads the arrays."""
+        return tuple(
+            Sample(y=int(self.y[i]), y_hat=int(self.y_hat[i]), xi=self.xi[i],
+                   signal_pos=int(self.signal_pos[i]),
+                   row=Dataset(self.mu, self.xi[i:i + 1], self.y[i:i + 1], self.y_hat[i:i + 1],
+                               self.signal_pos[i:i + 1], self.params, self.seed))
+            for i in range(self.n)
+        )
 
 
 def make_signal(d: int, mu_norm: float) -> np.ndarray:
@@ -90,23 +115,23 @@ def make_signal(d: int, mu_norm: float) -> np.ndarray:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if mu_norm < 0:
-        raise ValueError(f"mu_norm must be >= 0, got {mu_norm}")
+    if not (math.isfinite(mu_norm) and mu_norm >= 0):
+        raise ValueError(f"mu_norm must be finite and >= 0, got {mu_norm}")
     mu = np.zeros(d)
     mu[0] = mu_norm
     return mu
 
 
-def gen_sample(params: DataParams, mu: np.ndarray, rng: np.random.Generator) -> Sample:
-    """Draw one sample: true label uniform on +-1, observed label flipped
-    with probability p, one shared noise vector, uniform signal position."""
+def gen_sample(params: DataParams, rng: np.random.Generator) -> tuple[int, int, np.ndarray, int]:
+    """Draw one sample's (y, y_hat, xi, signal_pos).
+
+    Draw order: true label uniform on +-1, flip with probability p, the
+    shared noise vector, then the uniform signal position.
+    """
     y_hat = 1 if rng.random() < 0.5 else -1
     y = -y_hat if rng.random() < params.p else y_hat
     xi = rng.normal(0.0, params.sigma_p, size=params.d)
-    signal_pos = int(rng.integers(params.P))
-    patches = np.tile(xi, (params.P, 1))
-    patches[signal_pos] = y_hat * mu
-    return Sample(patches=patches, y=y, y_hat=y_hat, xi=xi, signal_pos=signal_pos)
+    return y, y_hat, xi, int(rng.integers(params.P))
 
 
 def gen_dataset(params: DataParams, mu: np.ndarray, n: int, seed) -> Dataset:
@@ -125,19 +150,19 @@ def gen_dataset(params: DataParams, mu: np.ndarray, n: int, seed) -> Dataset:
         root, stored = seed, None
     else:
         root, stored = np.random.SeedSequence(seed), int(seed)
-    samples = [gen_sample(params, mu, np.random.default_rng(c)) for c in root.spawn(n)]
-    return Dataset(samples=samples, mu=mu, params=params, seed=stored)
+    xi = np.empty((n, params.d))
+    y = np.empty(n)
+    y_hat = np.empty(n)
+    signal_pos = np.empty(n, dtype=np.int64)
+    for i, child in enumerate(root.spawn(n)):
+        y[i], y_hat[i], xi[i], signal_pos[i] = gen_sample(params, np.random.default_rng(child))
+    return Dataset(mu=mu, xi=xi, y=y, y_hat=y_hat, signal_pos=signal_pos,
+                   params=params, seed=stored)
 
 
-def stack(ds: Dataset) -> StackedData:
-    return StackedData(
-        patches=np.stack([s.patches for s in ds.samples]),
-        y=np.array([s.y for s in ds.samples], dtype=np.float64),
-        y_hat=np.array([s.y_hat for s in ds.samples], dtype=np.float64),
-        xi=np.stack([s.xi for s in ds.samples]),
-        signal_pos=np.array([s.signal_pos for s in ds.samples], dtype=np.int64),
-        mu=ds.mu,
-    )
+def stack(ds: Dataset) -> Dataset:
+    """Identity: a Dataset is already the stacked arrays."""
+    return ds
 
 
 @dataclass
@@ -188,19 +213,18 @@ def concentration_report(ds: Dataset, delta: float = 0.05) -> ConcentrationRepor
     """
     if ds.n == 0:
         raise ValueError("dataset is empty")
-    arrays = stack(ds)
     prm = ds.params
-    n, d = arrays.xi.shape
+    n, d = ds.xi.shape
     sp2 = prm.sigma_p**2
 
     rep = ConcentrationReport(n=n, d=d, delta=delta)
 
-    norms = np.einsum("nd,nd->n", arrays.xi, arrays.xi)
+    norms = np.einsum("nd,nd->n", ds.xi, ds.xi)
     bad = (norms < sp2 * d / 2) | (norms > 3 * sp2 * d / 2)
     rep.norm_violations = list(np.flatnonzero(bad))
 
     cross_bound = 2 * sp2 * math.sqrt(d * math.log(6 * n**2 / delta))
-    gram = arrays.xi @ arrays.xi.T
+    gram = ds.xi @ ds.xi.T
     iu = np.triu_indices(n, k=1)
     bad_pairs = np.abs(gram[iu]) > cross_bound
     rep.cross_violations = [
@@ -208,16 +232,16 @@ def concentration_report(ds: Dataset, delta: float = 0.05) -> ConcentrationRepor
     ]
 
     mu_bound = prm.mu_norm * prm.sigma_p * math.sqrt(2 * math.log(6 * n / delta))
-    mu_inner = arrays.xi @ arrays.mu
+    mu_inner = ds.xi @ ds.mu
     rep.mu_violations = list(np.flatnonzero(np.abs(mu_inner) > mu_bound))
 
-    clean = arrays.y == arrays.y_hat
+    clean = ds.y == ds.y_hat
     rep.n_flipped = int(np.sum(~clean))
     slack = math.sqrt((n / 2) * math.log(8 / delta))
     ok = True
     for yval in (1.0, -1.0):
-        n_clean = int(np.sum(clean & (arrays.y == yval)))
-        n_flip = int(np.sum(~clean & (arrays.y == yval)))
+        n_clean = int(np.sum(clean & (ds.y == yval)))
+        n_flip = int(np.sum(~clean & (ds.y == yval)))
         rep.label_counts[int(yval)] = {"clean": n_clean, "flipped": n_flip}
         if abs(n_clean - (1 - prm.p) * n / 2) > slack:
             ok = False
@@ -233,9 +257,7 @@ def save_dataset(path, ds: Dataset) -> None:
     NumPy .npz archive with keys:
       header: int64 [d, P, n, seed_flag, seed], floats [sigma_p, p, mu_norm]
       mu (d,), y (n,), y_hat (n,), signal_pos (n,), xi (n, d)
-    Patches are reconstructed on load from (mu, y_hat, signal_pos, xi).
     """
-    arrays = stack(ds)
     prm = ds.params
     seed_flag = 0 if ds.seed is None else 1
     seed = 0 if ds.seed is None else ds.seed
@@ -243,35 +265,41 @@ def save_dataset(path, ds: Dataset) -> None:
         path,
         header_int=np.array([prm.d, prm.P, ds.n, seed_flag, seed], dtype=np.int64),
         header_float=np.array([prm.sigma_p, prm.p, prm.mu_norm], dtype=np.float64),
-        mu=arrays.mu,
-        y=arrays.y.astype(np.int64),
-        y_hat=arrays.y_hat.astype(np.int64),
-        signal_pos=arrays.signal_pos,
-        xi=arrays.xi,
+        mu=ds.mu,
+        y=ds.y.astype(np.int64),
+        y_hat=ds.y_hat.astype(np.int64),
+        signal_pos=ds.signal_pos,
+        xi=ds.xi,
     )
 
 
 def load_dataset(path) -> Dataset:
+    """Read a save_dataset container, checking its arrays against the header.
+
+    Raises ValueError when an array's shape disagrees with the header's
+    (d, n), a label is not +-1, or a signal position is outside [0, P).
+    """
     with np.load(path) as z:
         d, P, n, seed_flag, seed = (int(v) for v in z["header_int"])
         sigma_p, p, mu_norm = (float(v) for v in z["header_float"])
         params = DataParams(d=d, P=P, sigma_p=sigma_p, p=p, mu_norm=mu_norm)
-        mu = z["mu"]
-        y = z["y"]
-        y_hat = z["y_hat"]
-        signal_pos = z["signal_pos"]
-        xi = z["xi"]
-    samples = []
-    for i in range(n):
-        patches = np.tile(xi[i], (P, 1))
-        patches[signal_pos[i]] = y_hat[i] * mu
-        samples.append(
-            Sample(
-                patches=patches,
-                y=int(y[i]),
-                y_hat=int(y_hat[i]),
-                xi=xi[i],
-                signal_pos=int(signal_pos[i]),
-            )
-        )
-    return Dataset(samples=samples, mu=mu, params=params, seed=seed if seed_flag else None)
+        arrays = {k: z[k] for k in ("mu", "xi", "y", "y_hat", "signal_pos")}
+    shapes = {"mu": (d,), "xi": (n, d), "y": (n,), "y_hat": (n,), "signal_pos": (n,)}
+    for key, shape in shapes.items():
+        if arrays[key].shape != shape:
+            raise ValueError(f"{path}: {key} has shape {arrays[key].shape}, header says {shape}")
+    for key in ("y", "y_hat"):
+        if not np.all(np.abs(arrays[key]) == 1):
+            raise ValueError(f"{path}: {key} has a value other than +1/-1")
+    pos = arrays["signal_pos"]
+    if not np.all((pos >= 0) & (pos < P)):
+        raise ValueError(f"{path}: signal_pos has a value outside [0, {P})")
+    return Dataset(
+        mu=arrays["mu"],
+        xi=arrays["xi"],
+        y=arrays["y"].astype(np.float64),
+        y_hat=arrays["y_hat"].astype(np.float64),
+        signal_pos=pos.astype(np.int64),
+        params=params,
+        seed=seed if seed_flag else None,
+    )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .data import Dataset, stack
+from .data import Dataset
 from .network import J_SIGNS
 
 
@@ -117,20 +117,6 @@ def track_step(
     return Coeffs(gamma=gamma, zeta=zeta, omega=omega)
 
 
-def track_step_sgd(coeffs, batch, ell, activations, **kw) -> Coeffs:
-    """SGD coefficient step; activations = (sig_act, noise_act) at the
-    unperturbed weights."""
-    sig_act, noise_act = activations
-    return track_step(coeffs, batch=batch, ell=ell, sig_act=sig_act, noise_act=noise_act, **kw)
-
-
-def track_step_sam(coeffs, batch, ell, perturbed_activations, **kw) -> Coeffs:
-    """SAM coefficient step; same algebra driven by the perturbed-weight
-    indicators (and the loss derivatives the perturbed gradient used)."""
-    sig_act, noise_act = perturbed_activations
-    return track_step(coeffs, batch=batch, ell=ell, sig_act=sig_act, noise_act=noise_act, **kw)
-
-
 @dataclass
 class Basis:
     mu: np.ndarray        # (d,)
@@ -188,8 +174,7 @@ def make_basis(mu: np.ndarray, xis: np.ndarray, P: int, cond_limit: float = 1e12
 
 
 def basis_from_dataset(ds: Dataset, cond_limit: float = 1e12) -> Basis:
-    arrays = stack(ds)
-    return make_basis(arrays.mu, arrays.xi, ds.params.P, cond_limit)
+    return make_basis(ds.mu, ds.xi, ds.params.P, cond_limit)
 
 
 @dataclass
@@ -254,11 +239,10 @@ class CoeffTracker:
     """
 
     def __init__(self, ds: Dataset, m: int, keep_history: bool = True, check: bool = True):
-        arrays = stack(ds)
-        self.y = arrays.y
-        self.y_hat = arrays.y_hat
-        self.mu_norm_sq = float(arrays.mu @ arrays.mu)
-        self.xi_norm_sq = np.einsum("nd,nd->n", arrays.xi, arrays.xi)
+        self.y = ds.y
+        self.y_hat = ds.y_hat
+        self.mu_norm_sq = float(ds.mu @ ds.mu)
+        self.xi_norm_sq = np.einsum("nd,nd->n", ds.xi, ds.xi)
         self.P = ds.params.P
         self.m = m
         self.n = ds.n

@@ -14,6 +14,7 @@ training variant, so per-seed differences between variants are paired
 comparisons of the algorithms alone.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -164,10 +165,9 @@ def run_trial(spec: GridSpec, d: int, mu_norm: float, variant: str, seed: int) -
         traj = train(ds, net, cfg, hooks=(tracker,))
 
         thr = activation_threshold(effective_sigma0(net), spec.sigma_p, d)
-        y = np.array([s.y for s in ds.samples], dtype=float)
         inclusion_viol = 0
         for rec in traj.records:
-            own = own_noise_pre(rec.noise_pre, y)
+            own = own_noise_pre(rec.noise_pre, ds.y)
             inclusion_viol += int(np.sum(np.any((own > thr) & ~(own > 0), axis=1)))
 
         result.train_loss = traj.records[-1].train_loss
@@ -263,24 +263,26 @@ def write_results_csv(path, results: list[TrialResult]) -> None:
     """Long-form per-trial table, sorted so identical grids give identical
     bytes regardless of execution order."""
     rows = sorted(results, key=lambda r: (r.algo, r.d, r.mu_norm, r.seed))
-    with open(path, "w") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
         for r in rows:
-            conv = "" if r.convergence_epoch is None else str(r.convergence_epoch)
-            fh.write(
-                f"{r.algo},{r.d},{r.mu_norm!r},{r.seed},{r.train_loss!r},"
-                f"{r.test_error!r},{r.test_stderr!r},{conv},{r.max_gamma!r},"
-                f"{r.max_sum_zeta!r},{r.invariant_violations},{int(r.failed)},{r.error}\n"
-            )
+            # csv writes None (no convergence) as an empty field
+            writer.writerow([
+                r.algo, r.d, repr(r.mu_norm), r.seed, repr(r.train_loss),
+                repr(r.test_error), repr(r.test_stderr), r.convergence_epoch, repr(r.max_gamma),
+                repr(r.max_sum_zeta), r.invariant_violations, int(r.failed), r.error,
+            ])
 
 
 def load_results_csv(path) -> list[TrialResult]:
     results = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        assert header == list(_CSV_COLUMNS), f"unexpected results header: {header}"
-        for line in fh:
-            vals = line.rstrip("\n").split(",")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(_CSV_COLUMNS):
+            raise ValueError(f"{path}: unexpected results header: {header}")
+        for vals in reader:
             row = dict(zip(_CSV_COLUMNS, vals))
             results.append(
                 TrialResult(

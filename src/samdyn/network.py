@@ -12,6 +12,7 @@ a batch.  The ReLU subgradient at 0 is fixed to 1, so kink behaviour is
 deterministic.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class NetConfig:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.init not in ("gaussian", "uniform_fan_in"):
             raise ValueError(f"init must be gaussian or uniform_fan_in, got {self.init!r}")
-        if self.init == "gaussian" and self.sigma_0 < 0:
-            raise ValueError(f"sigma_0 must be >= 0, got {self.sigma_0}")
+        if not (math.isfinite(self.sigma_0) and self.sigma_0 >= 0):
+            raise ValueError(f"sigma_0 must be finite and >= 0, got {self.sigma_0}")
 
 
 def init_weights(cfg: NetConfig, rng: np.random.Generator) -> np.ndarray:
@@ -96,18 +97,6 @@ def batch_loss(w: np.ndarray, patches: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(loss(y * f)))
 
 
-def batch_gradient(w: np.ndarray, patches: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact gradient of batch_loss, with relu'(0) = 1.
-
-    grad_{j,r} = (1/(B m)) sum_i sum_p l'_i y_i j 1(<w_{j,r}, x_i^(p)> >= 0) x_i^(p)
-
-    On model data (one signal patch y_hat*mu, P-1 copies of xi) this equals
-    the signal/noise split form with the (P-1) noise multiplicity.
-    """
-    grad, _aux = gradient_with_aux(w, patches, y)
-    return grad
-
-
 @dataclass
 class GradAux:
     """Quantities computed alongside a batch gradient, reused by the
@@ -120,6 +109,13 @@ class GradAux:
 
 
 def gradient_with_aux(w, patches, y) -> tuple[np.ndarray, GradAux]:
+    """Exact gradient of batch_loss, with relu'(0) = 1, and its GradAux.
+
+    grad_{j,r} = (1/(B m)) sum_i sum_p l'_i y_i j 1(<w_{j,r}, x_i^(p)> >= 0) x_i^(p)
+
+    On model data (one signal patch y_hat*mu, P-1 copies of xi) this equals
+    the signal/noise split form with the (P-1) noise multiplicity.
+    """
     B = patches.shape[0]
     if B == 0:
         raise ValueError("batch is empty")

@@ -16,12 +16,13 @@ the perturbed weights), which is what allows the signal/noise coefficient
 tracker to reproduce the weight trajectory exactly.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, StackedData, stack
-from .network import NetConfig, gradient_with_aux, init_weights, loss, loss_grad
+from .data import Dataset
+from .network import NetConfig, gradient_with_aux, init_weights, loss
 
 
 class TrainingDivergedError(RuntimeError):
@@ -41,16 +42,16 @@ class TrainConfig:
     snapshot_weights: bool = False
 
     def __post_init__(self):
-        if not self.eta >= 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if self.B < 1:
             raise ValueError(f"B must be >= 1, got {self.B}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.algo not in ("sgd", "sam"):
             raise ValueError(f"algo must be sgd or sam, got {self.algo!r}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         if self.record_every is not None and self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -100,12 +101,6 @@ class Trajectory:
     w_final: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
-    def record_at(self, t: int, b: int) -> TrajectoryRecord:
-        for r in self.records:
-            if r.t == t and r.b == b:
-                return r
-        raise KeyError(f"no record at state ({t}, {b})")
-
     def epoch_records(self) -> list[TrajectoryRecord]:
         return [r for r in self.records if r.b == 0]
 
@@ -130,16 +125,6 @@ def grad_frobenius_norm(g: np.ndarray) -> float:
     return float(np.sqrt(np.sum(g * g)))
 
 
-def sam_perturbation(w, patches, y, tau: float) -> np.ndarray:
-    """Ascent perturbation tau * g/||g||_F; zero when tau=0 or the gradient
-    vanishes (the 0/0 limit is taken as 0)."""
-    g, _ = gradient_with_aux(w, patches, y)
-    norm = grad_frobenius_norm(g)
-    if tau == 0.0 or norm == 0.0:
-        return np.zeros_like(w)
-    return (tau / norm) * g
-
-
 def _step(w, patches, y, eta: float, tau: float):
     """One descent step; returns (w_next, aux_at_w, aux_used, w_used, perturbed)."""
     g, aux0 = gradient_with_aux(w, patches, y)
@@ -154,32 +139,22 @@ def _step(w, patches, y, eta: float, tau: float):
     return w - eta * g_used, aux0, aux, w_used, perturbed
 
 
-def sgd_step(w, patches, y, eta: float) -> np.ndarray:
-    w_next, _, _, _, _ = _step(w, patches, y, eta, 0.0)
-    return w_next
-
-
-def sam_step(w, patches, y, eta: float, tau: float) -> np.ndarray:
-    w_next, _, _, _, _ = _step(w, patches, y, eta, tau)
-    return w_next
-
-
 def _gather_patch(act: np.ndarray, pos: np.ndarray) -> np.ndarray:
     # act (B, 2, m, P), pos (B,) -> (2, m, B)
     B = act.shape[0]
     return np.moveaxis(act[np.arange(B), :, :, pos], 0, -1)
 
 
-def _state_stats(w, arrays: StackedData, P: int):
+def _state_stats(w, ds: Dataset):
     """Margins and loss at a state from the (2,m) x mu and (2,m,n) x xi
     pre-activations; costs one pass over the weights per record."""
     m = w.shape[1]
-    mu_pre = w @ arrays.mu                      # (2, m)
-    noise_pre = np.einsum("jmd,nd->jmn", w, arrays.xi)
-    sig = np.maximum(arrays.y_hat[None, None, :] * mu_pre[:, :, None], 0.0).sum(axis=1)
+    mu_pre = w @ ds.mu                      # (2, m)
+    noise_pre = np.einsum("jmd,nd->jmn", w, ds.xi)
+    sig = np.maximum(ds.y_hat[None, None, :] * mu_pre[:, :, None], 0.0).sum(axis=1)
     noi = np.maximum(noise_pre, 0.0).sum(axis=1)  # (2, n)
-    fj = (sig + (P - 1) * noi) / m
-    margins = arrays.y * (fj[0] - fj[1])
+    fj = (sig + (ds.params.P - 1) * noi) / m
+    margins = ds.y * (fj[0] - fj[1])
     train_loss = float(np.mean(loss(margins)))
     return mu_pre, noise_pre, margins, train_loss
 
@@ -190,8 +165,8 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
     Records the state before every due batch step plus the final state,
     calls each hook after every step, and aborts on non-finite loss.
     """
-    arrays = stack(ds)
-    n = arrays.y.size
+    patches = ds.patches()
+    n = ds.n
     P = ds.params.P
     if n % cfg.B != 0:
         raise ValueError(f"B={cfg.B} does not divide n={n}")
@@ -229,7 +204,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
         return s % cfg.record_every == 0
 
     def record(t: int, b: int) -> None:
-        mu_pre, noise_pre, margins, train_loss = _state_stats(w, arrays, P)
+        mu_pre, noise_pre, margins, train_loss = _state_stats(w, ds)
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(f"non-finite train loss at state ({t}, {b})")
         traj.records.append(
@@ -244,7 +219,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
             )
         )
 
-    noise_pos = (arrays.signal_pos + 1) % P
+    noise_pos = (ds.signal_pos + 1) % P
     s = 0
     for t in range(cfg.epochs):
         batches = epoch_schedule(n, cfg.B, shuffle_rng)
@@ -257,7 +232,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
             )
             tau_eff = cfg.tau if sam_now else 0.0
             w_next, aux0, aux, _w_used, perturbed = _step(
-                w, arrays.patches[idx], arrays.y[idx], cfg.eta, tau_eff
+                w, patches[idx], ds.y[idx], cfg.eta, tau_eff
             )
             if not np.all(np.isfinite(aux.margins)):
                 raise TrainingDivergedError(f"non-finite margins at state ({t}, {b})")
@@ -271,7 +246,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
                     eta=cfg.eta,
                     tau=tau_eff if perturbed else 0.0,
                     ell=aux.ell,
-                    sig_act=_gather_patch(aux.act, arrays.signal_pos[idx]),
+                    sig_act=_gather_patch(aux.act, ds.signal_pos[idx]),
                     noise_act=_gather_patch(aux.act, pos),
                     noise_pre=_gather_patch(aux0.pre, pos),
                     noise_pre_used=_gather_patch(aux.pre, pos),
@@ -286,11 +261,6 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
     record(cfg.epochs, 0)
     traj.w_final = w.copy()
     return traj
-
-
-def margins_to_ell(margins: np.ndarray) -> np.ndarray:
-    """Loss derivatives for recorded margins (used by trajectory checkers)."""
-    return loss_grad(margins)
 
 
 def write_metrics_csv(path, traj: Trajectory) -> None:

@@ -2,14 +2,14 @@
 
 import numpy as np
 
-from samdyn.data import DataParams, Dataset, Sample, gen_dataset, make_signal
+from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
 
 
 def fd_gradient(w, patches, y, h=1e-6):
     """Central finite differences of the mean logistic loss over every
     weight coordinate, vectorized over a stack of perturbed weights.  This
     is the independent oracle for the analytic gradient; it reimplements
-    the forward pass and never calls batch_gradient."""
+    the forward pass and never calls gradient_with_aux."""
     flat = w.ravel()
     k = flat.size
     eye = np.eye(k)
@@ -42,20 +42,31 @@ def random_instance(rng, d=None, m=None, P=None, B=None, mu_norm=None, p=0.0):
     mu_norm = mu_norm if mu_norm is not None else float(rng.uniform(0.5, 3.0))
     params = DataParams(d=d, P=P, sigma_p=1.0, p=p, mu_norm=mu_norm)
     ds = gen_dataset(params, make_signal(d, mu_norm), B, seed=int(rng.integers(2**31)))
-    patches = np.stack([s.patches for s in ds.samples])
-    y = np.array([s.y for s in ds.samples], dtype=float)
     w = rng.normal(0.0, 0.3, size=(2, m, d))
-    return w, patches, y, ds
+    return w, ds.patches(), ds.y, ds
 
 
-def manual_sample(mu, xi, y, y_hat, signal_pos, P):
-    """Build a Sample by hand for closed-form checks."""
-    patches = np.tile(np.asarray(xi, dtype=float), (P, 1))
-    patches[signal_pos] = y_hat * np.asarray(mu, dtype=float)
-    return Sample(patches=patches, y=y, y_hat=y_hat, xi=np.asarray(xi, dtype=float),
-                  signal_pos=signal_pos)
+def manual_dataset(mu, xi, y, y_hat, signal_pos, P):
+    """A one-sample Dataset built by hand for closed-form checks."""
+    mu = np.asarray(mu, dtype=float)
+    return Dataset(
+        mu=mu, xi=np.asarray(xi, dtype=float)[None, :], y=np.array([float(y)]),
+        y_hat=np.array([float(y_hat)]), signal_pos=np.array([signal_pos]),
+        params=DataParams(d=mu.size, P=P, mu_norm=float(np.linalg.norm(mu))),
+    )
 
 
-def dataset_from_samples(samples, mu, params):
-    return Dataset(samples=list(samples), mu=np.asarray(mu, dtype=float),
-                   params=params, seed=None)
+def reference_dataset_arrays(params, n, seed):
+    """gen_dataset's arrays rebuilt from the documented stream layout: one
+    child of SeedSequence(seed) per sample, drawing the true label, the
+    flip, the noise vector and the signal position in that order."""
+    d = params.d
+    y, y_hat = np.empty(n), np.empty(n)
+    xi, signal_pos = np.empty((n, d)), np.empty(n, dtype=np.int64)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        rng = np.random.default_rng(child)
+        y_hat[i] = 1.0 if rng.random() < 0.5 else -1.0
+        y[i] = -y_hat[i] if rng.random() < params.p else y_hat[i]
+        xi[i] = rng.normal(0.0, params.sigma_p, size=d)
+        signal_pos[i] = rng.integers(params.P)
+    return y, y_hat, xi, signal_pos

@@ -20,10 +20,10 @@ from samdyn.checks import (
     own_noise_pre,
     scaled_tau,
 )
-from samdyn.data import DataParams, gen_dataset, make_signal, stack
+from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.decomposition import basis_from_dataset, oracle_solve, reconstruct
 from samdyn.experiments import aggregate, run_grid, phase_grid_spec
-from samdyn.network import NetConfig, batch_gradient
+from samdyn.network import NetConfig, gradient_with_aux
 from samdyn.optim import TrainConfig, train
 
 
@@ -46,12 +46,12 @@ def test_criterion_1_gradient_matches_finite_differences():
         params = DataParams(d=d, P=P, sigma_p=1.0, p=0.2, mu_norm=float(rng.uniform(0.5, 3.0)))
         ds = gen_dataset(params, make_signal(d, params.mu_norm), B,
                          seed=int(rng.integers(2**31)))
-        patches = np.stack([s.patches for s in ds.samples])
-        y = np.array([s.y for s in ds.samples], dtype=float)
+        patches = ds.patches()
+        y = ds.y
         w = rng.normal(0.0, 0.3, size=(2, m, d))
         if min_kink_distance(w, patches) < 1e-4:
             continue
-        g = batch_gradient(w, patches, y)
+        g = gradient_with_aux(w, patches, y)[0]
         fd = fd_gradient(w, patches, y, h=1e-6)
         rel = float(np.max(np.abs(fd - g)) / np.max(np.abs(g)))
         worst = max(worst, rel)
@@ -204,7 +204,7 @@ def test_criterion_7_sam_deactivation_zero_violations():
     total_viol = 0
     for seed in range(10):
         ds = gen_dataset(params, make_signal(d, mu_norm), n, seed=3000 + seed)
-        rec = SamDeactivationRecorder(stack(ds).y, t1)
+        rec = SamDeactivationRecorder(ds.y, t1)
         cfg = TrainConfig(eta=eta, B=B, epochs=epochs, algo="sam", tau=tau, seed=seed)
         train(ds, net, cfg, hooks=(rec,))
         rep = check_sam_deactivation(rec)
@@ -231,13 +231,13 @@ def test_criterion_8_structural_invariants(reduced_grid, decomposition_runs):
     incl = 0
     checked = 0
     for run in decomposition_runs["runs"]:
-        arrays = stack(run["ds"])
-        run["tracker"].coeffs.check_patterns(arrays.y)  # raises on violation
+        y = run["ds"].y
+        run["tracker"].coeffs.check_patterns(y)  # raises on violation
         thr = activation_threshold(
             effective_sigma0(run["net"]), run["ds"].params.sigma_p, run["ds"].params.d
         )
         for rec in run["traj"].records:
-            own = own_noise_pre(rec.noise_pre, arrays.y)
+            own = own_noise_pre(rec.noise_pre, y)
             incl += int(np.sum(np.any((own > thr) & ~(own > 0), axis=1)))
             checked += 1
     assert incl == 0, f"{incl} inclusion violations in decomposition runs"
@@ -253,13 +253,12 @@ def test_criterion_9_structure_reports_on_bayes_runs(bayes_floor_runs):
     worst_frac = 0.0
     for run in bayes_floor_runs:
         traj = run["traj"]
-        arrays = stack(run["ds"])
         ratio_rep = check_logit_ratio(traj, c1=5.0)
         assert ratio_rep.violations == 0, f"logit ratio {ratio_rep.worst_case_value:.1f}"
         worst_ratio = max(worst_ratio, ratio_rep.worst_case_value)
         d = run["ds"].params.d
         thr = activation_threshold(1.0 / np.sqrt(3 * d), 1.0, d)
-        mono = check_set_monotonicity(traj, arrays.y, thr)
+        mono = check_set_monotonicity(traj, run["ds"].y, thr)
         assert mono.violation_fraction <= 0.05, f"monotonicity {mono.violation_fraction:.3f}"
         worst_frac = max(worst_frac, mono.violation_fraction)
     _report(9, "structure reports",

@@ -22,7 +22,7 @@ from samdyn.checks import (
     scaled_tau,
     write_report_csv,
 )
-from samdyn.data import DataParams, gen_dataset, make_signal, stack
+from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.decomposition import CoeffTracker
 from samdyn.network import NetConfig
 from samdyn.optim import TrainConfig, epoch_schedule, train
@@ -34,22 +34,21 @@ def _run(d=400, n=12, m=5, B=4, epochs=6, p=0.1, mu_norm=4.0, eta=0.05, seed=0,
     ds = gen_dataset(params, make_signal(d, mu_norm), n, seed=seed)
     net = NetConfig(m=m, d=d, init="gaussian", sigma_0=sigma_0)
     tracker = CoeffTracker(ds, m)
-    arrays = stack(ds)
-    rec = SamDeactivationRecorder(arrays.y)
+    rec = SamDeactivationRecorder(ds.y)
     cfg = TrainConfig(eta=eta, B=B, epochs=epochs, algo=algo, tau=tau, seed=seed,
                       record_every=record_every)
     traj = train(ds, net, cfg, hooks=(tracker, rec))
-    return ds, net, arrays, traj, tracker, rec
+    return ds, net, traj, tracker, rec
 
 
 def test_theory_constants_formulas():
-    ds, net, arrays, traj, _, _ = _run(epochs=1)
-    consts = TheoryConstants.from_run(traj.w0, arrays.mu, arrays.xi, 2, 1.0, t_star=50)
+    ds, net, traj, _, _ = _run(epochs=1)
+    consts = TheoryConstants.from_run(traj.w0, ds.mu, ds.xi, 2, 1.0, t_star=50)
     assert consts.alpha == pytest.approx(4 * math.log(50))
     assert consts.snr == pytest.approx(4.0 / math.sqrt(400))
     assert consts.gamma_hat == pytest.approx(12 * consts.snr**2)
-    mu_inner = np.abs(traj.w0 @ arrays.mu).max()
-    xi_inner = np.abs(np.einsum("jmd,nd->jmn", traj.w0, arrays.xi)).max()
+    mu_inner = np.abs(traj.w0 @ ds.mu).max()
+    xi_inner = np.abs(np.einsum("jmd,nd->jmn", traj.w0, ds.xi)).max()
     assert consts.beta == pytest.approx(2 * max(mu_inner, xi_inner))
     assert consts.kappa == 10.0 and consts.c1_logit == 5.0
 
@@ -62,46 +61,46 @@ def test_effective_sigma0():
 
 
 def test_set_monotonicity_single_record_trivial():
-    ds, net, arrays, traj, _, _ = _run(epochs=0)
+    ds, net, traj, _, _ = _run(epochs=0)
     thr = activation_threshold(0.02, 1.0, 400)
-    rep = check_set_monotonicity(traj, arrays.y, thr)
+    rep = check_set_monotonicity(traj, ds.y, thr)
     assert rep.violations == 0
 
 
 def test_set_monotonicity_benign_run():
-    ds, net, arrays, traj, _, _ = _run(epochs=8, eta=0.02)
+    ds, net, traj, _, _ = _run(epochs=8, eta=0.02)
     thr = activation_threshold(0.02, 1.0, 400)
-    rep = check_set_monotonicity(traj, arrays.y, thr)
+    rep = check_set_monotonicity(traj, ds.y, thr)
     assert rep.violation_fraction <= 0.05
 
 
 def test_set_monotonicity_reports_stress_violations():
     # small d + aggressive step: cross-sample interference knocks filters out
-    ds, net, arrays, traj, _, _ = _run(d=24, n=12, eta=2.0, epochs=12, mu_norm=6.0,
+    ds, net, traj, _, _ = _run(d=24, n=12, eta=2.0, epochs=12, mu_norm=6.0,
                                        p=0.3, seed=3)
     thr = activation_threshold(0.02, 1.0, 24)
-    rep = check_set_monotonicity(traj, arrays.y, thr)
+    rep = check_set_monotonicity(traj, ds.y, thr)
     assert rep.violations > 0  # reported, not raised
     assert rep.total > 0
 
 
 def test_logit_ratio_exactly_one_at_zero_weights():
     # two samples, zero init: every margin is 0, every l' is -1/2
-    ds, net, arrays, traj, _, _ = _run(n=2, B=2, epochs=0, sigma_0=0.0)
+    ds, net, traj, _, _ = _run(n=2, B=2, epochs=0, sigma_0=0.0)
     rep = check_logit_ratio(traj)
     assert rep.worst_case_value == 1.0
     assert rep.violations == 0
 
 
 def test_logit_ratio_single_sample_is_one():
-    ds, net, arrays, traj, _, _ = _run(n=1, B=1, epochs=3)
+    ds, net, traj, _, _ = _run(n=1, B=1, epochs=3)
     rep = check_logit_ratio(traj)
     assert rep.worst_case_value == 1.0
     assert rep.violations == 0
 
 
 def test_logit_ratio_detects_spread():
-    ds, net, arrays, traj, _, _ = _run(epochs=10, eta=0.3, mu_norm=6.0, p=0.25, seed=2)
+    ds, net, traj, _, _ = _run(epochs=10, eta=0.3, mu_norm=6.0, p=0.25, seed=2)
     rep = check_logit_ratio(traj, c1=0.0001)  # absurdly tight bound must flag
     assert rep.violations > 0
     loose = check_logit_ratio(traj, c1=50.0)
@@ -110,15 +109,15 @@ def test_logit_ratio_detects_spread():
 
 
 def test_coeff_bounds_initial_state():
-    ds, net, arrays, traj, tracker, _ = _run(epochs=0)
-    consts = TheoryConstants.from_run(traj.w0, arrays.mu, arrays.xi, 2, 1.0, t_star=10)
+    ds, net, traj, tracker, _ = _run(epochs=0)
+    consts = TheoryConstants.from_run(traj.w0, ds.mu, ds.xi, 2, 1.0, t_star=10)
     reports = check_coeff_bounds(tracker.history, consts, d=400)
     assert all(r.violations == 0 for r in reports)
 
 
 def test_coeff_bounds_benign_run_within_alpha():
-    ds, net, arrays, traj, tracker, _ = _run(epochs=10, eta=0.02)
-    consts = TheoryConstants.from_run(traj.w0, arrays.mu, arrays.xi, 2, 1.0, t_star=10)
+    ds, net, traj, tracker, _ = _run(epochs=10, eta=0.02)
+    consts = TheoryConstants.from_run(traj.w0, ds.mu, ds.xi, 2, 1.0, t_star=10)
     reports = {r.check: r for r in check_coeff_bounds(tracker.history, consts, d=400)}
     assert reports["zeta_range"].violations == 0
     assert reports["omega_range"].violations == 0
@@ -167,7 +166,7 @@ def test_classify_regime_edges():
 
 
 def test_deactivation_recorder_tau_zero_vacuous():
-    ds, net, arrays, traj, _, rec = _run(algo="sam", tau=0.0, epochs=3)
+    ds, net, traj, _, rec = _run(algo="sam", tau=0.0, epochs=3)
     rep = check_sam_deactivation(rec)
     assert rep.total == 0
     assert "vacuous" in rep.detail
@@ -179,7 +178,7 @@ def test_deactivation_large_radius_suppresses():
     d, n, B, m = 800, 8, 4, 4
     sigma_0 = 1.0 / (2 * math.sqrt(d))
     tau = scaled_tau(4.0, m, B, 2, 1.0, d)
-    ds, net, arrays, traj, _, rec = _run(
+    ds, net, traj, _, rec = _run(
         d=d, n=n, m=m, B=B, epochs=10, p=0.0, mu_norm=2.0, eta=5e-4,
         algo="sam", tau=tau, sigma_0=sigma_0, seed=1,
     )
@@ -191,7 +190,7 @@ def test_deactivation_large_radius_suppresses():
 def test_deactivation_tiny_radius_reports_failures():
     d, n, B, m = 800, 8, 4, 4
     sigma_0 = 1.0 / (2 * math.sqrt(d))
-    ds, net, arrays, traj, _, rec = _run(
+    ds, net, traj, _, rec = _run(
         d=d, n=n, m=m, B=B, epochs=10, p=0.0, mu_norm=2.0, eta=5e-4,
         algo="sam", tau=1e-6, sigma_0=sigma_0, seed=1,
     )
@@ -219,20 +218,20 @@ def test_calibrate_sam_tau_small_instance():
 
 def test_checkers_are_pure():
     """Re-running a checker on the same trajectory reproduces the report."""
-    ds, net, arrays, traj, tracker, rec = _run(epochs=5)
+    ds, net, traj, tracker, rec = _run(epochs=5)
     thr = activation_threshold(0.02, 1.0, 400)
-    a = check_set_monotonicity(traj, arrays.y, thr)
-    b = check_set_monotonicity(traj, arrays.y, thr)
+    a = check_set_monotonicity(traj, ds.y, thr)
+    b = check_set_monotonicity(traj, ds.y, thr)
     assert a == b
     assert check_logit_ratio(traj) == check_logit_ratio(traj)
-    consts = TheoryConstants.from_run(traj.w0, arrays.mu, arrays.xi, 2, 1.0, t_star=5)
+    consts = TheoryConstants.from_run(traj.w0, ds.mu, ds.xi, 2, 1.0, t_star=5)
     assert check_coeff_bounds(tracker.history, consts, 400) == check_coeff_bounds(
         tracker.history, consts, 400
     )
 
 
 def test_report_csv(tmp_path):
-    ds, net, arrays, traj, tracker, rec = _run(epochs=2)
+    ds, net, traj, tracker, rec = _run(epochs=2)
     reports = [check_logit_ratio(traj), check_sam_deactivation(rec)]
     path = tmp_path / "report.csv"
     write_report_csv(path, reports)

@@ -131,8 +131,9 @@ def test_grid_cli_end_to_end(tmp_path):
     assert (out / "heatmap_sgd.csv").exists()
     assert (out / "heatmap_sgd.pgm").exists()
     assert (out / "manifest.json").exists()
-    checks = list((out / "checks").glob("*.csv"))
-    assert len(checks) == 1
+    assert not (out / "checks").exists()
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert not any("checks" in str(o) for o in outputs)
     # resume with everything done is a no-op with identical output
     before = (out / "results.csv").read_bytes()
     assert main(["grid", "--config", str(cfg), "--out", str(out), "--resume"]) == 0

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_dataset_arrays
 from samdyn.data import (
     DataParams,
     concentration_report,
@@ -53,15 +57,15 @@ def test_no_flip_when_p_zero():
     mu = make_signal(4, 1.0)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        s = gen_sample(params, mu, rng)
-        assert s.y == s.y_hat
+        y, y_hat, _, _ = gen_sample(params, rng)
+        assert y == y_hat
 
 
 def test_degenerate_noise_limit():
     # sigma_p -> 0: noise patches vanish
     params = DataParams(d=5, P=2, sigma_p=1e-12, mu_norm=1.0)
-    s = gen_sample(params, make_signal(5, 1.0), np.random.default_rng(1))
-    assert np.max(np.abs(s.xi)) < 1e-9
+    _, _, xi, _ = gen_sample(params, np.random.default_rng(1))
+    assert np.max(np.abs(xi)) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -70,15 +74,17 @@ def test_sample_patch_layout(seed, P, d):
     """Exactly one patch equals y_hat * mu; the others are all xi."""
     params = DataParams(d=d, P=P, sigma_p=1.0, p=0.3, mu_norm=2.0)
     mu = make_signal(d, 2.0)
-    s = gen_sample(params, mu, np.random.default_rng(seed))
-    assert s.y in (1, -1) and s.y_hat in (1, -1)
-    assert s.y in (s.y_hat, -s.y_hat)
-    assert np.array_equal(s.patches[s.signal_pos], s.y_hat * mu)
+    ds = gen_dataset(params, mu, 1, seed=seed)
+    y, y_hat, xi, pos = ds.y[0], ds.y_hat[0], ds.xi[0], ds.signal_pos[0]
+    patches = ds.patches()[0]
+    assert y in (1, -1) and y_hat in (1, -1)
+    assert y in (y_hat, -y_hat)
+    assert np.array_equal(patches[pos], y_hat * mu)
     for k in range(P):
-        if k != s.signal_pos:
-            assert np.array_equal(s.patches[k], s.xi)
-    matches = sum(np.array_equal(s.patches[k], s.y_hat * mu) for k in range(P))
-    if not np.array_equal(s.xi, s.y_hat * mu):  # a.s. distinct
+        if k != pos:
+            assert np.array_equal(patches[k], xi)
+    matches = sum(np.array_equal(patches[k], y_hat * mu) for k in range(P))
+    if not np.array_equal(xi, y_hat * mu):  # a.s. distinct
         assert matches == 1
 
 
@@ -88,12 +94,11 @@ def test_flip_rate_monte_carlo():
     p = 0.2
     n = 100_000
     params = DataParams(d=1, P=2, p=p)
-    mu = make_signal(1, 1.0)
     rng = np.random.default_rng(7)
     flipped = 0
     for _ in range(n):
-        s = gen_sample(params, mu, rng)
-        flipped += s.y != s.y_hat
+        y, y_hat, _, _ = gen_sample(params, rng)
+        flipped += y != y_hat
     rate = flipped / n
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(rate - p) <= 3 * sigma
@@ -105,9 +110,9 @@ def test_dataset_determinism():
     mu = make_signal(6, 1.5)
     a = gen_dataset(params, mu, 12, seed=42)
     b = gen_dataset(params, mu, 12, seed=42)
-    for sa, sb in zip(a.samples, b.samples):
-        assert np.array_equal(sa.patches, sb.patches)
-        assert sa.y == sb.y and sa.y_hat == sb.y_hat and sa.signal_pos == sb.signal_pos
+    assert np.array_equal(a.patches(), b.patches())
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.y_hat, b.y_hat)
+    assert np.array_equal(a.signal_pos, b.signal_pos)
 
 
 def test_dataset_distinct_seeds_differ():
@@ -115,16 +120,15 @@ def test_dataset_distinct_seeds_differ():
     mu = make_signal(6, 1.0)
     a = gen_dataset(params, mu, 5, seed=1)
     b = gen_dataset(params, mu, 5, seed=2)
-    assert any(not np.array_equal(sa.xi, sb.xi) for sa, sb in zip(a.samples, b.samples))
+    assert any(not np.array_equal(xa, xb) for xa, xb in zip(a.xi, b.xi))
 
 
 def test_dataset_clean_setup_shape():
     params = DataParams(d=100, P=2, p=0.0, mu_norm=3.0)
     ds = gen_dataset(params, make_signal(100, 3.0), 20, seed=0)
     assert ds.n == 20
-    assert all(s.y == s.y_hat for s in ds.samples)
-    arrays = stack(ds)
-    assert arrays.patches.shape == (20, 2, 100)
+    assert np.array_equal(ds.y, ds.y_hat)
+    assert ds.patches().shape == (20, 2, 100)
 
 
 def test_concentration_large_d_passes():
@@ -154,7 +158,99 @@ def test_save_load_roundtrip(tmp_path):
     assert back.params == params
     assert back.seed == 11
     assert np.array_equal(back.mu, ds.mu)
-    for sa, sb in zip(ds.samples, back.samples):
-        assert np.array_equal(sa.patches, sb.patches)
-        assert (sa.y, sa.y_hat, sa.signal_pos) == (sb.y, sb.y_hat, sb.signal_pos)
-        assert np.array_equal(sa.xi, sb.xi)
+    assert np.array_equal(back.patches(), ds.patches())
+    for key in ("y", "y_hat", "signal_pos", "xi"):
+        a, b = getattr(ds, key), getattr(back, key)
+        assert a.dtype == b.dtype and np.array_equal(a, b), key
+
+
+def _corrupt(path, tmp_path, **changes):
+    """Copy a saved dataset with some archive entries replaced."""
+    with np.load(path) as z:
+        entries = {k: z[k] for k in z.files}
+    entries.update(changes)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **entries)
+    return bad
+
+
+@pytest.fixture
+def saved(tmp_path):
+    params = DataParams(d=5, P=2, p=0.2, mu_norm=1.0)
+    ds = gen_dataset(params, make_signal(5, 1.0), 6, seed=0)
+    path = tmp_path / "ds.npz"
+    save_dataset(path, ds)
+    return ds, path
+
+
+def test_load_rejects_rows_beyond_header(saved, tmp_path):
+    _, path = saved
+    bad = _corrupt(path, tmp_path, header_int=np.array([5, 2, 3, 1, 0], dtype=np.int64))
+    with pytest.raises(ValueError, match="shape"):
+        load_dataset(bad)
+
+
+@pytest.mark.parametrize("key,shape", [("mu", (4,)), ("xi", (6, 4)), ("y_hat", (5,))])
+def test_load_rejects_wrong_shapes(saved, tmp_path, key, shape):
+    _, path = saved
+    bad = _corrupt(path, tmp_path, **{key: np.ones(shape, dtype=np.int64 if key == "y_hat"
+                                                 else np.float64)})
+    with pytest.raises(ValueError, match=key):
+        load_dataset(bad)
+
+
+@pytest.mark.parametrize("key", ["y", "y_hat"])
+def test_load_rejects_labels_outside_pm1(saved, tmp_path, key):
+    _, path = saved
+    bad = _corrupt(path, tmp_path, **{key: np.array([2, 0, 5, 1, -1, 1], dtype=np.int64)})
+    with pytest.raises(ValueError, match=key):
+        load_dataset(bad)
+
+
+@pytest.mark.parametrize("pos", [7, -1])
+def test_load_rejects_signal_pos_outside_range(saved, tmp_path, pos):
+    _, path = saved
+    bad = _corrupt(path, tmp_path, signal_pos=np.full(6, pos, dtype=np.int64))
+    with pytest.raises(ValueError, match="signal_pos"):
+        load_dataset(bad)
+
+
+@pytest.mark.parametrize("d,P,p", [(1, 2, 0.0), (7, 3, 0.3), (64, 5, 0.1)])
+def test_gen_dataset_pins_the_draw_order(d, P, p):
+    """gen_dataset output equals an independent rebuild of the documented
+    per-sample streams, bit for bit."""
+    params = DataParams(d=d, P=P, p=p, sigma_p=0.8, mu_norm=1.0)
+    ds = gen_dataset(params, make_signal(d, 1.0), 9, seed=123)
+    for key, ref in zip(("y", "y_hat", "xi", "signal_pos"),
+                        reference_dataset_arrays(params, 9, 123)):
+        got = getattr(ds, key)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), key
+
+
+def test_per_sample_names_are_views():
+    """stack and Dataset.samples stay for per-sample callers: stack is the
+    identity, samples is built once, and each row's xi is a view."""
+    params = DataParams(d=4, P=3, p=0.2, mu_norm=1.0)
+    ds = gen_dataset(params, make_signal(4, 1.0), 5, seed=2)
+    assert stack(ds) is ds
+    assert ds.samples is ds.samples
+    patches = ds.patches()
+    for i, s in enumerate(ds.samples):
+        assert np.shares_memory(s.xi, ds.xi)
+        assert (s.y, s.y_hat, s.signal_pos) == (ds.y[i], ds.y_hat[i], ds.signal_pos[i])
+        assert np.array_equal(s.patches, patches[i])
+
+
+def test_dataset_with_samples_is_freed_without_gc():
+    """The row views hold no reference back to their Dataset, so dropping
+    the Dataset frees its arrays without waiting for the cycle collector."""
+    params = DataParams(d=4, P=2, mu_norm=1.0)
+    ds = gen_dataset(params, make_signal(4, 1.0), 3, seed=0)
+    assert len(ds.samples) == 3
+    ref = weakref.ref(ds)
+    gc.disable()
+    try:
+        del ds
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samdyn.data import DataParams, gen_dataset, make_signal, stack
+from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.decomposition import (
     Coeffs,
     CoeffTracker,
@@ -13,8 +13,6 @@ from samdyn.decomposition import (
     make_basis,
     oracle_solve,
     reconstruct,
-    track_step_sam,
-    track_step_sgd,
     write_coeff_csv,
 )
 from samdyn.network import NetConfig
@@ -67,24 +65,6 @@ def test_sam_tracker_matches_oracle():
         sol = oracle_solve(rec.weights, traj.w0, basis)
         assert np.max(np.abs(sol.gamma - state.coeffs.gamma)) <= 1e-8
         assert np.max(np.abs(sol.rho - state.coeffs.rho)) <= 1e-8
-
-
-def test_track_step_sam_equals_sgd_on_same_inputs():
-    rng = np.random.default_rng(0)
-    n, m, B, P = 6, 3, 3, 2
-    c = Coeffs.zeros(m, n)
-    batch = np.array([0, 3, 5])
-    ell = -rng.uniform(0.1, 0.9, B)
-    sig = rng.integers(0, 2, (2, m, B)).astype(float)
-    noi = rng.integers(0, 2, (2, m, B)).astype(float)
-    y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    kw = dict(y=y, y_hat=y.copy(), eta=0.1, B=B, m=m, P=P, mu_norm_sq=4.0,
-              xi_norm_sq=np.full(n, 9.0))
-    a = track_step_sgd(c, batch, ell, (sig, noi), **kw)
-    b = track_step_sam(c, batch, ell, (sig, noi), **kw)
-    assert np.array_equal(a.gamma, b.gamma)
-    assert np.array_equal(a.zeta, b.zeta)
-    assert np.array_equal(a.omega, b.omega)
 
 
 def test_oracle_zero_drift():
@@ -163,7 +143,7 @@ def test_full_run_reconstruction():
 def test_degenerate_basis_duplicate_noise():
     params = DataParams(d=20, P=2, mu_norm=1.0)
     ds = gen_dataset(params, make_signal(20, 1.0), 3, seed=3)
-    xis = np.stack([s.xi for s in ds.samples])
+    xis = ds.xi.copy()
     xis[2] = xis[1]
     with pytest.raises(DegenerateBasisError, match="xi_1.*xi_2"):
         make_basis(ds.mu, xis, P=2)
@@ -173,7 +153,7 @@ def test_degenerate_basis_zero_mu():
     params = DataParams(d=20, P=2, mu_norm=1.0)
     ds = gen_dataset(params, make_signal(20, 1.0), 3, seed=4)
     with pytest.raises(DegenerateBasisError, match="mu"):
-        make_basis(np.zeros(20), np.stack([s.xi for s in ds.samples]), P=2)
+        make_basis(np.zeros(20), ds.xi, P=2)
 
 
 def test_pattern_violations_raise():
@@ -197,12 +177,11 @@ def test_gamma_alignment_identity():
     j*gamma plus the exact noise cross-term, so the gap is bounded by the
     numerically computed sum of |rho_i| |<xi_i, mu>| / ((P-1)||xi_i||^2)."""
     ds, traj, tracker = _small_run(epochs=6)
-    arrays = stack(ds)
     P = ds.params.P
-    cross = (arrays.xi @ arrays.mu) / np.einsum("nd,nd->n", arrays.xi, arrays.xi)
+    cross = (ds.xi @ ds.mu) / np.einsum("nd,nd->n", ds.xi, ds.xi)
     for rec in traj.records:
         st = tracker.state_at(rec.t, rec.b)
-        drift_mu = (rec.weights - traj.w0) @ arrays.mu  # (2, m)
+        drift_mu = (rec.weights - traj.w0) @ ds.mu  # (2, m)
         signed_gamma = st.coeffs.gamma * np.array([1.0, -1.0])[:, None]
         gap = np.abs(drift_mu - signed_gamma)
         bound = np.einsum("jmn,n->jm", np.abs(st.coeffs.rho), np.abs(cross)) / (P - 1)

@@ -195,6 +195,22 @@ def test_results_csv_roundtrip(tmp_path):
     assert back == rows
 
 
+def test_results_csv_roundtrip_quotes_error(tmp_path):
+    rows = [TrialResult(d=100, mu_norm=1.5, algo="sgd", seed=0, failed=True,
+                        error='ValueError: weights must have shape (2, m, d), got "(3, 4)"')]
+    path = tmp_path / "r.csv"
+    write_results_csv(path, rows)
+    back = load_results_csv(path)
+    assert [r.error for r in back] == [r.error for r in rows]
+
+
+def test_results_csv_rejects_unknown_header(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("algo,d\nsgd,1\n")
+    with pytest.raises(ValueError, match="header"):
+        load_results_csv(path)
+
+
 def test_export_heatmap_empty(tmp_path):
     paths = export_heatmap([], tmp_path)
     assert paths == []

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_gradient, manual_sample, min_kink_distance, random_instance
+from helpers import fd_gradient, manual_dataset, min_kink_distance, random_instance
 from samdyn.network import (
     NetConfig,
-    batch_gradient,
     batch_loss,
     forward,
+    gradient_with_aux,
     init_weights,
     load_weights,
     loss,
@@ -118,9 +118,9 @@ def test_gradient_zero_weights_hand_case():
     grad_{j,r} = -(1/2) j (xi + mu) / (B m) with the (P-1) noise weight."""
     mu = np.array([2.0, 0.0, 0.0])
     xi = np.array([0.5, -1.0, 2.0])
-    s = manual_sample(mu, xi, y=1, y_hat=1, signal_pos=0, P=2)
+    ds = manual_dataset(mu, xi, y=1, y_hat=1, signal_pos=0, P=2)
     w = np.zeros((2, 1, 3))
-    g = batch_gradient(w, s.patches[None], np.array([1.0]))
+    g = gradient_with_aux(w, ds.patches(), np.array([1.0]))[0]
     expected_plus = -0.5 * (xi + mu)
     assert np.allclose(g[0, 0], expected_plus, rtol=1e-14, atol=0)
     assert np.allclose(g[1, 0], -expected_plus, rtol=1e-14, atol=0)
@@ -131,21 +131,21 @@ def test_gradient_matches_signal_noise_form():
     signal/noise expression on model data."""
     rng = np.random.default_rng(5)
     w, patches, y, ds = random_instance(rng, d=7, m=3, P=4, B=5)
-    arrays_yhat = np.array([s.y_hat for s in ds.samples], dtype=float)
-    xi = np.stack([s.xi for s in ds.samples])
+    y_hat = ds.y_hat
+    xi = ds.xi
     mu = ds.mu
     P, m, B = 4, 3, 5
     f = forward(w, patches)
     ell = loss_grad(y * f)
     js = np.array([1.0, -1.0])
-    sig_pre = np.einsum("jmd,d->jm", w, mu)[None] * arrays_yhat[:, None, None]
+    sig_pre = np.einsum("jmd,d->jm", w, mu)[None] * y_hat[:, None, None]
     noi_pre = np.einsum("jmd,nd->njm", w, xi)
     expected = js[:, None, None] * (
         (P - 1) / (B * m) * np.einsum("n,njm,nd->jmd", ell * y, noi_pre >= 0, xi)
-        + np.einsum("n,njm->jm", ell * y * arrays_yhat, sig_pre >= 0)[:, :, None]
+        + np.einsum("n,njm->jm", ell * y * y_hat, sig_pre >= 0)[:, :, None]
         * mu[None, None, :] / (B * m)
     )
-    g = batch_gradient(w, patches, y)
+    g = gradient_with_aux(w, patches, y)[0]
     assert np.allclose(g, expected, rtol=1e-13, atol=1e-15)
 
 
@@ -154,8 +154,8 @@ def test_gradient_repeated_sample_equals_single():
     w, patches, y, _ = random_instance(rng, B=1)
     reps = np.repeat(patches, 8, axis=0)
     ys = np.repeat(y, 8)
-    g1 = batch_gradient(w, patches, y)
-    g8 = batch_gradient(w, reps, ys)
+    g1 = gradient_with_aux(w, patches, y)[0]
+    g8 = gradient_with_aux(w, reps, ys)[0]
     assert np.allclose(g1, g8, rtol=1e-12, atol=1e-16)
 
 
@@ -166,7 +166,7 @@ def test_gradient_finite_difference_small():
         w, patches, y, _ = random_instance(rng, d=10, m=2, P=3, B=4)
         if min_kink_distance(w, patches) < 1e-4:
             continue
-        g = batch_gradient(w, patches, y)
+        g = gradient_with_aux(w, patches, y)[0]
         fd = fd_gradient(w, patches, y)
         rel = np.max(np.abs(fd - g)) / np.max(np.abs(g))
         assert rel <= 1e-6
@@ -176,8 +176,8 @@ def test_gradient_finite_difference_small():
 def test_gradient_lies_in_data_span():
     rng = np.random.default_rng(13)
     w, patches, y, ds = random_instance(rng, d=40, m=3, P=2, B=6)
-    g = batch_gradient(w, patches, y)
-    basis = np.vstack([ds.mu[None], np.stack([s.xi for s in ds.samples])])
+    g = gradient_with_aux(w, patches, y)[0]
+    basis = np.vstack([ds.mu[None], ds.xi])
     for row in g.reshape(-1, 40):
         sol, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
         resid = np.linalg.norm(row - basis.T @ sol)
@@ -187,7 +187,7 @@ def test_gradient_lies_in_data_span():
 def test_empty_batch_rejected():
     w = np.zeros((2, 1, 3))
     with pytest.raises(ValueError, match="empty"):
-        batch_gradient(w, np.zeros((0, 2, 3)), np.zeros(0))
+        gradient_with_aux(w, np.zeros((0, 2, 3)), np.zeros(0))
 
 
 def test_weights_roundtrip(tmp_path):

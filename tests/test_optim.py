@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
 
-from helpers import manual_sample, random_instance
+from helpers import manual_dataset, random_instance
 from samdyn.data import DataParams, gen_dataset, make_signal
-from samdyn.network import NetConfig, batch_gradient
+from samdyn.network import NetConfig, gradient_with_aux
 from samdyn.optim import (
     TrainConfig,
     TrainingDivergedError,
+    _step,
     epoch_schedule,
     grad_frobenius_norm,
-    sam_perturbation,
-    sam_step,
-    sgd_step,
     train,
     write_metrics_csv,
 )
+
+
+def _perturbation(w, patches, y, tau):
+    """The ascent perturbation a SAM step applies: w_used - w."""
+    return _step(w, patches, y, 0.0, tau)[3] - w
 
 
 def test_schedule_full_batch_identity():
@@ -53,25 +56,25 @@ def test_schedule_pair_frequency():
 def test_sgd_step_zero_eta():
     rng = np.random.default_rng(0)
     w, patches, y, _ = random_instance(rng)
-    assert np.array_equal(sgd_step(w, patches, y, 0.0), w)
+    assert np.array_equal(_step(w, patches, y, 0.0, 0.0)[0], w)
 
 
 def test_sgd_step_zero_gradient_point():
     # gigantic margins underflow l' to zero: the step is a bitwise no-op
     mu = np.array([1e4, 0.0])
-    s = manual_sample(mu, [0.0, 1e4], y=1, y_hat=1, signal_pos=0, P=2)
+    ds = manual_dataset(mu, [0.0, 1e4], y=1, y_hat=1, signal_pos=0, P=2)
     w = np.array([[[1.0, 1.0]], [[-1.0, -1.0]]])
-    out = sgd_step(w, s.patches[None], np.array([1.0]), 0.5)
+    out = _step(w, ds.patches(), np.array([1.0]), 0.5, 0.0)[0]
     assert np.array_equal(out, w)
 
 
 def test_sgd_step_closed_form_from_zero():
     mu = np.array([2.0, 0.0, 0.0])
     xi = np.array([0.5, -1.0, 2.0])
-    s = manual_sample(mu, xi, y=1, y_hat=1, signal_pos=0, P=2)
+    ds = manual_dataset(mu, xi, y=1, y_hat=1, signal_pos=0, P=2)
     w = np.zeros((2, 1, 3))
     eta = 0.1
-    out = sgd_step(w, s.patches[None], np.array([1.0]), eta)
+    out = _step(w, ds.patches(), np.array([1.0]), eta, 0.0)[0]
     step_plus = eta * 0.5 * (xi + mu)  # -eta * (-1/2)(xi + mu)
     assert np.allclose(out[0, 0], step_plus, rtol=1e-14)
     assert np.allclose(out[1, 0], -step_plus, rtol=1e-14)
@@ -81,9 +84,9 @@ def test_sam_perturbation_norm_and_scale_invariance():
     rng = np.random.default_rng(1)
     w, patches, y, _ = random_instance(rng, B=4)
     tau = 0.37
-    eps = sam_perturbation(w, patches, y, tau)
+    eps = _perturbation(w, patches, y, tau)
     assert grad_frobenius_norm(eps) == pytest.approx(tau, rel=1e-12)
-    g = batch_gradient(w, patches, y)
+    g = gradient_with_aux(w, patches, y)[0]
     assert np.allclose(eps, tau * g / grad_frobenius_norm(g), rtol=1e-12)
     for c in (0.01, 3.0, 250.0):
         scaled = tau * (c * g) / grad_frobenius_norm(c * g)
@@ -93,20 +96,20 @@ def test_sam_perturbation_norm_and_scale_invariance():
 def test_sam_perturbation_zero_cases():
     rng = np.random.default_rng(2)
     w, patches, y, _ = random_instance(rng, B=2)
-    assert np.array_equal(sam_perturbation(w, patches, y, 0.0), np.zeros_like(w))
+    assert np.array_equal(_perturbation(w, patches, y, 0.0), np.zeros_like(w))
     # zero-gradient point: perturbation is defined as 0
     mu = np.array([1e4, 0.0])
-    s = manual_sample(mu, [0.0, 1e4], y=1, y_hat=1, signal_pos=0, P=2)
+    ds = manual_dataset(mu, [0.0, 1e4], y=1, y_hat=1, signal_pos=0, P=2)
     wbig = np.array([[[1.0, 1.0]], [[-1.0, -1.0]]])
-    eps = sam_perturbation(wbig, s.patches[None], np.array([1.0]), 0.5)
+    eps = _perturbation(wbig, ds.patches(), np.array([1.0]), 0.5)
     assert np.array_equal(eps, np.zeros_like(wbig))
 
 
 def test_sam_step_tau_zero_is_sgd_bitwise():
     rng = np.random.default_rng(3)
     w, patches, y, _ = random_instance(rng, B=4)
-    a = sgd_step(w, patches, y, 0.05)
-    b = sam_step(w, patches, y, 0.05, 0.0)
+    a = w - 0.05 * gradient_with_aux(w, patches, y)[0]
+    b = _step(w, patches, y, 0.05, 0.0)[0]
     assert np.array_equal(a, b)
 
 
@@ -116,9 +119,9 @@ def test_sam_step_first_order_in_tau():
     rng = np.random.default_rng(4)
     w, patches, y, _ = random_instance(rng, d=12, m=2, P=2, B=4)
     eta = 0.05
-    base = sgd_step(w, patches, y, eta)
-    d1 = np.linalg.norm(sam_step(w, patches, y, eta, 1e-5) - base)
-    d2 = np.linalg.norm(sam_step(w, patches, y, eta, 5e-6) - base)
+    base = _step(w, patches, y, eta, 0.0)[0]
+    d1 = np.linalg.norm(_step(w, patches, y, eta, 1e-5)[0] - base)
+    d2 = np.linalg.norm(_step(w, patches, y, eta, 5e-6)[0] - base)
     assert d1 > 0
     assert d1 / d2 == pytest.approx(2.0, rel=0.25)
     assert d1 <= 10 * eta * 1e-5
@@ -213,14 +216,12 @@ def test_update_in_batch_span():
     rng = np.random.default_rng(8)
     params = DataParams(d=50, P=3, sigma_p=1.0, p=0.2, mu_norm=2.0)
     ds = gen_dataset(params, make_signal(50, 2.0), 8, seed=21)
-    patches = np.stack([s.patches for s in ds.samples])
-    y = np.array([s.y for s in ds.samples], dtype=float)
     w = rng.normal(0.0, 0.3, size=(2, 4, 50))
     batch = np.array([1, 4, 6])
     for tau in (0.0, 0.2):
-        out = sam_step(w, patches[batch], y[batch], 0.1, tau)
+        out = _step(w, ds.patches(batch), ds.y[batch], 0.1, tau)[0]
         update = (out - w).reshape(-1, 50)
-        basis = np.vstack([ds.mu[None], np.stack([ds.samples[i].xi for i in batch])])
+        basis = np.vstack([ds.mu[None], ds.xi[batch]])
         for row in update:
             sol, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
             resid = np.linalg.norm(row - basis.T @ sol)
@@ -235,3 +236,16 @@ def test_metrics_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,b,train_loss,min_margin,max_margin"
     assert len(lines) == 1 + len(traj.records)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TrainConfig(eta=0.1, B=1, epochs=1, algo="sam", tau=float("nan")),
+    lambda: TrainConfig(eta=float("inf"), B=1, epochs=1),
+    lambda: DataParams(d=3, mu_norm=float("nan")),
+    lambda: DataParams(d=3, sigma_p=float("inf")),
+    lambda: NetConfig(m=1, d=3, sigma_0=float("nan")),
+    lambda: make_signal(3, float("nan")),
+], ids=["tau_nan", "eta_inf", "mu_norm_nan", "sigma_p_inf", "sigma_0_nan", "signal_nan"])
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
