@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataParams, gen_dataset, make_signal
-from .network import NetConfig, loss_grad
+from .network import NetConfig, loss_grad, model_preacts
 from .optim import TrainConfig, Trajectory, train
 
 
@@ -86,9 +86,8 @@ class TheoryConstants:
         t_star: int,
     ) -> "TheoryConstants":
         n, d = xis.shape
-        mu_inner = np.abs(w0 @ mu)                    # (2, m)
-        xi_inner = np.abs(np.einsum("jmd,nd->jmn", w0, xis))
-        beta = 2.0 * max(float(mu_inner.max()), (P - 1) * float(xi_inner.max()))
+        mu_pre, noise_pre = model_preacts(w0, mu, xis)
+        beta = 2.0 * max(float(np.abs(mu_pre).max()), (P - 1) * float(np.abs(noise_pre).max()))
         snr = float(np.linalg.norm(mu)) / ((P - 1) * sigma_p * math.sqrt(d))
         return cls(
             t_star=t_star,
@@ -232,13 +231,12 @@ class SamDeactivationRecorder:
     """
 
     def __init__(self, y: np.ndarray, t1_epochs: float | None = None):
-        self.rows = (np.asarray(y) < 0).astype(int)
+        self.y = np.asarray(y)
         self.t1_epochs = t1_epochs
         self.events = 0
         self.violations = 0
         self.perturbed_steps = 0
         self.steps = 0
-        self.per_step: list[tuple[int, int, int, int]] = []
 
     def __call__(self, event) -> None:
         self.steps += 1
@@ -247,15 +245,13 @@ class SamDeactivationRecorder:
         if event.tau == 0.0:
             return
         self.perturbed_steps += 1
-        b = event.batch.size
-        rows = self.rows[event.batch]
-        pre_w = event.noise_pre[rows, :, np.arange(b)]       # (B, m)
-        pre_used = event.noise_pre_used[rows, :, np.arange(b)]
+        y = self.y[event.batch]
+        pre_w = own_noise_pre(event.at_w.noise_pre, y)  # (B, m)
+        pre_used = own_noise_pre(event.used.noise_pre, y)
         mask = pre_w >= 0
         viol = mask & (pre_used >= 0)
         self.events += int(mask.sum())
         self.violations += int(viol.sum())
-        self.per_step.append((event.t, event.b, int(mask.sum()), int(viol.sum())))
 
 
 def check_sam_deactivation(recorder: SamDeactivationRecorder) -> CheckReport:

@@ -213,8 +213,6 @@ def load_grid_spec(path, seed_override: int | None = None, environ=None) -> tupl
             algo=algo,
             tau=cfg["tau"] if algo == "sam" else 0.0,
         )
-    if cfg["n"] % cfg["B"] != 0:
-        raise ConfigError(f"B={cfg['B']} does not divide n={cfg['n']}")
     try:
         spec = GridSpec(
             d_values=tuple(cfg["d_values"]),

@@ -9,8 +9,8 @@ probability p.
 Conventions
 -----------
 - a Dataset holds (mu, xi, y, y_hat, signal_pos) as arrays, labels as
-  float64 +1/-1; Dataset.patches is the only code that builds the
-  (n, P, d) input tensor from them
+  float64 +1/-1; Dataset.patches builds the (n, P, d) input tensor from
+  them, as the input of the reference patch network; training never does
 - a Dataset is reproducible from (params, seed): per-sample generators are
   spawned from one SeedSequence, so generation order never matters
 """
@@ -87,12 +87,10 @@ class Dataset:
     def n(self) -> int:
         return len(self.y)
 
-    def patches(self, idx=None) -> np.ndarray:
-        """The (n, P, d) input tensor, or the (len(idx), P, d) rows idx."""
-        rows = slice(None) if idx is None else idx
-        xi = self.xi[rows]
-        out = np.repeat(xi[:, None, :], self.params.P, axis=1)
-        out[np.arange(len(xi)), self.signal_pos[rows]] = self.y_hat[rows, None] * self.mu
+    def patches(self) -> np.ndarray:
+        """The (n, P, d) input tensor."""
+        out = np.repeat(self.xi[:, None, :], self.params.P, axis=1)
+        out[np.arange(self.n), self.signal_pos] = self.y_hat[:, None] * self.mu
         return out
 
     @cached_property

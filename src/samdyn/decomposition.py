@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .data import Dataset
-from .network import J_SIGNS
+from .network import J_SIGNS, BatchTerms
 
 
 class InvariantViolation(AssertionError):
@@ -76,29 +76,27 @@ def track_step(
     coeffs: Coeffs,
     *,
     batch: np.ndarray,
-    ell: np.ndarray,
-    sig_act: np.ndarray,
-    noise_act: np.ndarray,
+    terms: BatchTerms,
     y: np.ndarray,
     y_hat: np.ndarray,
     eta: float,
-    B: int,
-    m: int,
     P: int,
     mu_norm_sq: float,
     xi_norm_sq: np.ndarray,
 ) -> Coeffs:
     """Advance the coefficients by one batch step.
 
-    ell, sig_act (2,m,B) and noise_act (2,m,B) must be exactly the loss
-    derivatives and activation indicators the optimizer step used; the
-    gamma increment is -(eta ||mu||^2/(Bm)) sum_i ell_i sig_act y_i y_hat_i
+    terms must be the BatchTerms the optimizer step descended along: its
+    ell, sig_act (2,m,B) and noise_act (2,m,B) are exactly the loss
+    derivatives and activation indicators the step used.  The gamma
+    increment is -(eta ||mu||^2/(Bm)) sum_i ell_i sig_act y_i y_hat_i
     (clean samples push, flipped samples pull), and each in-batch sample
     adds -(eta (P-1)^2/(Bm)) ell_i noise_act ||xi_i||^2 to its own zeta
     (y_i = j row) or the negation to omega (y_i = -j row).
     """
-    B_batch = len(batch)
-    if ell.shape != (B_batch,) or sig_act.shape[-1] != B_batch:
+    ell, sig_act, noise_act = terms.ell, terms.sig_act, terms.noise_act
+    B, m = len(batch), sig_act.shape[1]
+    if ell.shape != (B,) or sig_act.shape[-1] != B:
         raise ValueError("ell/activation shapes do not match the batch")
     yb = y[batch]
     gy = ell * yb * y_hat[batch]
@@ -244,7 +242,6 @@ class CoeffTracker:
         self.mu_norm_sq = float(ds.mu @ ds.mu)
         self.xi_norm_sq = np.einsum("nd,nd->n", ds.xi, ds.xi)
         self.P = ds.params.P
-        self.m = m
         self.n = ds.n
         self.check = check
         self.coeffs = Coeffs.zeros(m, self.n)
@@ -254,18 +251,13 @@ class CoeffTracker:
         self._keep = keep_history
 
     def __call__(self, event) -> None:
-        B = len(event.batch)
         self.coeffs = track_step(
             self.coeffs,
             batch=event.batch,
-            ell=event.ell,
-            sig_act=event.sig_act,
-            noise_act=event.noise_act,
+            terms=event.used,
             y=self.y,
             y_hat=self.y_hat,
             eta=event.eta,
-            B=B,
-            m=self.m,
             P=self.P,
             mu_norm_sq=self.mu_norm_sq,
             xi_norm_sq=self.xi_norm_sq,
@@ -273,7 +265,7 @@ class CoeffTracker:
         if self.check:
             self.coeffs.check_patterns(self.y)
         if self._keep:
-            H = self.n // B
+            H = self.n // len(event.batch)
             t, b = (event.t + 1, 0) if event.b + 1 == H else (event.t, event.b + 1)
             self.history.append(CoeffState(t, b, event.step + 1, self.coeffs.copy()))
 

@@ -29,10 +29,11 @@ import numpy as np
 from .checks import activation_threshold, effective_sigma0, own_noise_pre
 from .data import DataParams, gen_dataset, make_signal
 from .decomposition import CoeffTracker, InvariantViolation
-from .network import NetConfig
+from .network import NetConfig, model_margins, model_preacts
 from .optim import TrainConfig, TrainingDivergedError, train
 
 _SEED_TAG = 88261599  # fixed domain tag for trial seed derivation
+_TEST_CHUNK = 256  # test samples drawn per block; part of the test-draw stream
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,22 @@ class GridSpec:
     def __post_init__(self):
         if not self.d_values or not self.mu_values or not self.seeds:
             raise ValueError("d_values, mu_values and seeds must be nonempty")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
+        if not math.isfinite(self.loss_target):
+            raise ValueError(f"loss_target must be finite, got {self.loss_target}")
         if not self.train:
             raise ValueError("at least one training variant is required")
+        for name, cfg in self.train.items():
+            if self.n % cfg.B != 0:
+                raise ValueError(f"variant {name!r}: B={cfg.B} does not divide n={self.n}")
+        # run every cell's DataParams/NetConfig checks now, not once per trial
+        for d in self.d_values:
+            for mu in self.mu_values:
+                self.data_params(d, mu)
+            self.net_config(d)
 
     def data_params(self, d: int, mu_norm: float) -> DataParams:
         return DataParams(d=d, P=self.P, sigma_p=self.sigma_p, p=self.p, mu_norm=mu_norm)
@@ -117,7 +130,6 @@ def estimate_test_error(
     mu: np.ndarray,
     n_test: int,
     rng: np.random.Generator,
-    chunk: int = 256,
 ) -> tuple[float, float]:
     """Fraction of fresh samples with y != sign(f); sign(0) counts as an
     error.  Draws in fixed-size chunks so large d stays memory-bounded
@@ -125,20 +137,15 @@ def estimate_test_error(
     """
     if n_test < 1:
         raise ValueError(f"n_test must be >= 1, got {n_test}")
-    m = w.shape[1]
-    mu_pre = w @ mu  # (2, m)
     errors = 0
     remaining = n_test
     while remaining > 0:
-        k = min(chunk, remaining)
+        k = min(_TEST_CHUNK, remaining)
         y_hat = np.where(rng.random(k) < 0.5, 1.0, -1.0)
         y = np.where(rng.random(k) < params.p, -y_hat, y_hat)
         xi = rng.normal(0.0, params.sigma_p, size=(k, params.d))
-        sig = np.maximum(y_hat[:, None, None] * mu_pre[None, :, :], 0.0).sum(axis=2)
-        noi = np.maximum(np.einsum("jmd,kd->kjm", w, xi), 0.0).sum(axis=2)
-        fj = (sig + (params.P - 1) * noi) / m
-        f = fj[:, 0] - fj[:, 1]
-        errors += int(np.sum(y * f <= 0))
+        mu_pre, noise_pre = model_preacts(w, mu, xi)
+        errors += int(np.sum(model_margins(mu_pre, noise_pre, y, y_hat, params.P) <= 0))
         remaining -= k
     rate = errors / n_test
     stderr = math.sqrt(rate * (1 - rate) / n_test)
@@ -195,7 +202,17 @@ def _trial_task(args):
 
 
 def _trial_filename(d, mu_norm, variant, seed) -> str:
-    return f"{variant}_d{d}_mu{mu_norm:g}_s{seed}.json"
+    return f"{variant}_d{d}_mu{float(mu_norm)!r}_s{seed}.json"
+
+
+def _trial_spec(spec: GridSpec, variant: str) -> dict:
+    """What a trial depends on beyond its (d, mu, seed) cell, as JSON reads
+    it back: the spec without its axes, with only the trial's own variant."""
+    fields = dataclasses.asdict(spec)
+    for axis in ("d_values", "mu_values", "seeds"):
+        del fields[axis]
+    fields["train"] = {variant: fields["train"][variant]}
+    return json.loads(json.dumps(fields))
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
@@ -215,7 +232,8 @@ def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> li
 
     Writes trials/<cell>.json incrementally (atomic per trial), then
     results.csv and per-variant heatmap CSV + PGM files under out_dir.
-    With resume=True, existing trial files are loaded instead of re-run.
+    With resume=True, existing trial files are loaded instead of re-run; a
+    file stamped with a different _trial_spec raises ValueError.
     """
     out = Path(out_dir)
     trials_dir = out / "trials"
@@ -228,12 +246,16 @@ def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> li
         path = trials_dir / _trial_filename(*cell)
         if resume and path.exists():
             with open(path) as fh:
-                done[cell] = TrialResult(**json.load(fh))
+                payload = json.load(fh)
+            if payload.pop("spec", None) != _trial_spec(spec, cell[2]):
+                raise ValueError(f"{path}: trial was run with a different or unrecorded spec")
+            done[cell] = TrialResult(**payload)
         else:
             pending.append(cell)
 
     def persist(cell, result: TrialResult) -> None:
-        _atomic_write_json(trials_dir / _trial_filename(*cell), dataclasses.asdict(result))
+        payload = {**dataclasses.asdict(result), "spec": _trial_spec(spec, cell[2])}
+        _atomic_write_json(trials_dir / _trial_filename(*cell), payload)
         done[cell] = result
 
     if jobs > 1 and len(pending) > 1:

@@ -10,6 +10,11 @@ maps row index to the class sign.  The network output is
 and training minimizes the mean logistic loss l(z) = log(1 + exp(-z)) over
 a batch.  The ReLU subgradient at 0 is fixed to 1, so kink behaviour is
 deterministic.
+
+The patch functions (patch_preacts, forward, batch_loss) define the model on
+any (B, P, d) input.  Training and evaluation use its (mu, xi) form: on model
+data a filter sees only <w, y_hat mu> and <w, xi>, so model_margins and
+model_gradient work from those products and never build the patch tensor.
 """
 
 import math
@@ -48,13 +53,11 @@ def init_weights(cfg: NetConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(2, cfg.m, cfg.d))
 
 
-def _check_dims(w: np.ndarray, patches: np.ndarray) -> None:
+def _check_dims(w: np.ndarray, x: np.ndarray) -> None:
     if w.ndim != 3 or w.shape[0] != 2:
         raise ValueError(f"weights must have shape (2, m, d), got {w.shape}")
-    if patches.shape[-1] != w.shape[-1]:
-        raise ValueError(
-            f"patch dim {patches.shape[-1]} does not match weight dim {w.shape[-1]}"
-        )
+    if x.shape[-1] != w.shape[-1]:
+        raise ValueError(f"input dim {x.shape[-1]} does not match weight dim {w.shape[-1]}")
 
 
 def patch_preacts(w: np.ndarray, patches: np.ndarray) -> np.ndarray:
@@ -97,38 +100,63 @@ def batch_loss(w: np.ndarray, patches: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(loss(y * f)))
 
 
-@dataclass
-class GradAux:
-    """Quantities computed alongside a batch gradient, reused by the
-    training loop and by decomposition hooks."""
+@dataclass(frozen=True)
+class BatchTerms:
+    """Per-batch terms at one weight point, as a step uses and hooks replay them."""
 
-    pre: np.ndarray      # (B, 2, m, P) pre-activations
-    act: np.ndarray      # (B, 2, m, P) float indicators 1(pre >= 0)
-    margins: np.ndarray  # (B,) y_i f(W, x_i)
-    ell: np.ndarray      # (B,) loss_grad(margins)
+    mu_pre: np.ndarray     # (2, m) <w_{j,r}, mu>
+    noise_pre: np.ndarray  # (2, m, B) <w_{j,r}, xi_i>
+    sig_act: np.ndarray    # (2, m, B) indicators 1(<w_{j,r}, y_hat_i mu> >= 0)
+    noise_act: np.ndarray  # (2, m, B) indicators 1(<w_{j,r}, xi_i> >= 0)
+    margins: np.ndarray    # (B,) y_i f(W, x_i)
+    ell: np.ndarray        # (B,) loss_grad(margins)
 
 
-def gradient_with_aux(w, patches, y) -> tuple[np.ndarray, GradAux]:
-    """Exact gradient of batch_loss, with relu'(0) = 1, and its GradAux.
+def model_preacts(w: np.ndarray, mu: np.ndarray, xi: np.ndarray):
+    """<w_{j,r}, mu> (2, m) and <w_{j,r}, xi_i> (2, m, B) for xi (B, d)."""
+    _check_dims(w, xi)
+    two, m, d = w.shape
+    return w @ mu, (w.reshape(two * m, d) @ xi.T).reshape(two, m, len(xi))
 
-    grad_{j,r} = (1/(B m)) sum_i sum_p l'_i y_i j 1(<w_{j,r}, x_i^(p)> >= 0) x_i^(p)
 
-    On model data (one signal patch y_hat*mu, P-1 copies of xi) this equals
-    the signal/noise split form with the (P-1) noise multiplicity.
+def model_margins(mu_pre, noise_pre, y, y_hat, P: int) -> np.ndarray:
+    """y_i f(W, x_i) on model data: the signal patch contributes
+    relu(y_hat_i <w, mu>) once and the noise patch relu(<w, xi_i>) P-1 times."""
+    m = mu_pre.shape[1]
+    sig = np.maximum(y_hat[None, None, :] * mu_pre[:, :, None], 0.0).sum(axis=1)  # (2, B)
+    noi = np.maximum(noise_pre, 0.0).sum(axis=1)  # (2, B)
+    fj = (sig + (P - 1) * noi) / m
+    return y * (fj[0] - fj[1])
+
+
+def model_gradient(w, mu, xi, y, y_hat, P: int) -> tuple[np.ndarray, BatchTerms]:
+    """Exact gradient of batch_loss on the model-data batch (mu, xi, y,
+    y_hat), with relu'(0) = 1, and the BatchTerms it was formed from.
+
+    grad_{j,r} = (j/(B m)) sum_i l'_i y_i [1(<w_{j,r}, y_hat_i mu> >= 0) y_hat_i mu
+                                          + (P-1) 1(<w_{j,r}, xi_i> >= 0) xi_i]
+
+    which is the patch-sum gradient with the signal patch counted once and
+    the noise patch P-1 times.
     """
-    B = patches.shape[0]
+    B = len(y)
     if B == 0:
         raise ValueError("batch is empty")
     m = w.shape[1]
-    pre = patch_preacts(w, patches)
-    fj = np.maximum(pre, 0.0).sum(axis=(2, 3)) / m
-    margins = y * (fj[:, 0] - fj[:, 1])
+    mu_pre, noise_pre = model_preacts(w, mu, xi)
+    margins = model_margins(mu_pre, noise_pre, y, y_hat, P)
     ell = loss_grad(margins)
-    act = (pre >= 0).astype(np.float64)
+    sig_act = (y_hat[None, None, :] * mu_pre[:, :, None] >= 0).astype(np.float64)
+    noise_act = (noise_pre >= 0).astype(np.float64)
     gy = ell * y
-    grad = np.einsum("b,bjmp,bpd->jmd", gy, act, patches) / (B * m)
+    sig_coef = sig_act @ (gy * y_hat)        # (2, m)
+    noise_coef = (P - 1) * noise_act * gy    # (2, m, B)
+    grad = sig_coef[:, :, None] * mu + (noise_coef.reshape(2 * m, B) @ xi).reshape(w.shape)
+    grad /= B * m
     grad *= J_SIGNS[:, None, None]
-    return grad, GradAux(pre=pre, act=act, margins=margins, ell=ell)
+    terms = BatchTerms(mu_pre=mu_pre, noise_pre=noise_pre, sig_act=sig_act,
+                       noise_act=noise_act, margins=margins, ell=ell)
+    return grad, terms
 
 
 def save_weights(path, w: np.ndarray) -> None:

@@ -10,10 +10,11 @@ perturbed point.  A zero gradient or tau=0 yields a zero perturbation and
 the step degenerates to plain SGD on the identical code path, so tau=0 runs
 are bitwise equal to SGD runs.
 
-Hooks are called once per batch step with a StepEvent carrying the exact
-loss derivatives and activation indicators the step used (for SAM, those of
-the perturbed weights), which is what allows the signal/noise coefficient
-tracker to reproduce the weight trajectory exactly.
+Steps and records use the (mu, xi) form of the model and never build the
+patch tensor.  Hooks are called once per batch step with a StepEvent
+carrying the exact loss derivatives and activation indicators the step used
+(for SAM, those of the perturbed weights), which is what allows the
+signal/noise coefficient tracker to reproduce the weight trajectory exactly.
 """
 
 import math
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .network import NetConfig, gradient_with_aux, init_weights, loss
+from .network import (BatchTerms, NetConfig, init_weights, loss, model_gradient,
+                      model_margins, model_preacts)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -58,28 +60,18 @@ class TrainConfig:
 
 @dataclass
 class StepEvent:
-    """What one optimizer step actually did.
-
-    ell, sig_act, noise_act are the loss derivatives and activation
-    indicators used to form the descent gradient: for SAM these belong to
-    the perturbed weights.  noise_pre holds <w, xi_i> at the unperturbed
-    weights and noise_pre_used the same at the weights the gradient was
-    evaluated at; they coincide for SGD.
-    """
+    """What one optimizer step did: the batch terms at the weights w (at_w)
+    and at the weights the descent gradient was taken at (used: the
+    perturbed weights for SAM, the same object as at_w for SGD)."""
 
     t: int
     b: int
     step: int
-    batch: np.ndarray          # (B,) sample indices
+    batch: np.ndarray   # (B,) sample indices
     eta: float
-    tau: float                 # effective radius; 0 when no perturbation applied
-    ell: np.ndarray            # (B,)
-    sig_act: np.ndarray        # (2, m, B) indicators at <w_used, y_hat_i mu>
-    noise_act: np.ndarray      # (2, m, B) indicators at <w_used, xi_i>
-    noise_pre: np.ndarray      # (2, m, B) <w, xi_i>
-    noise_pre_used: np.ndarray  # (2, m, B) <w_used, xi_i>
-    w_before: np.ndarray
-    w_after: np.ndarray
+    tau: float          # effective radius; 0 when no perturbation applied
+    at_w: BatchTerms
+    used: BatchTerms
 
 
 @dataclass
@@ -125,36 +117,27 @@ def grad_frobenius_norm(g: np.ndarray) -> float:
     return float(np.sqrt(np.sum(g * g)))
 
 
-def _step(w, patches, y, eta: float, tau: float):
-    """One descent step; returns (w_next, aux_at_w, aux_used, w_used, perturbed)."""
-    g, aux0 = gradient_with_aux(w, patches, y)
+def _step(w, ds: Dataset, idx, eta: float, tau: float):
+    """One descent step on rows idx of the dataset; returns
+    (w_next, terms_at_w, terms_used, w_used, perturbed)."""
+    batch = (ds.mu, ds.xi[idx], ds.y[idx], ds.y_hat[idx], ds.params.P)
+    g, at_w = model_gradient(w, *batch)
     perturbed = False
-    w_used, g_used, aux = w, g, aux0
+    w_used, g_used, used = w, g, at_w
     if tau > 0.0:
         norm = grad_frobenius_norm(g)
         if norm > 0.0:
             w_used = w + (tau / norm) * g
-            g_used, aux = gradient_with_aux(w_used, patches, y)
+            g_used, used = model_gradient(w_used, *batch)
             perturbed = True
-    return w - eta * g_used, aux0, aux, w_used, perturbed
-
-
-def _gather_patch(act: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    # act (B, 2, m, P), pos (B,) -> (2, m, B)
-    B = act.shape[0]
-    return np.moveaxis(act[np.arange(B), :, :, pos], 0, -1)
+    return w - eta * g_used, at_w, used, w_used, perturbed
 
 
 def _state_stats(w, ds: Dataset):
     """Margins and loss at a state from the (2,m) x mu and (2,m,n) x xi
     pre-activations; costs one pass over the weights per record."""
-    m = w.shape[1]
-    mu_pre = w @ ds.mu                      # (2, m)
-    noise_pre = np.einsum("jmd,nd->jmn", w, ds.xi)
-    sig = np.maximum(ds.y_hat[None, None, :] * mu_pre[:, :, None], 0.0).sum(axis=1)
-    noi = np.maximum(noise_pre, 0.0).sum(axis=1)  # (2, n)
-    fj = (sig + (ds.params.P - 1) * noi) / m
-    margins = ds.y * (fj[0] - fj[1])
+    mu_pre, noise_pre = model_preacts(w, ds.mu, ds.xi)
+    margins = model_margins(mu_pre, noise_pre, ds.y, ds.y_hat, ds.params.P)
     train_loss = float(np.mean(loss(margins)))
     return mu_pre, noise_pre, margins, train_loss
 
@@ -165,9 +148,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
     Records the state before every due batch step plus the final state,
     calls each hook after every step, and aborts on non-finite loss.
     """
-    patches = ds.patches()
     n = ds.n
-    P = ds.params.P
     if n % cfg.B != 0:
         raise ValueError(f"B={cfg.B} does not divide n={n}")
     H = n // cfg.B
@@ -183,7 +164,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
             "n": n,
             "d": net.d,
             "m": net.m,
-            "P": P,
+            "P": ds.params.P,
             "H": H,
             "algo": cfg.algo,
             "eta": cfg.eta,
@@ -219,7 +200,6 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
             )
         )
 
-    noise_pos = (ds.signal_pos + 1) % P
     s = 0
     for t in range(cfg.epochs):
         batches = epoch_schedule(n, cfg.B, shuffle_rng)
@@ -231,28 +211,12 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
                 cfg.sam_phase_iters is None or s < cfg.sam_phase_iters
             )
             tau_eff = cfg.tau if sam_now else 0.0
-            w_next, aux0, aux, _w_used, perturbed = _step(
-                w, patches[idx], ds.y[idx], cfg.eta, tau_eff
-            )
-            if not np.all(np.isfinite(aux.margins)):
+            w_next, at_w, used, _w_used, perturbed = _step(w, ds, idx, cfg.eta, tau_eff)
+            if not np.all(np.isfinite(used.margins)):
                 raise TrainingDivergedError(f"non-finite margins at state ({t}, {b})")
             if hooks:
-                pos = noise_pos[idx]
-                event = StepEvent(
-                    t=t,
-                    b=b,
-                    step=s,
-                    batch=idx,
-                    eta=cfg.eta,
-                    tau=tau_eff if perturbed else 0.0,
-                    ell=aux.ell,
-                    sig_act=_gather_patch(aux.act, ds.signal_pos[idx]),
-                    noise_act=_gather_patch(aux.act, pos),
-                    noise_pre=_gather_patch(aux0.pre, pos),
-                    noise_pre_used=_gather_patch(aux.pre, pos),
-                    w_before=w,
-                    w_after=w_next,
-                )
+                event = StepEvent(t=t, b=b, step=s, batch=idx, eta=cfg.eta,
+                                  tau=tau_eff if perturbed else 0.0, at_w=at_w, used=used)
                 for hook in hooks:
                     hook(event)
             w = w_next

@@ -8,8 +8,8 @@ from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
 def fd_gradient(w, patches, y, h=1e-6):
     """Central finite differences of the mean logistic loss over every
     weight coordinate, vectorized over a stack of perturbed weights.  This
-    is the independent oracle for the analytic gradient; it reimplements
-    the forward pass and never calls gradient_with_aux."""
+    is the independent oracle for the analytic gradient: it reimplements
+    the patch forward pass and never calls network.model_gradient."""
     flat = w.ravel()
     k = flat.size
     eye = np.eye(k)

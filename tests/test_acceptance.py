@@ -23,7 +23,7 @@ from samdyn.checks import (
 from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.decomposition import basis_from_dataset, oracle_solve, reconstruct
 from samdyn.experiments import aggregate, run_grid, phase_grid_spec
-from samdyn.network import NetConfig, gradient_with_aux
+from samdyn.network import NetConfig, model_gradient
 from samdyn.optim import TrainConfig, train
 
 
@@ -51,7 +51,7 @@ def test_criterion_1_gradient_matches_finite_differences():
         w = rng.normal(0.0, 0.3, size=(2, m, d))
         if min_kink_distance(w, patches) < 1e-4:
             continue
-        g = gradient_with_aux(w, patches, y)[0]
+        g = model_gradient(w, ds.mu, ds.xi, y, ds.y_hat, P)[0]
         fd = fd_gradient(w, patches, y, h=1e-6)
         rel = float(np.max(np.abs(fd - g)) / np.max(np.abs(g)))
         worst = max(worst, rel)

@@ -140,6 +140,14 @@ def test_grid_cli_end_to_end(tmp_path):
     assert (out / "results.csv").read_bytes() == before
 
 
+def test_grid_cli_rejects_nan_before_any_trial(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_GRID + "sigma_p = nan\n")
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "sigma_p" in capsys.readouterr().err
+    assert not (out / "trials").exists()
+
+
 def test_check_cli(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

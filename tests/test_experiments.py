@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import shutil
 
 import numpy as np
@@ -165,6 +167,52 @@ def test_run_grid_resume_completes_partial(tmp_path):
     assert (full / "results.csv").read_bytes() == (partial / "results.csv").read_bytes()
 
 
+def test_trial_files_distinguish_close_mu(tmp_path):
+    """Two mu values equal to 6 significant digits get their own trial
+    files, so a resumed grid reads each cell's own result back."""
+    spec = tiny_spec(d_values=(60,), mu_values=(10.00001, 10.00002), seeds=(0,),
+                     train={"sgd": TrainConfig(eta=0.4, B=8, epochs=3, algo="sgd")})
+    fresh = run_grid(spec, tmp_path)
+    assert len(list((tmp_path / "trials").glob("*.json"))) == len(spec.cells())
+    assert run_grid(spec, tmp_path, resume=True) == fresh
+
+
+def test_resume_refuses_changed_spec(tmp_path):
+    spec = tiny_spec(d_values=(60,), mu_values=(2.0,), seeds=(0,))
+    run_grid(spec, tmp_path)
+    train = {k: dataclasses.replace(v, eta=10 * v.eta) for k, v in spec.train.items()}
+    with pytest.raises(ValueError, match=r"sam_d60_mu2\.0_s0\.json"):
+        run_grid(dataclasses.replace(spec, train=train), tmp_path, resume=True)
+
+
+def test_resume_refuses_trial_without_spec(tmp_path):
+    spec = tiny_spec(d_values=(60,), mu_values=(2.0,), seeds=(0,))
+    run_grid(spec, tmp_path)
+    path = tmp_path / "trials" / "sgd_d60_mu2.0_s0.json"
+    payload = json.loads(path.read_text())
+    del payload["spec"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"sgd_d60_mu2\.0_s0\.json"):
+        run_grid(spec, tmp_path, resume=True)
+
+
+def test_resume_after_extending_axes(tmp_path):
+    """Adding d, mu or seed values keeps the finished trials: only the new
+    cells run, and results.csv matches a fresh run of the wider grid."""
+    spec = tiny_spec(d_values=(60,), mu_values=(2.0,), seeds=(0,))
+    run_grid(spec, tmp_path / "grid")
+    trials = tmp_path / "grid" / "trials"
+    before = {p.name: p.stat().st_mtime_ns for p in trials.glob("*.json")}
+    wide = dataclasses.replace(spec, d_values=(60, 120), mu_values=(2.0, 4.0), seeds=(0, 1))
+    run_grid(wide, tmp_path / "grid", resume=True)
+    assert {name: (trials / name).stat().st_mtime_ns for name in before} == before
+    assert len(list(trials.glob("*.json"))) == len(wide.cells())
+    run_grid(wide, tmp_path / "fresh")
+    assert (tmp_path / "grid/results.csv").read_bytes() == (
+        tmp_path / "fresh/results.csv"
+    ).read_bytes()
+
+
 def test_aggregate_matches_recompute_from_csv(tmp_path):
     spec = tiny_spec(d_values=(60,), mu_values=(1.0,), seeds=(0, 1))
     results = run_grid(spec, tmp_path)
@@ -276,6 +324,23 @@ def test_phase_presets():
     assert reduced.d_values == (1000, 5000, 20000)
     assert reduced.mu_values == (1.0, 3.0, 6.0, 10.0)
     assert reduced.seeds == (0, 1, 2)
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"sigma_p": float("nan")}, "sigma_p"),
+    ({"p": float("nan")}, "p must be"),
+    ({"loss_target": float("nan")}, "loss_target"),
+    ({"mu_values": (1.0, float("inf"))}, "mu_norm"),
+    ({"d_values": (1000, 0)}, "d must be"),
+    ({"m": 0}, "m must be"),
+    ({"init": "gaussian", "sigma_0": float("nan")}, "sigma_0"),
+    ({"n": 30}, "divide"),
+], ids=["sigma_p_nan", "p_nan", "loss_target_nan", "mu_inf", "d_zero", "m_zero",
+        "sigma_0_nan", "B_not_dividing_n"])
+def test_grid_spec_rejects_invalid_fields(overrides, match):
+    """A grid whose cells could not run is refused when it is built."""
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(phase_grid_spec(reduced=True), **overrides)
 
 
 def test_lr_ablation_expressible_as_grid():

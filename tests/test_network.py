@@ -8,13 +8,18 @@ from samdyn.network import (
     NetConfig,
     batch_loss,
     forward,
-    gradient_with_aux,
     init_weights,
     load_weights,
     loss,
     loss_grad,
+    model_gradient,
     save_weights,
 )
+
+
+def _gradient(w, ds):
+    """model_gradient on every row of ds."""
+    return model_gradient(w, ds.mu, ds.xi, ds.y, ds.y_hat, ds.params.P)
 
 
 def test_init_zero_sigma_gives_zero_weights():
@@ -120,10 +125,12 @@ def test_gradient_zero_weights_hand_case():
     xi = np.array([0.5, -1.0, 2.0])
     ds = manual_dataset(mu, xi, y=1, y_hat=1, signal_pos=0, P=2)
     w = np.zeros((2, 1, 3))
-    g = gradient_with_aux(w, ds.patches(), np.array([1.0]))[0]
+    g, terms = _gradient(w, ds)
     expected_plus = -0.5 * (xi + mu)
     assert np.allclose(g[0, 0], expected_plus, rtol=1e-14, atol=0)
     assert np.allclose(g[1, 0], -expected_plus, rtol=1e-14, atol=0)
+    # both the signal and the noise patch sit on the kink and count as active
+    assert np.all(terms.sig_act == 1) and np.all(terms.noise_act == 1)
 
 
 def test_gradient_matches_signal_noise_form():
@@ -145,17 +152,17 @@ def test_gradient_matches_signal_noise_form():
         + np.einsum("n,njm->jm", ell * y * y_hat, sig_pre >= 0)[:, :, None]
         * mu[None, None, :] / (B * m)
     )
-    g = gradient_with_aux(w, patches, y)[0]
+    g, terms = _gradient(w, ds)
     assert np.allclose(g, expected, rtol=1e-13, atol=1e-15)
+    assert np.allclose(terms.margins, y * f, rtol=1e-13, atol=0)
 
 
 def test_gradient_repeated_sample_equals_single():
     rng = np.random.default_rng(6)
-    w, patches, y, _ = random_instance(rng, B=1)
-    reps = np.repeat(patches, 8, axis=0)
-    ys = np.repeat(y, 8)
-    g1 = gradient_with_aux(w, patches, y)[0]
-    g8 = gradient_with_aux(w, reps, ys)[0]
+    w, _, _, ds = random_instance(rng, B=1)
+    g1 = _gradient(w, ds)[0]
+    rep = (np.repeat(a, 8, axis=0) for a in (ds.xi, ds.y, ds.y_hat))
+    g8 = model_gradient(w, ds.mu, *rep, ds.params.P)[0]
     assert np.allclose(g1, g8, rtol=1e-12, atol=1e-16)
 
 
@@ -163,10 +170,10 @@ def test_gradient_finite_difference_small():
     rng = np.random.default_rng(12)
     checked = 0
     while checked < 5:
-        w, patches, y, _ = random_instance(rng, d=10, m=2, P=3, B=4)
+        w, patches, y, ds = random_instance(rng, d=10, m=2, P=3, B=4)
         if min_kink_distance(w, patches) < 1e-4:
             continue
-        g = gradient_with_aux(w, patches, y)[0]
+        g = _gradient(w, ds)[0]
         fd = fd_gradient(w, patches, y)
         rel = np.max(np.abs(fd - g)) / np.max(np.abs(g))
         assert rel <= 1e-6
@@ -175,8 +182,8 @@ def test_gradient_finite_difference_small():
 
 def test_gradient_lies_in_data_span():
     rng = np.random.default_rng(13)
-    w, patches, y, ds = random_instance(rng, d=40, m=3, P=2, B=6)
-    g = gradient_with_aux(w, patches, y)[0]
+    w, _, _, ds = random_instance(rng, d=40, m=3, P=2, B=6)
+    g = _gradient(w, ds)[0]
     basis = np.vstack([ds.mu[None], ds.xi])
     for row in g.reshape(-1, 40):
         sol, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
@@ -187,7 +194,7 @@ def test_gradient_lies_in_data_span():
 def test_empty_batch_rejected():
     w = np.zeros((2, 1, 3))
     with pytest.raises(ValueError, match="empty"):
-        gradient_with_aux(w, np.zeros((0, 2, 3)), np.zeros(0))
+        model_gradient(w, np.zeros(3), np.zeros((0, 3)), np.zeros(0), np.zeros(0), 2)
 
 
 def test_weights_roundtrip(tmp_path):

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import manual_dataset, random_instance
-from samdyn.data import DataParams, gen_dataset, make_signal
-from samdyn.network import NetConfig, gradient_with_aux
+from samdyn.checks import SamDeactivationRecorder
+from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
+from samdyn.decomposition import CoeffTracker
+from samdyn.experiments import phase_grid_spec, run_trial
+from samdyn.network import NetConfig, model_gradient
 from samdyn.optim import (
     TrainConfig,
     TrainingDivergedError,
@@ -15,9 +20,13 @@ from samdyn.optim import (
 )
 
 
-def _perturbation(w, patches, y, tau):
+def _all(ds):
+    return np.arange(ds.n)
+
+
+def _perturbation(w, ds, tau):
     """The ascent perturbation a SAM step applies: w_used - w."""
-    return _step(w, patches, y, 0.0, tau)[3] - w
+    return _step(w, ds, _all(ds), 0.0, tau)[3] - w
 
 
 def test_schedule_full_batch_identity():
@@ -55,8 +64,8 @@ def test_schedule_pair_frequency():
 
 def test_sgd_step_zero_eta():
     rng = np.random.default_rng(0)
-    w, patches, y, _ = random_instance(rng)
-    assert np.array_equal(_step(w, patches, y, 0.0, 0.0)[0], w)
+    w, _, _, ds = random_instance(rng)
+    assert np.array_equal(_step(w, ds, _all(ds), 0.0, 0.0)[0], w)
 
 
 def test_sgd_step_zero_gradient_point():
@@ -64,7 +73,7 @@ def test_sgd_step_zero_gradient_point():
     mu = np.array([1e4, 0.0])
     ds = manual_dataset(mu, [0.0, 1e4], y=1, y_hat=1, signal_pos=0, P=2)
     w = np.array([[[1.0, 1.0]], [[-1.0, -1.0]]])
-    out = _step(w, ds.patches(), np.array([1.0]), 0.5, 0.0)[0]
+    out = _step(w, ds, _all(ds), 0.5, 0.0)[0]
     assert np.array_equal(out, w)
 
 
@@ -74,7 +83,7 @@ def test_sgd_step_closed_form_from_zero():
     ds = manual_dataset(mu, xi, y=1, y_hat=1, signal_pos=0, P=2)
     w = np.zeros((2, 1, 3))
     eta = 0.1
-    out = _step(w, ds.patches(), np.array([1.0]), eta, 0.0)[0]
+    out = _step(w, ds, _all(ds), eta, 0.0)[0]
     step_plus = eta * 0.5 * (xi + mu)  # -eta * (-1/2)(xi + mu)
     assert np.allclose(out[0, 0], step_plus, rtol=1e-14)
     assert np.allclose(out[1, 0], -step_plus, rtol=1e-14)
@@ -82,11 +91,11 @@ def test_sgd_step_closed_form_from_zero():
 
 def test_sam_perturbation_norm_and_scale_invariance():
     rng = np.random.default_rng(1)
-    w, patches, y, _ = random_instance(rng, B=4)
+    w, _, y, ds = random_instance(rng, B=4)
     tau = 0.37
-    eps = _perturbation(w, patches, y, tau)
+    eps = _perturbation(w, ds, tau)
     assert grad_frobenius_norm(eps) == pytest.approx(tau, rel=1e-12)
-    g = gradient_with_aux(w, patches, y)[0]
+    g = model_gradient(w, ds.mu, ds.xi, y, ds.y_hat, ds.params.P)[0]
     assert np.allclose(eps, tau * g / grad_frobenius_norm(g), rtol=1e-12)
     for c in (0.01, 3.0, 250.0):
         scaled = tau * (c * g) / grad_frobenius_norm(c * g)
@@ -95,21 +104,21 @@ def test_sam_perturbation_norm_and_scale_invariance():
 
 def test_sam_perturbation_zero_cases():
     rng = np.random.default_rng(2)
-    w, patches, y, _ = random_instance(rng, B=2)
-    assert np.array_equal(_perturbation(w, patches, y, 0.0), np.zeros_like(w))
+    w, _, _, ds = random_instance(rng, B=2)
+    assert np.array_equal(_perturbation(w, ds, 0.0), np.zeros_like(w))
     # zero-gradient point: perturbation is defined as 0
     mu = np.array([1e4, 0.0])
     ds = manual_dataset(mu, [0.0, 1e4], y=1, y_hat=1, signal_pos=0, P=2)
     wbig = np.array([[[1.0, 1.0]], [[-1.0, -1.0]]])
-    eps = _perturbation(wbig, ds.patches(), np.array([1.0]), 0.5)
+    eps = _perturbation(wbig, ds, 0.5)
     assert np.array_equal(eps, np.zeros_like(wbig))
 
 
 def test_sam_step_tau_zero_is_sgd_bitwise():
     rng = np.random.default_rng(3)
-    w, patches, y, _ = random_instance(rng, B=4)
-    a = w - 0.05 * gradient_with_aux(w, patches, y)[0]
-    b = _step(w, patches, y, 0.05, 0.0)[0]
+    w, _, y, ds = random_instance(rng, B=4)
+    a = w - 0.05 * model_gradient(w, ds.mu, ds.xi, y, ds.y_hat, ds.params.P)[0]
+    b = _step(w, ds, _all(ds), 0.05, 0.0)[0]
     assert np.array_equal(a, b)
 
 
@@ -117,11 +126,12 @@ def test_sam_step_first_order_in_tau():
     """On a region with no activation flips the SAM and SGD steps differ
     by O(tau): halving tau roughly halves the difference."""
     rng = np.random.default_rng(4)
-    w, patches, y, _ = random_instance(rng, d=12, m=2, P=2, B=4)
+    w, _, _, ds = random_instance(rng, d=12, m=2, P=2, B=4)
     eta = 0.05
-    base = _step(w, patches, y, eta, 0.0)[0]
-    d1 = np.linalg.norm(_step(w, patches, y, eta, 1e-5)[0] - base)
-    d2 = np.linalg.norm(_step(w, patches, y, eta, 5e-6)[0] - base)
+    idx = _all(ds)
+    base = _step(w, ds, idx, eta, 0.0)[0]
+    d1 = np.linalg.norm(_step(w, ds, idx, eta, 1e-5)[0] - base)
+    d2 = np.linalg.norm(_step(w, ds, idx, eta, 5e-6)[0] - base)
     assert d1 > 0
     assert d1 / d2 == pytest.approx(2.0, rel=0.25)
     assert d1 <= 10 * eta * 1e-5
@@ -198,11 +208,29 @@ def test_train_hooks_see_step_quantities():
     train(ds, net, TrainConfig(eta=0.1, B=4, epochs=2, seed=0), hooks=(events.append,))
     assert len(events) == 4
     ev = events[0]
-    assert ev.ell.shape == (4,)
-    assert ev.sig_act.shape == (2, 6, 4)
-    assert np.all((ev.sig_act == 0) | (ev.sig_act == 1))
-    assert np.array_equal(ev.noise_pre, ev.noise_pre_used)  # SGD: no perturbation
-    assert ev.w_after.shape == ev.w_before.shape
+    assert ev.used.ell.shape == (4,)
+    assert ev.used.sig_act.shape == (2, 6, 4)
+    assert np.all((ev.used.sig_act == 0) | (ev.used.sig_act == 1))
+    assert ev.used is ev.at_w  # SGD: no perturbation
+
+
+def test_training_never_builds_patch_tensor(monkeypatch):
+    """Steps, records, both hooks and the test-error estimate run on the
+    (mu, xi) form: they complete with Dataset.patches disabled."""
+
+    def refuse(self):
+        raise AssertionError("the patch tensor was built")
+
+    monkeypatch.setattr(Dataset, "patches", refuse)
+    ds, net = _toy_setup(n=8)
+    for algo, tau in (("sgd", 0.0), ("sam", 0.1)):
+        hooks = (CoeffTracker(ds, net.m), SamDeactivationRecorder(ds.y))
+        cfg = TrainConfig(eta=0.1, B=4, epochs=2, algo=algo, tau=tau, seed=0)
+        assert len(train(ds, net, cfg, hooks=hooks).records) == 3
+    spec = dataclasses.replace(phase_grid_spec(reduced=True), n_test=100,
+                               train={"sam": TrainConfig(eta=0.2, B=20, epochs=3,
+                                                         algo="sam", tau=0.03)})
+    assert not run_trial(spec, 1000, 3.0, "sam", 0).failed
 
 
 def test_train_divergence_aborts():
@@ -219,7 +247,7 @@ def test_update_in_batch_span():
     w = rng.normal(0.0, 0.3, size=(2, 4, 50))
     batch = np.array([1, 4, 6])
     for tau in (0.0, 0.2):
-        out = _step(w, ds.patches(batch), ds.y[batch], 0.1, tau)[0]
+        out = _step(w, ds, batch, 0.1, tau)[0]
         update = (out - w).reshape(-1, 50)
         basis = np.vstack([ds.mu[None], ds.xi[batch]])
         for row in update:
