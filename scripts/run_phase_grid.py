@@ -2,8 +2,8 @@
 """Reproduce the full synthetic phase-transition heatmaps.
 
 Runs the 11 x 11 (d, ||mu||) grid with 10 seeds for both the plain and the
-perturbed optimizer (~2400 trials; hours of CPU).  Use --reduced for the
-3 x 4 x 3-seed acceptance-scale grid (a few minutes).
+perturbed optimizer (2420 trials; about 7 minutes with --jobs 2 on 2 cores).
+Use --reduced for the 3 x 4 x 3-seed acceptance-scale grid (about 10 s).
 
     python scripts/run_phase_grid.py --out runs/phase --jobs 4 [--reduced]
 

@@ -37,7 +37,7 @@ from .data import (
     save_dataset,
 )
 from .decomposition import CoeffTracker, basis_from_dataset, oracle_solve, write_coeff_csv
-from .experiments import run_grid
+from .experiments import check_grid_run, run_grid
 from .network import load_weights, save_weights
 from .optim import train, write_metrics_csv
 
@@ -104,6 +104,8 @@ def _cmd_train(args) -> int:
 def _cmd_grid(args) -> int:
     spec, raw = load_grid_spec(args.config, seed_override=args.seed)
     out = Path(args.out)
+    # a refused run leaves an existing manifest as it was
+    check_grid_run(spec, out, jobs=args.jobs, resume=args.resume)
     write_manifest(out, "grid", raw, spec.base_seed,
                    ["results.csv", "heatmap_<algo>.csv", "heatmap_<algo>.pgm"])
     results = run_grid(spec, out, jobs=args.jobs, resume=args.resume)
@@ -173,6 +175,15 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on; an affinity mask or a container's CPU
+    set can make that fewer than the machine has."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="samdyn",
@@ -203,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--config", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--seed", type=int, default=None, help="override base_seed")
-    r.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (default: available cores)")
+    r.add_argument("--jobs", type=int, default=_available_cpus(),
+                   help="worker processes (default: the CPUs this process may run on)")
     r.add_argument("--resume", action="store_true")
     r.set_defaults(func=_cmd_grid)
 

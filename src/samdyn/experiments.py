@@ -5,6 +5,13 @@ variant per algorithm; run_grid executes all trials (optionally in a
 process pool), persists each trial atomically so interrupted grids resume,
 and exports per-cell aggregates as CSV plus a portable-graymap render.
 
+Every trial run_grid executes runs on one OpenBLAS thread: pool workers
+pin themselves when they start, and a serial run pins the caller for its
+duration and restores its counts afterwards.  One thread per worker keeps
+a pool of one worker per CPU from oversubscribing the cores, and it makes
+every product sum in the same order whatever the worker count, so
+results.csv does not depend on jobs.
+
 Per-trial randomness is derived from the grid coordinates, never from
 execution order: the seed material is the tuple (tag, base_seed, seed, d,
 round(mu * 1e6)), so adding cells or changing the worker count cannot
@@ -15,6 +22,7 @@ comparisons of the algorithms alone.
 """
 
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .checks import activation_threshold, effective_sigma0, own_noise_pre
 from .data import DataParams, gen_dataset, make_signal
@@ -227,31 +236,77 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
         raise
 
 
-def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> list[TrialResult]:
-    """Execute every (d, mu, variant, seed) cell and persist results.
+def _openblas_thread_controls() -> list[tuple]:
+    """(get_num_threads, set_num_threads) of each OpenBLAS that the numpy
+    and scipy wheels bundle; each wheel ships its own copy, and the lookup
+    returns the handle the interpreter already holds.  Empty when numpy and
+    scipy link another BLAS."""
+    controls = []
+    for mod in (np, scipy):
+        libs_dir = Path(mod.__file__).parent.parent / f"{mod.__name__}.libs"
+        for path in sorted(libs_dir.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                get = getattr(lib, name, None)
+                if get is not None:
+                    set_ = getattr(lib, name.replace("get_", "set_"))
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return controls
 
-    Writes trials/<cell>.json incrementally (atomic per trial), then
-    results.csv and per-variant heatmap CSV + PGM files under out_dir.
-    With resume=True, existing trial files are loaded instead of re-run; a
-    file stamped with a different _trial_spec raises ValueError.
+
+def _pin_blas_threads(counts=None) -> list[int]:
+    """Set each bundled OpenBLAS to its entry of counts (default: one
+    thread each) and return the counts it had before."""
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for (_, set_), n in zip(controls, counts or [1] * len(controls)):
+        set_(n)
+    return before
+
+
+def check_grid_run(spec: GridSpec, out_dir, jobs: int = 1,
+                   resume: bool = False) -> dict[tuple, TrialResult]:
+    """Refuse a grid run before it writes anything, and return the finished
+    trials a resume reuses, by cell.
+
+    Raises ValueError for jobs < 1 and, with resume=True, for a trial file
+    under out_dir stamped with a different or no _trial_spec.
     """
-    out = Path(out_dir)
-    trials_dir = out / "trials"
-    trials_dir.mkdir(parents=True, exist_ok=True)
-
-    cells = spec.cells()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     done: dict[tuple, TrialResult] = {}
-    pending = []
-    for cell in cells:
+    if not resume:
+        return done
+    trials_dir = Path(out_dir) / "trials"
+    for cell in spec.cells():
         path = trials_dir / _trial_filename(*cell)
-        if resume and path.exists():
+        if path.exists():
             with open(path) as fh:
                 payload = json.load(fh)
             if payload.pop("spec", None) != _trial_spec(spec, cell[2]):
                 raise ValueError(f"{path}: trial was run with a different or unrecorded spec")
             done[cell] = TrialResult(**payload)
-        else:
-            pending.append(cell)
+    return done
+
+
+def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> list[TrialResult]:
+    """Execute every (d, mu, variant, seed) cell and persist results.
+
+    Writes trials/<cell>.json incrementally (atomic per trial), then
+    results.csv and per-variant heatmap CSV + PGM files under out_dir.
+    With resume=True, existing trial files are loaded instead of re-run.
+    check_grid_run's refusals come before anything is written.
+    """
+    done = check_grid_run(spec, out_dir, jobs, resume)
+    out = Path(out_dir)
+    trials_dir = out / "trials"
+    trials_dir.mkdir(parents=True, exist_ok=True)
+    cells = spec.cells()
+    pending = [cell for cell in cells if cell not in done]
 
     def persist(cell, result: TrialResult) -> None:
         payload = {**dataclasses.asdict(result), "spec": _trial_spec(spec, cell[2])}
@@ -259,14 +314,18 @@ def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> li
         done[cell] = result
 
     if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
             for cell, result in zip(
                 pending, pool.map(_trial_task, [(spec, *c) for c in pending])
             ):
                 persist(cell, result)
     else:
-        for cell in pending:
-            persist(cell, run_trial(spec, *cell))
+        caller_threads = _pin_blas_threads()
+        try:
+            for cell in pending:
+                persist(cell, run_trial(spec, *cell))
+        finally:
+            _pin_blas_threads(caller_threads)
 
     results = [done[c] for c in cells]
     write_results_csv(out / "results.csv", results)

@@ -15,6 +15,10 @@ The patch functions (patch_preacts, forward, batch_loss) define the model on
 any (B, P, d) input.  Training and evaluation use its (mu, xi) form: on model
 data a filter sees only <w, y_hat mu> and <w, xi>, so model_margins and
 model_gradient work from those products and never build the patch tensor.
+The gradient is a combination of mu and the batch's xi_i, and
+model_grad_coeffs gives its coefficients from the pre-activations alone:
+training (optim) runs on those coefficients and never forms a d-vector per
+step, while model_gradient maps them back to d-space as the reference.
 """
 
 import math
@@ -129,9 +133,12 @@ def model_margins(mu_pre, noise_pre, y, y_hat, P: int) -> np.ndarray:
     return y * (fj[0] - fj[1])
 
 
-def model_gradient(w, mu, xi, y, y_hat, P: int) -> tuple[np.ndarray, BatchTerms]:
-    """Exact gradient of batch_loss on the model-data batch (mu, xi, y,
-    y_hat), with relu'(0) = 1, and the BatchTerms it was formed from.
+def model_grad_coeffs(mu_pre, noise_pre, y, y_hat, P: int) -> tuple[np.ndarray, BatchTerms]:
+    """The gradient of batch_loss on a model-data batch as coefficients on
+    [mu; xi_1..xi_B], from the pre-activations mu_pre (2, m) and
+    noise_pre (2, m, B), with relu'(0) = 1, and the BatchTerms it was
+    formed from.  Rows follow the weights' (2, m) filter order, so row
+    k*m + r holds the coefficients of grad_{j,r} for j = J_SIGNS[k]:
 
     grad_{j,r} = (j/(B m)) sum_i l'_i y_i [1(<w_{j,r}, y_hat_i mu> >= 0) y_hat_i mu
                                           + (P-1) 1(<w_{j,r}, xi_i> >= 0) xi_i]
@@ -142,21 +149,34 @@ def model_gradient(w, mu, xi, y, y_hat, P: int) -> tuple[np.ndarray, BatchTerms]
     B = len(y)
     if B == 0:
         raise ValueError("batch is empty")
-    m = w.shape[1]
-    mu_pre, noise_pre = model_preacts(w, mu, xi)
+    m = mu_pre.shape[1]
     margins = model_margins(mu_pre, noise_pre, y, y_hat, P)
     ell = loss_grad(margins)
     sig_act = (y_hat[None, None, :] * mu_pre[:, :, None] >= 0).astype(np.float64)
     noise_act = (noise_pre >= 0).astype(np.float64)
     gy = ell * y
-    sig_coef = sig_act @ (gy * y_hat)        # (2, m)
-    noise_coef = (P - 1) * noise_act * gy    # (2, m, B)
-    grad = sig_coef[:, :, None] * mu + (noise_coef.reshape(2 * m, B) @ xi).reshape(w.shape)
-    grad /= B * m
-    grad *= J_SIGNS[:, None, None]
+    coeffs = np.empty((2, m, 1 + B))
+    coeffs[:, :, 0] = sig_act @ (gy * y_hat)
+    coeffs[:, :, 1:] = (P - 1) * noise_act * gy
+    coeffs /= B * m
+    coeffs *= J_SIGNS[:, None, None]
     terms = BatchTerms(mu_pre=mu_pre, noise_pre=noise_pre, sig_act=sig_act,
                        noise_act=noise_act, margins=margins, ell=ell)
-    return grad, terms
+    return coeffs.reshape(2 * m, 1 + B), terms
+
+
+def span_vectors(coeffs: np.ndarray, mu: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Filters (2, m, d) from coefficient rows (2m, 1+B) on [mu; xi_1..xi_B]."""
+    rows = coeffs[:, :1] * mu + coeffs[:, 1:] @ xi
+    return rows.reshape(2, -1, len(mu))
+
+
+def model_gradient(w, mu, xi, y, y_hat, P: int) -> tuple[np.ndarray, BatchTerms]:
+    """Exact gradient of batch_loss on the model-data batch (mu, xi, y,
+    y_hat) in d-space, and the BatchTerms it was formed from: the
+    coefficients of model_grad_coeffs at w, times [mu; xi]."""
+    coeffs, terms = model_grad_coeffs(*model_preacts(w, mu, xi), y, y_hat, P)
+    return span_vectors(coeffs, mu, xi), terms
 
 
 def save_weights(path, w: np.ndarray) -> None:

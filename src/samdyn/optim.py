@@ -10,11 +10,21 @@ perturbed point.  A zero gradient or tau=0 yields a zero perturbation and
 the step degenerates to plain SGD on the identical code path, so tau=0 runs
 are bitwise equal to SGD runs.
 
-Steps and records use the (mu, xi) form of the model and never build the
-patch tensor.  Hooks are called once per batch step with a StepEvent
-carrying the exact loss derivatives and activation indicators the step used
-(for SAM, those of the perturbed weights), which is what allows the
-signal/noise coefficient tracker to reproduce the weight trajectory exactly.
+Training runs in span{mu, xi_1..xi_n}.  Every update moves a filter by a
+combination of mu and the batch's xi_i, so the weights are kept as
+w0 + C [mu; xi] with a (2m, n+1) coefficient matrix C.  The Gram matrix G
+of [mu; xi] and the projections of w0 onto it are computed once per run;
+after that every pre-activation a step or record needs is <w0, v_k> + C G_k,
+the gradient is a coefficient matrix (network.model_grad_coeffs), the SAM
+norm is ||g||_F^2 = sum (g G) * g and the SAM perturbation shifts C on the
+batch columns.  A step therefore costs O(m n B) whatever d is; d-vectors
+are formed only for the weight snapshots and w_final.  G is multiplied,
+never inverted, so mu = 0 or n >= d needs no special case.
+
+Hooks are called once per batch step with a StepEvent carrying the exact
+loss derivatives and activation indicators the step used (for SAM, those of
+the perturbed weights), which is what allows the signal/noise coefficient
+tracker to reproduce the weight trajectory exactly.
 """
 
 import math
@@ -23,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .network import (BatchTerms, NetConfig, init_weights, loss, model_gradient,
-                      model_margins, model_preacts)
+from .network import (BatchTerms, NetConfig, init_weights, loss, model_grad_coeffs,
+                      model_margins, model_preacts, span_vectors)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -113,30 +123,65 @@ def epoch_schedule(n: int, B: int, rng: np.random.Generator) -> list[np.ndarray]
     return list(perm.reshape(n // B, B))
 
 
-def grad_frobenius_norm(g: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(g * g)))
+class _Span:
+    """The weights w0 + C [mu; xi] of one run, for coefficients C of
+    shape (2m, n+1): the (n+1, n+1) Gram matrix of [mu; xi_1..xi_n] and the
+    (2m, n+1) inner products of w0's filters with it, computed once."""
+
+    def __init__(self, w0: np.ndarray, ds: Dataset):
+        self.w0, self.ds = w0, ds
+        mu, xi, n = ds.mu, ds.xi, ds.n
+        gram = np.empty((n + 1, n + 1))
+        gram[0, 0] = mu @ mu
+        gram[0, 1:] = gram[1:, 0] = xi @ mu
+        gram[1:, 1:] = xi @ xi.T
+        self.gram = gram
+        mu_pre, noise_pre = model_preacts(w0, mu, xi)
+        two_m = 2 * w0.shape[1]
+        self.base = np.hstack([mu_pre.reshape(two_m, 1), noise_pre.reshape(two_m, n)])
+
+    def weights(self, c: np.ndarray) -> np.ndarray:
+        return self.w0 + span_vectors(c, self.ds.mu, self.ds.xi)
 
 
-def _step(w, ds: Dataset, idx, eta: float, tau: float):
-    """One descent step on rows idx of the dataset; returns
-    (w_next, terms_at_w, terms_used, w_used, perturbed)."""
-    batch = (ds.mu, ds.xi[idx], ds.y[idx], ds.y_hat[idx], ds.params.P)
-    g, at_w = model_gradient(w, *batch)
+def _split(pre: np.ndarray):
+    """Inner products (2m, 1+B) with [mu; xi] -> mu_pre (2, m), noise_pre (2, m, B)."""
+    m = len(pre) // 2
+    return pre[:, 0].reshape(2, m), pre[:, 1:].reshape(2, m, -1)
+
+
+def _step(span: _Span, c: np.ndarray, idx, eta: float, tau: float):
+    """One descent step on rows idx of the dataset from the coefficients c;
+    returns (c_next, terms_at_w, terms_used, c_used, perturbed)."""
+    ds = span.ds
+    cols = np.concatenate(([0], idx + 1))
+    gram = span.gram[:, cols]
+    batch = (ds.y[idx], ds.y_hat[idx], ds.params.P)
+    pre = span.base[:, cols] + c @ gram
+    g, at_w = model_grad_coeffs(*_split(pre), *batch)
     perturbed = False
-    w_used, g_used, used = w, g, at_w
+    c_used, g_used, used = c, g, at_w
     if tau > 0.0:
-        norm = grad_frobenius_norm(g)
+        gram_cc = gram[cols]
+        # ||g||_F^2 as a quadratic form; rounding can take it just below 0
+        # when the basis is dependent and g is nearly 0 in d-space
+        norm = math.sqrt(max(float(np.sum((g @ gram_cc) * g)), 0.0))
         if norm > 0.0:
-            w_used = w + (tau / norm) * g
-            g_used, used = model_gradient(w_used, *batch)
+            shift = (tau / norm) * g
+            c_used = c.copy()
+            c_used[:, cols] += shift
+            g_used, used = model_grad_coeffs(*_split(pre + shift @ gram_cc), *batch)
             perturbed = True
-    return w - eta * g_used, at_w, used, w_used, perturbed
+    c_next = c.copy()
+    c_next[:, cols] -= eta * g_used
+    return c_next, at_w, used, c_used, perturbed
 
 
-def _state_stats(w, ds: Dataset):
-    """Margins and loss at a state from the (2,m) x mu and (2,m,n) x xi
-    pre-activations; costs one pass over the weights per record."""
-    mu_pre, noise_pre = model_preacts(w, ds.mu, ds.xi)
+def _state_stats(span: _Span, c: np.ndarray):
+    """Pre-activations, margins and loss over the whole dataset at the
+    coefficients c."""
+    ds = span.ds
+    mu_pre, noise_pre = _split(span.base + c @ span.gram)
     margins = model_margins(mu_pre, noise_pre, ds.y, ds.y_hat, ds.params.P)
     train_loss = float(np.mean(loss(margins)))
     return mu_pre, noise_pre, margins, train_loss
@@ -155,11 +200,13 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
 
     ss = np.random.SeedSequence(cfg.seed)
     init_ss, shuffle_ss = ss.spawn(2)
-    w = init_weights(net, np.random.default_rng(init_ss))
+    w0 = init_weights(net, np.random.default_rng(init_ss))
     shuffle_rng = np.random.default_rng(shuffle_ss)
+    span = _Span(w0, ds)
+    c = np.zeros_like(span.base)
 
     traj = Trajectory(
-        w0=w.copy(),
+        w0=w0,
         meta={
             "n": n,
             "d": net.d,
@@ -185,7 +232,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
         return s % cfg.record_every == 0
 
     def record(t: int, b: int) -> None:
-        mu_pre, noise_pre, margins, train_loss = _state_stats(w, ds)
+        mu_pre, noise_pre, margins, train_loss = _state_stats(span, c)
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(f"non-finite train loss at state ({t}, {b})")
         traj.records.append(
@@ -196,7 +243,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
                 margins=margins,
                 mu_pre=mu_pre,
                 noise_pre=noise_pre,
-                weights=w.copy() if cfg.snapshot_weights else None,
+                weights=span.weights(c) if cfg.snapshot_weights else None,
             )
         )
 
@@ -211,7 +258,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
                 cfg.sam_phase_iters is None or s < cfg.sam_phase_iters
             )
             tau_eff = cfg.tau if sam_now else 0.0
-            w_next, at_w, used, _w_used, perturbed = _step(w, ds, idx, cfg.eta, tau_eff)
+            c_next, at_w, used, _c_used, perturbed = _step(span, c, idx, cfg.eta, tau_eff)
             if not np.all(np.isfinite(used.margins)):
                 raise TrainingDivergedError(f"non-finite margins at state ({t}, {b})")
             if hooks:
@@ -219,11 +266,11 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
                                   tau=tau_eff if perturbed else 0.0, at_w=at_w, used=used)
                 for hook in hooks:
                     hook(event)
-            w = w_next
+            c = c_next
             s += 1
 
     record(cfg.epochs, 0)
-    traj.w_final = w.copy()
+    traj.w_final = span.weights(c)
     return traj
 
 

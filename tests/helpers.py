@@ -3,6 +3,8 @@
 import numpy as np
 
 from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
+from samdyn.network import init_weights, model_gradient, model_margins, model_preacts
+from samdyn.optim import epoch_schedule
 
 
 def fd_gradient(w, patches, y, h=1e-6):
@@ -70,3 +72,40 @@ def reference_dataset_arrays(params, n, seed):
         xi[i] = rng.normal(0.0, params.sigma_p, size=d)
         signal_pos[i] = rng.integers(params.P)
     return y, y_hat, xi, signal_pos
+
+
+def dspace_train(ds, net, cfg):
+    """optim.train replayed with d-space weights: the same initialization,
+    batch schedule and recording rule, with every step taken along
+    network.model_gradient and every record read from model_preacts.  The
+    reference the span-space engine is compared against.  Returns the
+    records as dicts (t, b, margins, mu_pre, noise_pre, weights) and the
+    final weights."""
+    init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    w = init_weights(net, np.random.default_rng(init_ss))
+    shuffle_rng = np.random.default_rng(shuffle_ss)
+    P, H = ds.params.P, ds.n // cfg.B
+    records = []
+
+    def record(t, b):
+        mu_pre, noise_pre = model_preacts(w, ds.mu, ds.xi)
+        margins = model_margins(mu_pre, noise_pre, ds.y, ds.y_hat, P)
+        records.append({"t": t, "b": b, "margins": margins, "mu_pre": mu_pre,
+                        "noise_pre": noise_pre, "weights": w.copy()})
+
+    s = 0
+    for t in range(cfg.epochs):
+        for b, idx in enumerate(epoch_schedule(ds.n, cfg.B, shuffle_rng)):
+            if s % (H if cfg.record_every is None else cfg.record_every) == 0:
+                record(t, b)
+            batch = (ds.mu, ds.xi[idx], ds.y[idx], ds.y_hat[idx], P)
+            g = model_gradient(w, *batch)[0]
+            sam_now = cfg.algo == "sam" and (
+                cfg.sam_phase_iters is None or s < cfg.sam_phase_iters)
+            norm = float(np.sqrt(np.sum(g * g)))
+            if sam_now and cfg.tau > 0.0 and norm > 0.0:
+                g = model_gradient(w + (cfg.tau / norm) * g, *batch)[0]
+            w = w - cfg.eta * g
+            s += 1
+    record(cfg.epochs, 0)
+    return records, w

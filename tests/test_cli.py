@@ -1,10 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from samdyn.cli import main
+from samdyn.cli import build_parser, main
 from samdyn.config import (
     ConfigError,
     load_grid_spec,
@@ -138,6 +139,38 @@ def test_grid_cli_end_to_end(tmp_path):
     before = (out / "results.csv").read_bytes()
     assert main(["grid", "--config", str(cfg), "--out", str(out), "--resume"]) == 0
     assert (out / "results.csv").read_bytes() == before
+
+
+def test_grid_cli_jobs_one_and_two_give_identical_results(tmp_path):
+    cfg = write_cfg(tmp_path, TINY_GRID.replace("d_values = 50", "d_values = 50, 20000")
+                    .replace("seeds = 0", "seeds = 0, 1").replace("algos = sgd", "algos = sgd, sam"))
+    for jobs in ("1", "2"):
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    assert (tmp_path / "1/results.csv").read_bytes() == (tmp_path / "2/results.csv").read_bytes()
+
+
+def test_grid_cli_refused_resume_keeps_manifest(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, TINY_GRID)
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    monkeypatch.setenv("SAMDYN_ETA", "3.0")
+    assert main(["grid", "--config", str(cfg), "--out", str(out), "--resume"]) == 2
+    assert "different or unrecorded spec" in capsys.readouterr().err
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
+def test_grid_cli_jobs_default_and_validation(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    args = build_parser().parse_args(["grid", "--config", "c", "--out", "o"])
+    assert args.jobs == 3
+    cfg = write_cfg(tmp_path, TINY_GRID)
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", str(cfg), "--out", str(out), "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_cli_rejects_nan_before_any_trial(tmp_path, capsys):

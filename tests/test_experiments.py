@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from samdyn import experiments
 from samdyn.data import DataParams, make_signal
 from samdyn.experiments import (
     GridSpec,
@@ -151,6 +152,40 @@ def test_run_grid_parallel_matches_serial(tmp_path):
     assert (tmp_path / "serial/results.csv").read_bytes() == (
         tmp_path / "par/results.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_grid_rejects_jobs_below_one(tmp_path, jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_grid(tiny_spec(), tmp_path / "grid", jobs=jobs)
+    assert not (tmp_path / "grid").exists()
+
+
+def test_run_grid_runs_trials_on_one_blas_thread(tmp_path, monkeypatch):
+    """Serial and pooled trials see one thread in every bundled OpenBLAS,
+    and the caller's counts are back when run_grid returns."""
+    controls = experiments._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy link no bundled OpenBLAS")
+
+    def counts():
+        return [get() for get, _ in experiments._openblas_thread_controls()]
+
+    def probe(spec, d, mu_norm, variant, seed):
+        return TrialResult(d=d, mu_norm=mu_norm, algo=variant, seed=seed, test_error=0.5,
+                           error=repr(counts()))
+
+    # the pool forks, so its workers see the probe too
+    monkeypatch.setattr(experiments, "run_trial", probe)
+    before = experiments._pin_blas_threads([2] * len(controls))
+    try:
+        caller = counts()
+        for jobs in (1, 2):
+            results = run_grid(tiny_spec(), tmp_path / f"jobs{jobs}", jobs=jobs)
+            assert {r.error for r in results} == {repr([1] * len(controls))}
+            assert counts() == caller
+    finally:
+        experiments._pin_blas_threads(before)
 
 
 def test_run_grid_resume_completes_partial(tmp_path):

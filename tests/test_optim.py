@@ -3,18 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import manual_dataset, random_instance
-from samdyn.checks import SamDeactivationRecorder
+from helpers import dspace_train, manual_dataset, random_instance
+from samdyn.checks import SamDeactivationRecorder, scaled_tau
 from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
 from samdyn.decomposition import CoeffTracker
 from samdyn.experiments import phase_grid_spec, run_trial
-from samdyn.network import NetConfig, model_gradient
+from samdyn.network import NetConfig, model_grad_coeffs, model_gradient, span_vectors
 from samdyn.optim import (
     TrainConfig,
     TrainingDivergedError,
+    _Span,
+    _split,
     _step,
     epoch_schedule,
-    grad_frobenius_norm,
     train,
     write_metrics_csv,
 )
@@ -24,9 +25,21 @@ def _all(ds):
     return np.arange(ds.n)
 
 
+def _run_step(w, ds, idx, eta, tau):
+    """(weights after one step from w, the step's outputs)."""
+    span = _Span(w, ds)
+    out = _step(span, np.zeros_like(span.base), idx, eta, tau)
+    return span.weights(out[0]), out
+
+
 def _perturbation(w, ds, tau):
-    """The ascent perturbation a SAM step applies: w_used - w."""
-    return _step(w, ds, _all(ds), 0.0, tau)[3] - w
+    """The ascent perturbation a SAM step applies, in d-space."""
+    c_used = _run_step(w, ds, _all(ds), 0.0, tau)[1][3]
+    return span_vectors(c_used, ds.mu, ds.xi)
+
+
+def _frobenius(g):
+    return float(np.sqrt(np.sum(g * g)))
 
 
 def test_schedule_full_batch_identity():
@@ -65,7 +78,7 @@ def test_schedule_pair_frequency():
 def test_sgd_step_zero_eta():
     rng = np.random.default_rng(0)
     w, _, _, ds = random_instance(rng)
-    assert np.array_equal(_step(w, ds, _all(ds), 0.0, 0.0)[0], w)
+    assert np.array_equal(_run_step(w, ds, _all(ds), 0.0, 0.0)[0], w)
 
 
 def test_sgd_step_zero_gradient_point():
@@ -73,7 +86,7 @@ def test_sgd_step_zero_gradient_point():
     mu = np.array([1e4, 0.0])
     ds = manual_dataset(mu, [0.0, 1e4], y=1, y_hat=1, signal_pos=0, P=2)
     w = np.array([[[1.0, 1.0]], [[-1.0, -1.0]]])
-    out = _step(w, ds, _all(ds), 0.5, 0.0)[0]
+    out = _run_step(w, ds, _all(ds), 0.5, 0.0)[0]
     assert np.array_equal(out, w)
 
 
@@ -83,7 +96,7 @@ def test_sgd_step_closed_form_from_zero():
     ds = manual_dataset(mu, xi, y=1, y_hat=1, signal_pos=0, P=2)
     w = np.zeros((2, 1, 3))
     eta = 0.1
-    out = _step(w, ds, _all(ds), eta, 0.0)[0]
+    out = _run_step(w, ds, _all(ds), eta, 0.0)[0]
     step_plus = eta * 0.5 * (xi + mu)  # -eta * (-1/2)(xi + mu)
     assert np.allclose(out[0, 0], step_plus, rtol=1e-14)
     assert np.allclose(out[1, 0], -step_plus, rtol=1e-14)
@@ -94,11 +107,11 @@ def test_sam_perturbation_norm_and_scale_invariance():
     w, _, y, ds = random_instance(rng, B=4)
     tau = 0.37
     eps = _perturbation(w, ds, tau)
-    assert grad_frobenius_norm(eps) == pytest.approx(tau, rel=1e-12)
+    assert _frobenius(eps) == pytest.approx(tau, rel=1e-12)
     g = model_gradient(w, ds.mu, ds.xi, y, ds.y_hat, ds.params.P)[0]
-    assert np.allclose(eps, tau * g / grad_frobenius_norm(g), rtol=1e-12)
+    assert np.allclose(eps, tau * g / _frobenius(g), rtol=1e-12)
     for c in (0.01, 3.0, 250.0):
-        scaled = tau * (c * g) / grad_frobenius_norm(c * g)
+        scaled = tau * (c * g) / _frobenius(c * g)
         assert np.allclose(scaled, eps, rtol=1e-9)
 
 
@@ -117,8 +130,11 @@ def test_sam_perturbation_zero_cases():
 def test_sam_step_tau_zero_is_sgd_bitwise():
     rng = np.random.default_rng(3)
     w, _, y, ds = random_instance(rng, B=4)
-    a = w - 0.05 * model_gradient(w, ds.mu, ds.xi, y, ds.y_hat, ds.params.P)[0]
-    b = _step(w, ds, _all(ds), 0.05, 0.0)[0]
+    span = _Span(w, ds)
+    c0 = np.zeros_like(span.base)
+    g = model_grad_coeffs(*_split(span.base), y, ds.y_hat, ds.params.P)[0]
+    a = c0 - 0.05 * g
+    b = _step(span, c0, _all(ds), 0.05, 0.0)[0]
     assert np.array_equal(a, b)
 
 
@@ -129,9 +145,9 @@ def test_sam_step_first_order_in_tau():
     w, _, _, ds = random_instance(rng, d=12, m=2, P=2, B=4)
     eta = 0.05
     idx = _all(ds)
-    base = _step(w, ds, idx, eta, 0.0)[0]
-    d1 = np.linalg.norm(_step(w, ds, idx, eta, 1e-5)[0] - base)
-    d2 = np.linalg.norm(_step(w, ds, idx, eta, 5e-6)[0] - base)
+    base = _run_step(w, ds, idx, eta, 0.0)[0]
+    d1 = np.linalg.norm(_run_step(w, ds, idx, eta, 1e-5)[0] - base)
+    d2 = np.linalg.norm(_run_step(w, ds, idx, eta, 5e-6)[0] - base)
     assert d1 > 0
     assert d1 / d2 == pytest.approx(2.0, rel=0.25)
     assert d1 <= 10 * eta * 1e-5
@@ -247,13 +263,58 @@ def test_update_in_batch_span():
     w = rng.normal(0.0, 0.3, size=(2, 4, 50))
     batch = np.array([1, 4, 6])
     for tau in (0.0, 0.2):
-        out = _step(w, ds, batch, 0.1, tau)[0]
+        out = _run_step(w, ds, batch, 0.1, tau)[0]
         update = (out - w).reshape(-1, 50)
         basis = np.vstack([ds.mu[None], ds.xi[batch]])
         for row in update:
             sol, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
             resid = np.linalg.norm(row - basis.T @ sol)
             assert resid <= 1e-10 * max(np.linalg.norm(row), 1e-30)
+
+
+def _span_vs_dspace(ds, net, cfg):
+    """Largest gap, relative to max(1, |reference|), between train() and the
+    d-space replay over every record's margins, mu_pre, noise_pre and weight
+    snapshot and over w_final."""
+    traj = train(ds, net, dataclasses.replace(cfg, snapshot_weights=True))
+    ref, w_final = dspace_train(ds, net, cfg)
+    assert [(r.t, r.b) for r in traj.records] == [(r["t"], r["b"]) for r in ref]
+    pairs = [(traj.w_final, w_final)]
+    for rec, want in zip(traj.records, ref):
+        pairs += [(getattr(rec, k), want[k]) for k in ("margins", "mu_pre", "noise_pre", "weights")]
+    return max(float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
+               for a, b in pairs)
+
+
+@pytest.mark.parametrize("algo,B,sam_phase_iters", [
+    ("sgd", 4, None), ("sam", 4, None), ("sam", 8, None), ("sam", 2, 30),
+], ids=["sgd_minibatch", "sam_minibatch", "sam_full_batch", "sam_phase_switch"])
+def test_span_engine_matches_dspace_replay(algo, B, sam_phase_iters):
+    """The criterion-2 setting (d=500, n=8, m=4, p=0.25, 50+ iterations)
+    trained in span space agrees with a step-by-step d-space replay."""
+    d, n, m = 500, 8, 4
+    params = DataParams(d=d, P=2, sigma_p=1.0, p=0.25, mu_norm=2.0)
+    net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)
+    for seed in range(3):
+        ds = gen_dataset(params, make_signal(d, 2.0), n, seed=500 + seed)
+        cfg = TrainConfig(eta=0.05, B=B, epochs=25, algo=algo, seed=seed, record_every=1,
+                          tau=scaled_tau(1.0, m, B, 2, 1.0, d) if algo == "sam" else 0.0,
+                          sam_phase_iters=sam_phase_iters)
+        assert _span_vs_dspace(ds, net, cfg) <= 1e-9
+
+
+@pytest.mark.parametrize("d,n,mu_norm", [(300, 12, 0.0), (10, 16, 2.0), (10, 16, 0.0)],
+                         ids=["mu_zero", "n_above_d", "mu_zero_n_above_d"])
+def test_span_engine_on_dependent_basis(d, n, mu_norm):
+    """A zero signal or more samples than dimensions make [mu; xi] linearly
+    dependent; the engine never inverts its Gram matrix, so SGD and SAM
+    train and still agree with the d-space replay."""
+    params = DataParams(d=d, P=2, sigma_p=1.0, p=0.0, mu_norm=mu_norm)
+    ds = gen_dataset(params, make_signal(d, mu_norm), n, seed=3)
+    net = NetConfig(m=3, d=d, init="uniform_fan_in")
+    for algo, tau in (("sgd", 0.0), ("sam", 0.05)):
+        cfg = TrainConfig(eta=0.1, B=4, epochs=10, algo=algo, tau=tau, seed=1)
+        assert _span_vs_dspace(ds, net, cfg) <= 1e-9
 
 
 def test_metrics_csv(tmp_path):
