@@ -5,13 +5,6 @@ variant per algorithm; run_grid executes all trials (optionally in a
 process pool), persists each trial atomically so interrupted grids resume,
 and exports per-cell aggregates as CSV plus a portable-graymap render.
 
-Every trial run_grid executes runs on one OpenBLAS thread: pool workers
-pin themselves when they start, and a serial run pins the caller for its
-duration and restores its counts afterwards.  One thread per worker keeps
-a pool of one worker per CPU from oversubscribing the cores, and it makes
-every product sum in the same order whatever the worker count, so
-results.csv does not depend on jobs.
-
 Per-trial randomness is derived from the grid coordinates, never from
 execution order: the seed material is the tuple (tag, base_seed, seed, d,
 round(mu * 1e6)), so adding cells or changing the worker count cannot
@@ -19,6 +12,21 @@ perturb existing trials.  The variant name is deliberately absent: one
 seed label denotes one (dataset, init, test set) triple shared by every
 training variant, so per-seed differences between variants are paired
 comparisons of the algorithms alone.
+
+The unit of work is therefore the (d, mu, seed) cell, not the trial:
+run_cell generates the cell's dataset once, trains each pending variant on
+it, and scores every trained variant on one draw of the cell's test set.
+Each variant would have drawn that same set from the same stream, so
+scoring it once is exact: every trial's numbers are those of a run of the
+variant alone.  run_grid schedules cells largest d first, so the longest
+cells do not land last on one worker.
+
+Every cell run_grid executes runs on one OpenBLAS thread: pool workers pin
+themselves when they start, and a serial run pins the caller for its
+duration and restores its counts afterwards.  One thread per worker keeps
+a pool of one worker per CPU from oversubscribing the cores, and it makes
+every product sum in the same order whatever the worker count, so
+results.csv does not depend on jobs.
 """
 
 import csv
@@ -81,6 +89,17 @@ class GridSpec:
             for mu in self.mu_values:
                 self.data_params(d, mu)
             self.net_config(d)
+        # a repeated value runs one trial twice and fakes a per-seed spread
+        for axis in ("d_values", "mu_values", "seeds"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{axis} repeats a value: {values!r}")
+        keys = {}
+        for mu in self.mu_values:
+            other = keys.setdefault(_mu_key(mu), mu)
+            if other != mu:
+                raise ValueError(f"mu_values {other!r} and {mu!r} share the seed key "
+                                 "round(mu * 1e6), so their cells would share every stream")
 
     def data_params(self, d: int, mu_norm: float) -> DataParams:
         return DataParams(d=d, P=self.P, sigma_p=self.sigma_p, p=self.p, mu_norm=mu_norm)
@@ -128,46 +147,68 @@ def trial_seed_sequence(base_seed: int, d: int, mu_norm: float, seed: int):
         int(base_seed),
         int(seed),
         int(d),
-        int(round(mu_norm * 1_000_000)),
+        _mu_key(mu_norm),
     )
     return np.random.SeedSequence(entropy)
 
 
+def _mu_key(mu_norm: float) -> int:
+    return int(round(mu_norm * 1_000_000))
+
+
 def estimate_test_error(
-    w: np.ndarray,
+    ws,
     params: DataParams,
     mu: np.ndarray,
     n_test: int,
     rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Fraction of fresh samples with y != sign(f); sign(0) counts as an
-    error.  Draws in fixed-size chunks so large d stays memory-bounded
-    while the stream remains reproducible for a given generator state.
+) -> list[tuple[float, float]]:
+    """(rate, stderr) for each weight array in ws: the fraction of fresh
+    samples with y != sign(f), where sign(0) counts as an error.  Every w is
+    scored on the same samples, drawn in fixed-size chunks (y_hat, flip,
+    then xi) so large d stays memory-bounded while the stream remains
+    reproducible for a given generator state.  xi is drawn into one reused
+    buffer: scaling standard normals by sigma_p gives the bits
+    rng.normal(0, sigma_p) would.
     """
     if n_test < 1:
         raise ValueError(f"n_test must be >= 1, got {n_test}")
-    errors = 0
+    errors = [0] * len(ws)
+    buf = np.empty((min(_TEST_CHUNK, n_test), params.d))
     remaining = n_test
     while remaining > 0:
         k = min(_TEST_CHUNK, remaining)
         y_hat = np.where(rng.random(k) < 0.5, 1.0, -1.0)
         y = np.where(rng.random(k) < params.p, -y_hat, y_hat)
-        xi = rng.normal(0.0, params.sigma_p, size=(k, params.d))
-        mu_pre, noise_pre = model_preacts(w, mu, xi)
-        errors += int(np.sum(model_margins(mu_pre, noise_pre, y, y_hat, params.P) <= 0))
+        xi = rng.standard_normal(out=buf[:k])
+        xi *= params.sigma_p
+        for i, w in enumerate(ws):
+            mu_pre, noise_pre = model_preacts(w, mu, xi)
+            errors[i] += int(np.sum(model_margins(mu_pre, noise_pre, y, y_hat, params.P) <= 0))
         remaining -= k
-    rate = errors / n_test
-    stderr = math.sqrt(rate * (1 - rate) / n_test)
-    return rate, stderr
+    rates = [e / n_test for e in errors]
+    return [(rate, math.sqrt(rate * (1 - rate) / n_test)) for rate in rates]
 
 
-def run_trial(spec: GridSpec, d: int, mu_norm: float, variant: str, seed: int) -> TrialResult:
-    """One training run plus evaluation; deterministic given coordinates.
+_TRIAL_ERRORS = (TrainingDivergedError, InvariantViolation, FloatingPointError, ValueError)
 
-    Individual failures (divergence, invariant violations) are captured in
-    the result so a grid never aborts on one bad cell.
+
+def _fail(result: TrialResult, exc: Exception) -> None:
+    result.failed = True
+    result.error = f"{type(exc).__name__}: {exc}"
+
+
+def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> list[TrialResult]:
+    """Train each listed variant on the (d, mu_norm, seed) cell and score
+    them all on one test draw; one TrialResult per variant, in order, each
+    deterministic given its coordinates.
+
+    Failures are captured in the results so a grid never aborts on one bad
+    cell: a variant that diverges or breaks an invariant fails alone, and an
+    error while building the cell or scoring it fails every variant it
+    covers.
     """
-    result = TrialResult(d=d, mu_norm=mu_norm, algo=variant, seed=seed)
+    results = [TrialResult(d=d, mu_norm=mu_norm, algo=v, seed=seed) for v in variants]
     try:
         ss = trial_seed_sequence(spec.base_seed, d, mu_norm, seed)
         data_ss, train_ss, test_ss = ss.spawn(3)
@@ -175,39 +216,52 @@ def run_trial(spec: GridSpec, d: int, mu_norm: float, variant: str, seed: int) -
         mu = make_signal(d, mu_norm)
         ds = gen_dataset(params, mu, spec.n, seed=data_ss)
         net = spec.net_config(d)
-        base = spec.train[variant]
-        cfg = dataclasses.replace(base, seed=int(train_ss.generate_state(1)[0]))
-        tracker = CoeffTracker(ds, spec.m, keep_history=False, check=True)
-        traj = train(ds, net, cfg, hooks=(tracker,))
-
+        train_seed = int(train_ss.generate_state(1)[0])
         thr = activation_threshold(effective_sigma0(net), spec.sigma_p, d)
-        inclusion_viol = 0
-        for rec in traj.records:
-            own = own_noise_pre(rec.noise_pre, ds.y)
-            inclusion_viol += int(np.sum(np.any((own > thr) & ~(own > 0), axis=1)))
+    except _TRIAL_ERRORS as exc:
+        for result in results:
+            _fail(result, exc)
+        return results
 
-        result.train_loss = traj.records[-1].train_loss
-        for rec in traj.epoch_records():
-            if rec.train_loss <= spec.loss_target:
-                result.convergence_epoch = rec.t
-                break
-        rate, stderr = estimate_test_error(
-            traj.w_final, params, mu, spec.n_test, np.random.default_rng(test_ss)
-        )
+    trained = []  # (result, final weights, tracker, inclusion violations)
+    for result in results:
+        try:
+            cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
+            tracker = CoeffTracker(ds, spec.m, keep_history=False, check=True)
+            traj = train(ds, net, cfg, hooks=(tracker,))
+            inclusion_viol = 0
+            for rec in traj.records:
+                own = own_noise_pre(rec.noise_pre, ds.y)
+                inclusion_viol += int(np.sum(np.any((own > thr) & ~(own > 0), axis=1)))
+            result.train_loss = traj.records[-1].train_loss
+            for rec in traj.epoch_records():
+                if rec.train_loss <= spec.loss_target:
+                    result.convergence_epoch = rec.t
+                    break
+            trained.append((result, traj.w_final, tracker, inclusion_viol))
+        except _TRIAL_ERRORS as exc:
+            _fail(result, exc)
+
+    if not trained:
+        return results
+    try:
+        scores = estimate_test_error([t[1] for t in trained], params, mu, spec.n_test,
+                                     np.random.default_rng(test_ss))
+    except _TRIAL_ERRORS as exc:
+        for t in trained:
+            _fail(t[0], exc)
+        return results
+    for (result, _, tracker, inclusion_viol), (rate, stderr) in zip(trained, scores):
         result.test_error = rate
         result.test_stderr = stderr
         result.max_gamma = float(tracker.coeffs.gamma.max())
         result.max_sum_zeta = float(tracker.coeffs.zeta.sum(axis=2).max())
         result.invariant_violations = inclusion_viol
-    except (TrainingDivergedError, InvariantViolation, FloatingPointError, ValueError) as exc:
-        result.failed = True
-        result.error = f"{type(exc).__name__}: {exc}"
-    return result
+    return results
 
 
-def _trial_task(args):
-    spec, d, mu_norm, variant, seed = args
-    return run_trial(spec, d, mu_norm, variant, seed)
+def _cell_task(args):
+    return run_cell(*args)
 
 
 def _trial_filename(d, mu_norm, variant, seed) -> str:
@@ -294,9 +348,10 @@ def check_grid_run(spec: GridSpec, out_dir, jobs: int = 1,
 
 
 def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> list[TrialResult]:
-    """Execute every (d, mu, variant, seed) cell and persist results.
+    """Execute every (d, mu, variant, seed) trial, one run_cell per
+    (d, mu, seed) cell, and persist results.
 
-    Writes trials/<cell>.json incrementally (atomic per trial), then
+    Writes trials/<trial>.json incrementally (atomic per trial), then
     results.csv and per-variant heatmap CSV + PGM files under out_dir.
     With resume=True, existing trial files are loaded instead of re-run.
     check_grid_run's refusals come before anything is written.
@@ -306,24 +361,33 @@ def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> li
     trials_dir = out / "trials"
     trials_dir.mkdir(parents=True, exist_ok=True)
     cells = spec.cells()
-    pending = [cell for cell in cells if cell not in done]
+    # one task per (d, mu, seed) cell with its pending variants, largest d first
+    pending: dict[tuple, list[str]] = {}
+    for d, mu_norm, variant, seed in cells:
+        if (d, mu_norm, variant, seed) not in done:
+            pending.setdefault((d, mu_norm, seed), []).append(variant)
+    tasks = sorted(((spec, d, mu_norm, seed, tuple(variants))
+                    for (d, mu_norm, seed), variants in pending.items()),
+                   key=lambda task: -task[1])
 
-    def persist(cell, result: TrialResult) -> None:
-        payload = {**dataclasses.asdict(result), "spec": _trial_spec(spec, cell[2])}
-        _atomic_write_json(trials_dir / _trial_filename(*cell), payload)
-        done[cell] = result
+    def persist(results: list[TrialResult]) -> None:
+        for r in results:
+            cell = (r.d, r.mu_norm, r.algo, r.seed)
+            payload = {**dataclasses.asdict(r), "spec": _trial_spec(spec, r.algo)}
+            _atomic_write_json(trials_dir / _trial_filename(*cell), payload)
+            done[cell] = r
 
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
-            for cell, result in zip(
-                pending, pool.map(_trial_task, [(spec, *c) for c in pending])
-            ):
-                persist(cell, result)
+    if jobs > 1 and len(tasks) > 1:
+        # a fork pool starts every worker at once: start no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=_pin_blas_threads) as pool:
+            for results in pool.map(_cell_task, tasks):
+                persist(results)
     else:
         caller_threads = _pin_blas_threads()
         try:
-            for cell in pending:
-                persist(cell, run_trial(spec, *cell))
+            for task in tasks:
+                persist(run_cell(*task))
         finally:
             _pin_blas_threads(caller_threads)
 

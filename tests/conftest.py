@@ -33,8 +33,8 @@ def bayes_floor_runs():
         ds = gen_dataset(params, make_signal(d, mu_norm), n, seed=9000 + seed)
         cfg = TrainConfig(eta=0.2, B=n, epochs=100, algo="sgd", seed=seed)
         traj = train(ds, net, cfg)
-        rate, stderr = estimate_test_error(
-            traj.w_final, params, ds.mu, 1000, np.random.default_rng(7000 + seed)
+        [(rate, stderr)] = estimate_test_error(
+            [traj.w_final], params, ds.mu, 1000, np.random.default_rng(7000 + seed)
         )
         runs.append({"ds": ds, "traj": traj, "test_error": rate, "stderr": stderr})
     return runs

@@ -109,3 +109,21 @@ def dspace_train(ds, net, cfg):
             s += 1
     record(cfg.epochs, 0)
     return records, w
+
+
+def reference_test_error(w, params, mu, n_test, rng):
+    """Monte Carlo test error from the documented test-draw stream: chunks
+    of 256 samples, each drawing the true labels, the flips, then a fresh
+    (k, d) block of N(0, sigma_p^2) noise with rng.normal.  The reference
+    estimate_test_error's shared, buffered draws are compared against."""
+    errors, remaining = 0, n_test
+    while remaining > 0:
+        k = min(256, remaining)
+        y_hat = np.where(rng.random(k) < 0.5, 1.0, -1.0)
+        y = np.where(rng.random(k) < params.p, -y_hat, y_hat)
+        xi = rng.normal(0.0, params.sigma_p, size=(k, params.d))
+        mu_pre, noise_pre = model_preacts(w, mu, xi)
+        errors += int(np.sum(model_margins(mu_pre, noise_pre, y, y_hat, params.P) <= 0))
+        remaining -= k
+    rate = errors / n_test
+    return rate, np.sqrt(rate * (1 - rate) / n_test)

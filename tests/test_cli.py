@@ -181,6 +181,14 @@ def test_grid_cli_rejects_nan_before_any_trial(tmp_path, capsys):
     assert not (out / "trials").exists()
 
 
+def test_grid_cli_rejects_repeated_seed_before_any_trial(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_GRID.replace("seeds = 0", "seeds = 0, 0"))
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "seeds repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_cli(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

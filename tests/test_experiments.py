@@ -14,14 +14,16 @@ from samdyn.experiments import (
     export_heatmap,
     lr_ablation_spec,
     load_results_csv,
+    run_cell,
     run_grid,
-    run_trial,
     phase_grid_spec,
     trial_seed_sequence,
     write_results_csv,
     TrialResult,
 )
 from samdyn.optim import TrainConfig
+
+from helpers import reference_test_error
 
 
 def tiny_spec(**overrides):
@@ -47,8 +49,8 @@ def tiny_spec(**overrides):
 def test_estimate_zero_weights_sign_convention():
     params = DataParams(d=10, P=2, p=0.0, mu_norm=1.0)
     w = np.zeros((2, 3, 10))
-    rate, stderr = estimate_test_error(w, params, make_signal(10, 1.0), 500,
-                                       np.random.default_rng(0))
+    [(rate, stderr)] = estimate_test_error([w], params, make_signal(10, 1.0), 500,
+                                           np.random.default_rng(0))
     assert rate == 1.0  # f = 0 everywhere and sign(0) counts as an error
     assert stderr == 0.0
 
@@ -58,7 +60,7 @@ def test_estimate_perfect_classifier():
     params = DataParams(d=d, P=2, p=0.0, mu_norm=20.0)
     mu = make_signal(d, 20.0)
     w = np.stack([mu[None, :], -mu[None, :]])  # w_+ = mu, w_- = -mu
-    rate, stderr = estimate_test_error(w, params, mu, 1000, np.random.default_rng(1))
+    [(rate, stderr)] = estimate_test_error([w], params, mu, 1000, np.random.default_rng(1))
     assert rate <= 0.01
 
 
@@ -68,7 +70,7 @@ def test_estimate_bayes_floor():
     params = DataParams(d=d, P=2, p=p, mu_norm=25.0)
     mu = make_signal(d, 25.0)
     w = np.stack([mu[None, :], -mu[None, :]])
-    rate, stderr = estimate_test_error(w, params, mu, 4000, np.random.default_rng(2))
+    [(rate, stderr)] = estimate_test_error([w], params, mu, 4000, np.random.default_rng(2))
     assert abs(rate - p) <= 3 * max(stderr, np.sqrt(p * (1 - p) / 4000))
 
 
@@ -76,9 +78,31 @@ def test_estimate_chance_level_no_signal():
     d = 80
     params = DataParams(d=d, P=2, p=0.0, mu_norm=0.0)
     w = np.random.default_rng(3).normal(size=(2, 4, d))
-    rate, _ = estimate_test_error(w, params, make_signal(d, 0.0), 1000,
-                                  np.random.default_rng(4))
+    [(rate, _)] = estimate_test_error([w], params, make_signal(d, 0.0), 1000,
+                                      np.random.default_rng(4))
     assert 0.4 <= rate <= 0.6
+
+
+def test_estimate_scores_every_w_on_the_reference_stream():
+    """Two weight arrays scored on one shared draw each get exactly the
+    estimate of the documented per-chunk stream, and the generator ends
+    where that stream leaves it."""
+    d, n_test = 30, 600  # n_test not a multiple of the chunk size
+    params = DataParams(d=d, P=3, sigma_p=1.7, p=0.2, mu_norm=1.5)
+    mu = make_signal(d, 1.5)
+    w1, w2 = np.random.default_rng(11).normal(0.0, 0.3, size=(2, 2, 4, d))
+    rng = np.random.default_rng(12)
+    got = estimate_test_error([w1, w2], params, mu, n_test, rng)
+    want = []
+    for w in (w1, w2):
+        ref_rng = np.random.default_rng(12)
+        want.append(reference_test_error(w, params, mu, n_test, ref_rng))
+    assert got == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert got[0] != got[1] and all(0.0 < rate < 1.0 for rate, _ in got)
+    # the buffered draw is bitwise the rng.normal draw it replaces
+    scaled = np.random.default_rng(3).standard_normal((5, d)) * params.sigma_p
+    assert np.array_equal(scaled, np.random.default_rng(3).normal(0.0, params.sigma_p, (5, d)))
 
 
 def test_trial_seed_sequence_is_coordinate_hash():
@@ -93,13 +117,12 @@ def test_variants_share_data_and_init():
     """The same seed label pairs the algorithms on one (dataset, init,
     test set) triple, so variant differences are paired comparisons."""
     spec = tiny_spec()
-    sgd = run_trial(spec, 60, 4.0, "sgd", 0)
-    sam = run_trial(spec, 60, 4.0, "sam", 0)
+    sgd, sam = run_cell(spec, 60, 4.0, 0, ("sgd", "sam"))
     zero_tau_sam = GridSpec(
         **{**spec.__dict__, "train": {"sam": TrainConfig(eta=0.4, B=8, epochs=12,
                                                           algo="sam", tau=0.0)}}
     )
-    paired = run_trial(zero_tau_sam, 60, 4.0, "sam", 0)
+    paired = run_cell(zero_tau_sam, 60, 4.0, 0, ("sam",))[0]
     # tau=0 SAM is bitwise SGD on the shared streams
     assert paired.train_loss == sgd.train_loss
     assert paired.test_error == sgd.test_error
@@ -108,8 +131,8 @@ def test_variants_share_data_and_init():
 
 def test_run_trial_deterministic():
     spec = tiny_spec()
-    a = run_trial(spec, 60, 4.0, "sgd", 0)
-    b = run_trial(spec, 60, 4.0, "sgd", 0)
+    a = run_cell(spec, 60, 4.0, 0, ("sgd",))[0]
+    b = run_cell(spec, 60, 4.0, 0, ("sgd",))[0]
     assert a == b
     assert not a.failed
     assert 0.0 <= a.test_error <= 1.0
@@ -118,9 +141,21 @@ def test_run_trial_deterministic():
 
 def test_run_trial_no_signal_chance_level():
     spec = tiny_spec(mu_values=(0.0,), n_test=400)
-    r = run_trial(spec, 100, 0.0, "sgd", 0)
+    r = run_cell(spec, 100, 0.0, 0, ("sgd",))[0]
     assert not r.failed
     assert 0.35 <= r.test_error <= 0.65
+
+
+def test_cell_variant_failure_leaves_others_unchanged():
+    """A variant that diverges fails alone: the other variant of its cell
+    gets the result it gets when it runs by itself."""
+    boom = TrainConfig(eta=1e308, B=8, epochs=12, algo="sgd")
+    spec = tiny_spec(train={**tiny_spec().train, "boom": boom})
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed, sgd = run_cell(spec, 60, 4.0, 0, ("boom", "sgd"))
+    assert failed.failed and failed.error.startswith("TrainingDivergedError")
+    assert not sgd.failed
+    assert sgd == run_cell(spec, 60, 4.0, 0, ("sgd",))[0]
 
 
 def test_run_grid_single_cell(tmp_path):
@@ -171,12 +206,12 @@ def test_run_grid_runs_trials_on_one_blas_thread(tmp_path, monkeypatch):
     def counts():
         return [get() for get, _ in experiments._openblas_thread_controls()]
 
-    def probe(spec, d, mu_norm, variant, seed):
-        return TrialResult(d=d, mu_norm=mu_norm, algo=variant, seed=seed, test_error=0.5,
-                           error=repr(counts()))
+    def probe(spec, d, mu_norm, seed, variants):
+        return [TrialResult(d=d, mu_norm=mu_norm, algo=variant, seed=seed, test_error=0.5,
+                            error=repr(counts())) for variant in variants]
 
     # the pool forks, so its workers see the probe too
-    monkeypatch.setattr(experiments, "run_trial", probe)
+    monkeypatch.setattr(experiments, "run_cell", probe)
     before = experiments._pin_blas_threads([2] * len(controls))
     try:
         caller = counts()
@@ -186,6 +221,65 @@ def test_run_grid_runs_trials_on_one_blas_thread(tmp_path, monkeypatch):
             assert counts() == caller
     finally:
         experiments._pin_blas_threads(before)
+
+
+def test_run_grid_pool_size_and_order(tmp_path, monkeypatch):
+    """The pool starts no more workers than there are cells and is handed
+    the cells largest d first."""
+    seen = []
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            seen.append([task[1] for task in tasks])
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    spec = tiny_spec(d_values=(60, 120, 90), mu_values=(2.0,), seeds=(0,))
+    run_grid(spec, tmp_path, jobs=8)
+    assert seen == [3, [120, 90, 60]]
+
+
+def test_run_grid_scores_each_cell_once(tmp_path, monkeypatch):
+    """Both variants of a (d, mu, seed) cell are scored on one test draw."""
+    calls = []
+    score = experiments.estimate_test_error
+
+    def spy(ws, *args):
+        calls.append(len(ws))
+        return score(ws, *args)
+
+    monkeypatch.setattr(experiments, "estimate_test_error", spy)
+    spec = tiny_spec()
+    run_grid(spec, tmp_path)
+    assert calls == [2] * (len(spec.cells()) // 2)
+
+
+def test_run_grid_resume_runs_only_pending_variant(tmp_path, monkeypatch):
+    """With one variant of a cell missing, the resume trains that variant
+    alone and results.csv matches the fresh run byte for byte."""
+    spec = tiny_spec()
+    run_grid(spec, tmp_path / "full")
+    partial = tmp_path / "partial"
+    shutil.copytree(tmp_path / "full" / "trials", partial / "trials")
+    (partial / "trials" / "sam_d120_mu4.0_s1.json").unlink()
+    calls = []
+    cell = experiments.run_cell
+
+    def spy(spec, d, mu_norm, seed, variants):
+        calls.append((d, mu_norm, seed, variants))
+        return cell(spec, d, mu_norm, seed, variants)
+
+    monkeypatch.setattr(experiments, "run_cell", spy)
+    run_grid(spec, partial, resume=True)
+    assert calls == [(120, 4.0, 1, ("sam",))]
+    assert (tmp_path / "full/results.csv").read_bytes() == (
+        partial / "results.csv"
+    ).read_bytes()
 
 
 def test_run_grid_resume_completes_partial(tmp_path):
@@ -376,6 +470,20 @@ def test_grid_spec_rejects_invalid_fields(overrides, match):
     """A grid whose cells could not run is refused when it is built."""
     with pytest.raises(ValueError, match=match):
         dataclasses.replace(phase_grid_spec(reduced=True), **overrides)
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"seeds": (0, 0)}, "seeds repeats"),
+    ({"d_values": (60, 120, 60)}, "d_values repeats"),
+    ({"mu_values": (1.0, 4.0, 1.0)}, "mu_values repeats"),
+    ({"mu_values": (1.0, 1.0000000001)}, "seed key"),
+], ids=["seeds", "d_values", "mu_values", "mu_seed_key"])
+def test_grid_spec_rejects_repeated_axis_values(overrides, match):
+    """A repeated axis value would run one trial twice, and two mu values
+    with one seed key would share every stream; both fake a per-seed
+    spread, so the spec refuses them."""
+    with pytest.raises(ValueError, match=match):
+        tiny_spec(**overrides)
 
 
 def test_lr_ablation_expressible_as_grid():

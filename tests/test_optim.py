@@ -7,7 +7,7 @@ from helpers import dspace_train, manual_dataset, random_instance
 from samdyn.checks import SamDeactivationRecorder, scaled_tau
 from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
 from samdyn.decomposition import CoeffTracker
-from samdyn.experiments import phase_grid_spec, run_trial
+from samdyn.experiments import phase_grid_spec, run_cell
 from samdyn.network import NetConfig, model_grad_coeffs, model_gradient, span_vectors
 from samdyn.optim import (
     TrainConfig,
@@ -246,7 +246,7 @@ def test_training_never_builds_patch_tensor(monkeypatch):
     spec = dataclasses.replace(phase_grid_spec(reduced=True), n_test=100,
                                train={"sam": TrainConfig(eta=0.2, B=20, epochs=3,
                                                          algo="sam", tau=0.03)})
-    assert not run_trial(spec, 1000, 3.0, "sam", 0).failed
+    assert not run_cell(spec, 1000, 3.0, 0, ("sam",))[0].failed
 
 
 def test_train_divergence_aborts():
