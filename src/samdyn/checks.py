@@ -339,6 +339,9 @@ def classify_regime(
 def first_stage_epochs(m: int, B: int, n: int, eta: float, mu_norm: float) -> float:
     """Length (in epochs) of the early window during which the perturbed
     runs must keep noise coefficients O(1): m B / (12 n eta ||mu||^2)."""
+    for name, value in (("eta", eta), ("mu_norm", mu_norm)):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0 for a finite first stage, got {value}")
     return m * B / (12.0 * n * eta * mu_norm**2)
 
 

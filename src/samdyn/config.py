@@ -88,7 +88,6 @@ TRAIN_SCHEMA: dict[str, tuple] = {
     "record_every": ("opt_int", False, None),
     "sam_phase_iters": ("opt_int", False, None),
     "track_coeffs": ("bool", False, True),
-    "snapshot_weights": ("bool", False, False),
 }
 
 GRID_SCHEMA: dict[str, tuple] = {
@@ -185,7 +184,6 @@ def load_train_setup(path, seed_override: int | None = None, environ=None) -> Tr
             seed=cfg["seed"],
             record_every=cfg["record_every"],
             sam_phase_iters=cfg["sam_phase_iters"],
-            snapshot_weights=cfg["snapshot_weights"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -11,6 +11,8 @@ Conventions
 - a Dataset holds (mu, xi, y, y_hat, signal_pos) as arrays, labels as
   float64 +1/-1; Dataset.patches builds the (n, P, d) input tensor from
   them, as the input of the reference patch network; training never does
+- Dataset.gram, the (n+1)^2 Gram matrix of [mu; xi], is formed once; all
+  of samdyn reads the span's geometry from it
 - a Dataset is reproducible from (params, seed): per-sample generators are
   spawned from one SeedSequence, so generation order never matters
 """
@@ -92,6 +94,16 @@ class Dataset:
         out = np.repeat(self.xi[:, None, :], self.params.P, axis=1)
         out[np.arange(self.n), self.signal_pos] = self.y_hat[:, None] * self.mu
         return out
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The read-only (n+1, n+1) Gram matrix of [mu; xi_1..xi_n]."""
+        gram = np.empty((self.n + 1, self.n + 1))
+        gram[0, 0] = self.mu @ self.mu
+        gram[0, 1:] = gram[1:, 0] = self.xi @ self.mu
+        gram[1:, 1:] = self.xi @ self.xi.T
+        gram.flags.writeable = False
+        return gram
 
     @cached_property
     def samples(self) -> tuple[Sample, ...]:
@@ -200,7 +212,7 @@ class ConcentrationReport:
 
 
 def concentration_report(ds: Dataset, delta: float = 0.05) -> ConcentrationReport:
-    """Check the high-probability geometry of a generated dataset.
+    """Check the high-probability geometry of a generated dataset (ds.gram).
 
     Per sample: sigma_p^2 d/2 <= ||xi_i||^2 <= 3 sigma_p^2 d/2.
     Per pair:   |<xi_i, xi_k>| <= 2 sigma_p^2 sqrt(d log(6 n^2/delta)).
@@ -217,21 +229,20 @@ def concentration_report(ds: Dataset, delta: float = 0.05) -> ConcentrationRepor
 
     rep = ConcentrationReport(n=n, d=d, delta=delta)
 
-    norms = np.einsum("nd,nd->n", ds.xi, ds.xi)
+    gram = ds.gram
+    norms = np.diag(gram)[1:]
     bad = (norms < sp2 * d / 2) | (norms > 3 * sp2 * d / 2)
     rep.norm_violations = list(np.flatnonzero(bad))
 
     cross_bound = 2 * sp2 * math.sqrt(d * math.log(6 * n**2 / delta))
-    gram = ds.xi @ ds.xi.T
     iu = np.triu_indices(n, k=1)
-    bad_pairs = np.abs(gram[iu]) > cross_bound
+    bad_pairs = np.abs(gram[1:, 1:][iu]) > cross_bound
     rep.cross_violations = [
         (int(i), int(k)) for i, k in zip(iu[0][bad_pairs], iu[1][bad_pairs])
     ]
 
     mu_bound = prm.mu_norm * prm.sigma_p * math.sqrt(2 * math.log(6 * n / delta))
-    mu_inner = ds.xi @ ds.mu
-    rep.mu_violations = list(np.flatnonzero(np.abs(mu_inner) > mu_bound))
+    rep.mu_violations = list(np.flatnonzero(np.abs(gram[1:, 0]) > mu_bound))
 
     clean = ds.y == ds.y_hat
     rep.n_flipped = int(np.sum(~clean))

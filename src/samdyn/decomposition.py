@@ -7,13 +7,16 @@ the drift from initialization has a unique expansion
                          + (1/(P-1)) sum_i rho_{j,r,i} * xi_i/||xi_i||^2,
 
 with rho split by sign into zeta = rho * 1(rho >= 0) (noise aligned with
-the filter's own class) and omega = rho * 1(rho <= 0).  Two independent
-routes to the coefficients are provided and cross-checked:
+the filter's own class) and omega = rho * 1(rho <= 0).  Training keeps the
+weights as w0 + C [mu; xi] (see optim); span_coeffs reads the coefficients
+off C and span_view splits rho by label, which is how the grid reads them.
+Two independent routes to the coefficients are cross-checked:
 
 - an incremental tracker that replays each optimizer step's exact loss
   derivatives and activation indicators in coefficient space, and
 - a least-squares oracle that solves the (n+1)-dimensional Gram system for
-  the drift of each filter.
+  the drift of each filter.  Its Basis holds views of mu, xi and
+  Dataset.gram, never copies.
 
 The update rules make the sign split structural: for y_i = j every rho
 increment is >= 0 (zeta never decreases), for y_i = -j every increment is
@@ -21,12 +24,13 @@ increment is >= 0 (zeta never decreases), for y_i = -j every increment is
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .data import Dataset
-from .network import J_SIGNS, BatchTerms
+from .network import J_SIGNS, BatchTerms, span_vectors
 
 
 class InvariantViolation(AssertionError):
@@ -115,64 +119,67 @@ def track_step(
     return Coeffs(gamma=gamma, zeta=zeta, omega=omega)
 
 
-@dataclass
-class Basis:
-    mu: np.ndarray        # (d,)
-    xis: np.ndarray       # (n, d)
-    gram: np.ndarray      # (n+1, n+1)
-    P: int
-    mu_norm_sq: float
-    xi_norm_sq: np.ndarray
-    cond: float
-    _cho: tuple
+_COND_LIMIT = 1e12  # Gram condition number above which the oracle refuses the basis
 
-    @property
-    def vectors(self) -> np.ndarray:
-        return np.vstack([self.mu[None, :], self.xis])
+
+def span_coeffs(c: np.ndarray, gram: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """gamma (2, m) and rho (2, m, n) of the drift C [mu; xi], C (2m, n+1):
+    the mu weight times j ||mu||^2 gives gamma, the xi_i weight times
+    (P-1) ||xi_i||^2 gives rho_i, the norms read from the Gram diagonal."""
+    m = len(c) // 2
+    gamma = (c[:, 0] * gram[0, 0]).reshape(2, m) * J_SIGNS[:, None]
+    rho = (c[:, 1:] * (P - 1) * np.diag(gram)[None, 1:]).reshape(2, m, -1)
+    return gamma, rho
+
+
+def span_view(c: np.ndarray, gram: np.ndarray, y: np.ndarray, P: int) -> Coeffs:
+    """The Coeffs of the drift C [mu; xi] with rho split by label (zeta where
+    y_i = j): a training record's tracked coefficients, without a replay."""
+    gamma, rho = span_coeffs(c, gram, P)
+    own = (y[None, :] == J_SIGNS[:, None])[:, None, :]  # (2, 1, n)
+    return Coeffs(gamma=gamma, zeta=np.where(own, rho, 0.0), omega=np.where(own, 0.0, rho))
+
+
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """span{mu, xi_1..xi_n} of one dataset: views of its vectors and Gram."""
+
+    mu: np.ndarray    # (d,)
+    xis: np.ndarray   # (n, d)
+    gram: np.ndarray  # (n+1, n+1)
+    P: int
+
+    @cached_property
+    def cho(self) -> tuple:
+        """Cholesky factor of gram, formed on the oracle's first call.  Raises
+        DegenerateBasisError naming the most collinear pair when the condition
+        number exceeds _COND_LIMIT (duplicated xi, zero mu, n >= d)."""
+        gram = self.gram
+        diag = np.diag(gram)
+        cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            zero = np.flatnonzero(diag == 0)
+            if zero.size:
+                raise DegenerateBasisError(
+                    f"basis vector {_name_basis_vector(int(zero[0]))} has zero norm"
+                )
+            corr = gram / np.sqrt(np.outer(diag, diag))
+            np.fill_diagonal(corr, 0.0)
+            a, b = np.unravel_index(np.argmax(np.abs(corr)), corr.shape)
+            raise DegenerateBasisError(
+                f"Gram condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}; "
+                f"nearest dependence between {_name_basis_vector(int(a))} and "
+                f"{_name_basis_vector(int(b))} (|cos| = {abs(corr[a, b]):.6f})"
+            )
+        return cho_factor(gram)
 
 
 def _name_basis_vector(k: int) -> str:
     return "mu" if k == 0 else f"xi_{k - 1}"
 
 
-def make_basis(mu: np.ndarray, xis: np.ndarray, P: int, cond_limit: float = 1e12) -> Basis:
-    """Gram matrix of {mu, xi_1..xi_n} with a conditioning guard.
-
-    Raises DegenerateBasisError naming the most collinear pair when the
-    condition number exceeds cond_limit (duplicated xi, zero mu, n >= d).
-    """
-    V = np.vstack([np.asarray(mu, dtype=np.float64)[None, :], np.asarray(xis, dtype=np.float64)])
-    gram = V @ V.T
-    diag = np.diag(gram)
-    cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
-    if not np.isfinite(cond) or cond > cond_limit:
-        zero = np.flatnonzero(diag == 0)
-        if zero.size:
-            raise DegenerateBasisError(
-                f"basis vector {_name_basis_vector(int(zero[0]))} has zero norm"
-            )
-        corr = gram / np.sqrt(np.outer(diag, diag))
-        np.fill_diagonal(corr, 0.0)
-        a, b = np.unravel_index(np.argmax(np.abs(corr)), corr.shape)
-        raise DegenerateBasisError(
-            f"Gram condition number {cond:.3e} exceeds {cond_limit:.1e}; "
-            f"nearest dependence between {_name_basis_vector(int(a))} and "
-            f"{_name_basis_vector(int(b))} (|cos| = {abs(corr[a, b]):.6f})"
-        )
-    return Basis(
-        mu=V[0],
-        xis=V[1:],
-        gram=gram,
-        P=P,
-        mu_norm_sq=float(diag[0]),
-        xi_norm_sq=diag[1:].copy(),
-        cond=cond,
-        _cho=cho_factor(gram),
-    )
-
-
-def basis_from_dataset(ds: Dataset, cond_limit: float = 1e12) -> Basis:
-    return make_basis(ds.mu, ds.xi, ds.params.P, cond_limit)
+def basis_from_dataset(ds: Dataset) -> Basis:
+    return Basis(mu=ds.mu, xis=ds.xi, gram=ds.gram, P=ds.params.P)
 
 
 @dataclass
@@ -185,37 +192,35 @@ class OracleCoeffs:
 def oracle_solve(w: np.ndarray, w0: np.ndarray, basis: Basis) -> OracleCoeffs:
     """Least-squares read-off of the decomposition coefficients.
 
-    Solves the Gram normal equations for each filter's drift and converts
-    basis weights to coefficients: the mu weight times j ||mu||^2 gives
-    gamma, the xi_i weight times (P-1) ||xi_i||^2 gives rho_i.  One
-    factorization is shared across all 2m filters.
+    Solves the Gram normal equations for each filter's drift and reads the
+    basis weights off with span_coeffs.  One factorization, checked for
+    conditioning on first use, is shared across all 2m filters and every
+    call on the same basis.
     """
     if w.shape != w0.shape:
         raise ValueError(f"weight shapes differ: {w.shape} vs {w0.shape}")
     two, m, d = w.shape
-    V = basis.vectors
     drift = (w - w0).reshape(2 * m, d)
-    rhs = drift @ V.T
-    c = cho_solve(basis._cho, rhs.T).T  # (2m, n+1)
-    recon = c @ V
+    rhs = np.hstack([(drift @ basis.mu)[:, None], drift @ basis.xis.T])
+    c = cho_solve(basis.cho, rhs.T).T  # (2m, n+1)
+    recon = span_vectors(c, basis.mu, basis.xis).reshape(2 * m, d)
     drift_norm = float(np.linalg.norm(drift))
     residual = 0.0 if drift_norm == 0 else float(np.linalg.norm(drift - recon)) / drift_norm
-    gamma = (c[:, 0] * basis.mu_norm_sq).reshape(2, m) * J_SIGNS[:, None]
-    rho = (c[:, 1:] * (basis.P - 1) * basis.xi_norm_sq[None, :]).reshape(2, m, -1)
+    gamma, rho = span_coeffs(c, basis.gram, basis.P)
     return OracleCoeffs(gamma=gamma, rho=rho, residual=residual)
 
 
 def reconstruct(coeffs: Coeffs, basis: Basis, w0: np.ndarray) -> np.ndarray:
     """Rebuild weights from coefficients: the inverse of the read-off."""
-    rho = coeffs.rho
+    mu_norm_sq, xi_norm_sq = basis.gram[0, 0], np.diag(basis.gram)[1:]
     w = w0 + np.einsum(
-        "jmn,nd->jmd", rho / basis.xi_norm_sq[None, None, :], basis.xis
+        "jmn,nd->jmd", coeffs.rho / xi_norm_sq[None, None, :], basis.xis
     ) / (basis.P - 1)
-    if basis.mu_norm_sq == 0:
+    if mu_norm_sq == 0:
         if np.any(coeffs.gamma != 0):
             raise DegenerateBasisError("nonzero gamma with zero-norm mu")
         return w
-    gdir = (J_SIGNS[:, None] * coeffs.gamma / basis.mu_norm_sq)[:, :, None]
+    gdir = (J_SIGNS[:, None] * coeffs.gamma / mu_norm_sq)[:, :, None]
     return w + gdir * basis.mu[None, None, :]
 
 
@@ -239,8 +244,8 @@ class CoeffTracker:
     def __init__(self, ds: Dataset, m: int, keep_history: bool = True, check: bool = True):
         self.y = ds.y
         self.y_hat = ds.y_hat
-        self.mu_norm_sq = float(ds.mu @ ds.mu)
-        self.xi_norm_sq = np.einsum("nd,nd->n", ds.xi, ds.xi)
+        self.mu_norm_sq = float(ds.gram[0, 0])
+        self.xi_norm_sq = np.diag(ds.gram)[1:]
         self.P = ds.params.P
         self.n = ds.n
         self.check = check

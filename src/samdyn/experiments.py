@@ -14,12 +14,13 @@ training variant, so per-seed differences between variants are paired
 comparisons of the algorithms alone.
 
 The unit of work is therefore the (d, mu, seed) cell, not the trial:
-run_cell generates the cell's dataset once, trains each pending variant on
-it, and scores every trained variant on one draw of the cell's test set.
-Each variant would have drawn that same set from the same stream, so
-scoring it once is exact: every trial's numbers are those of a run of the
-variant alone.  run_grid schedules cells largest d first, so the longest
-cells do not land last on one worker.
+run_cell generates the cell's dataset, and with it the Gram matrix, once,
+trains each pending variant on it, and scores every trained variant on one
+draw of the cell's test set.  Each variant would have drawn that
+same set from the same stream, so scoring it once is exact: every trial's
+numbers are those of a run of the variant alone.  Training runs without
+hooks.  run_grid schedules cells largest d first, so the longest cells do
+not land last on one worker.
 
 Every cell run_grid executes runs on one OpenBLAS thread: pool workers pin
 themselves when they start, and a serial run pins the caller for its
@@ -45,7 +46,7 @@ import scipy
 
 from .checks import activation_threshold, effective_sigma0, own_noise_pre
 from .data import DataParams, gen_dataset, make_signal
-from .decomposition import CoeffTracker, InvariantViolation
+from .decomposition import InvariantViolation, span_view
 from .network import NetConfig, model_margins, model_preacts
 from .optim import TrainConfig, TrainingDivergedError, train
 
@@ -203,6 +204,9 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> lis
     them all on one test draw; one TrialResult per variant, in order, each
     deterministic given its coordinates.
 
+    Coefficients are read off each record's C (span_view): sign patterns
+    are checked at every record, max_gamma and max_sum_zeta use the last.
+
     Failures are captured in the results so a grid never aborts on one bad
     cell: a variant that diverges or breaks an invariant fails alone, and an
     error while building the cell or scoring it fails every variant it
@@ -223,14 +227,15 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> lis
             _fail(result, exc)
         return results
 
-    trained = []  # (result, final weights, tracker, inclusion violations)
+    trained = []  # (result, final weights, final coefficients, inclusion violations)
     for result in results:
         try:
             cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
-            tracker = CoeffTracker(ds, spec.m, keep_history=False, check=True)
-            traj = train(ds, net, cfg, hooks=(tracker,))
+            traj = train(ds, net, cfg)
             inclusion_viol = 0
             for rec in traj.records:
+                coeffs = span_view(rec.c, ds.gram, ds.y, spec.P)
+                coeffs.check_patterns(ds.y)
                 own = own_noise_pre(rec.noise_pre, ds.y)
                 inclusion_viol += int(np.sum(np.any((own > thr) & ~(own > 0), axis=1)))
             result.train_loss = traj.records[-1].train_loss
@@ -238,7 +243,7 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> lis
                 if rec.train_loss <= spec.loss_target:
                     result.convergence_epoch = rec.t
                     break
-            trained.append((result, traj.w_final, tracker, inclusion_viol))
+            trained.append((result, traj.w_final, coeffs, inclusion_viol))
         except _TRIAL_ERRORS as exc:
             _fail(result, exc)
 
@@ -251,11 +256,11 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> lis
         for t in trained:
             _fail(t[0], exc)
         return results
-    for (result, _, tracker, inclusion_viol), (rate, stderr) in zip(trained, scores):
+    for (result, _, coeffs, inclusion_viol), (rate, stderr) in zip(trained, scores):
         result.test_error = rate
         result.test_stderr = stderr
-        result.max_gamma = float(tracker.coeffs.gamma.max())
-        result.max_sum_zeta = float(tracker.coeffs.zeta.sum(axis=2).max())
+        result.max_gamma = float(coeffs.gamma.max())
+        result.max_sum_zeta = float(coeffs.zeta.sum(axis=2).max())
         result.invariant_violations = inclusion_viol
     return results
 

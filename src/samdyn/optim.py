@@ -13,13 +13,15 @@ are bitwise equal to SGD runs.
 Training runs in span{mu, xi_1..xi_n}.  Every update moves a filter by a
 combination of mu and the batch's xi_i, so the weights are kept as
 w0 + C [mu; xi] with a (2m, n+1) coefficient matrix C.  The Gram matrix G
-of [mu; xi] and the projections of w0 onto it are computed once per run;
-after that every pre-activation a step or record needs is <w0, v_k> + C G_k,
-the gradient is a coefficient matrix (network.model_grad_coeffs), the SAM
-norm is ||g||_F^2 = sum (g G) * g and the SAM perturbation shifts C on the
-batch columns.  A step therefore costs O(m n B) whatever d is; d-vectors
-are formed only for the weight snapshots and w_final.  G is multiplied,
-never inverted, so mu = 0 or n >= d needs no special case.
+of [mu; xi] is the dataset's own (Dataset.gram) and the projections of w0
+onto [mu; xi] are computed once per run; after that every pre-activation a
+step or record needs is <w0, v_k> + C G_k, the gradient is a coefficient
+matrix (network.model_grad_coeffs), the SAM norm is ||g||_F^2 = sum (g G) * g
+and the SAM perturbation shifts C on the batch columns.  A step therefore
+costs O(m n B) whatever d is; d-vectors are formed only for the weight
+snapshots and w_final.  G is multiplied, never inverted, so mu = 0 or n >= d
+needs no special case.  Every record keeps its C, from which
+decomposition.span_view reads the signal/noise coefficients.
 
 Hooks are called once per batch step with a StepEvent carrying the exact
 loss derivatives and activation indicators the step used (for SAM, those of
@@ -92,6 +94,7 @@ class TrajectoryRecord:
     margins: np.ndarray    # (n,) y_i f(W, x_i)
     mu_pre: np.ndarray     # (2, m) <w_{j,r}, mu>
     noise_pre: np.ndarray  # (2, m, n) <w_{j,r}, xi_i>
+    c: np.ndarray          # (2m, n+1) coefficients: w = w0 + C [mu; xi]
     weights: np.ndarray | None = None
 
 
@@ -101,7 +104,6 @@ class Trajectory:
     schedules: list[list[np.ndarray]] = field(default_factory=list)
     w0: np.ndarray | None = None
     w_final: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def epoch_records(self) -> list[TrajectoryRecord]:
         return [r for r in self.records if r.b == 0]
@@ -125,20 +127,14 @@ def epoch_schedule(n: int, B: int, rng: np.random.Generator) -> list[np.ndarray]
 
 class _Span:
     """The weights w0 + C [mu; xi] of one run, for coefficients C of
-    shape (2m, n+1): the (n+1, n+1) Gram matrix of [mu; xi_1..xi_n] and the
-    (2m, n+1) inner products of w0's filters with it, computed once."""
+    shape (2m, n+1): the dataset's Gram matrix and the (2m, n+1) inner
+    products of w0's filters with [mu; xi_1..xi_n], computed once."""
 
     def __init__(self, w0: np.ndarray, ds: Dataset):
-        self.w0, self.ds = w0, ds
-        mu, xi, n = ds.mu, ds.xi, ds.n
-        gram = np.empty((n + 1, n + 1))
-        gram[0, 0] = mu @ mu
-        gram[0, 1:] = gram[1:, 0] = xi @ mu
-        gram[1:, 1:] = xi @ xi.T
-        self.gram = gram
-        mu_pre, noise_pre = model_preacts(w0, mu, xi)
+        self.w0, self.ds, self.gram = w0, ds, ds.gram
+        mu_pre, noise_pre = model_preacts(w0, ds.mu, ds.xi)
         two_m = 2 * w0.shape[1]
-        self.base = np.hstack([mu_pre.reshape(two_m, 1), noise_pre.reshape(two_m, n)])
+        self.base = np.hstack([mu_pre.reshape(two_m, 1), noise_pre.reshape(two_m, ds.n)])
 
     def weights(self, c: np.ndarray) -> np.ndarray:
         return self.w0 + span_vectors(c, self.ds.mu, self.ds.xi)
@@ -205,26 +201,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
     span = _Span(w0, ds)
     c = np.zeros_like(span.base)
 
-    traj = Trajectory(
-        w0=w0,
-        meta={
-            "n": n,
-            "d": net.d,
-            "m": net.m,
-            "P": ds.params.P,
-            "H": H,
-            "algo": cfg.algo,
-            "eta": cfg.eta,
-            "tau": cfg.tau,
-            "B": cfg.B,
-            "epochs": cfg.epochs,
-            "seed": cfg.seed,
-            "record_every": cfg.record_every,
-            "sam_phase_iters": cfg.sam_phase_iters,
-            "init": net.init,
-            "sigma_0": net.sigma_0,
-        },
-    )
+    traj = Trajectory(w0=w0)
 
     def due(s: int) -> bool:
         if cfg.record_every is None:
@@ -243,6 +220,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
                 margins=margins,
                 mu_pre=mu_pre,
                 noise_pre=noise_pre,
+                c=c,
                 weights=span.weights(c) if cfg.snapshot_weights else None,
             )
         )

@@ -224,7 +224,7 @@ def test_criterion_8_structural_invariants(reduced_grid, decomposition_runs):
     activation-set inclusion hold with zero violations over the criterion
     2, 4 and 5 runs."""
     spec, out, results = reduced_grid
-    assert all(not r.failed for r in results)  # trackers hard-assert per step
+    assert all(not r.failed for r in results)  # C's coefficients are checked per record
     grid_incl = sum(r.invariant_violations for r in results)
     assert grid_incl == 0, f"{grid_incl} set-inclusion violations in grid runs"
 

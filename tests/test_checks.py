@@ -207,6 +207,16 @@ def test_first_stage_and_tau_formulas():
     )
 
 
+@pytest.mark.parametrize("eta, mu_norm, name", [(2e-4, 0.0, "mu_norm"), (0.0, 3.0, "eta")])
+def test_first_stage_epochs_rejects_unbounded_window(eta, mu_norm, name):
+    with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+        first_stage_epochs(8, 8, 16, eta, mu_norm)
+    params = DataParams(d=50, P=2, sigma_p=1.0, p=0.0, mu_norm=mu_norm)
+    net = NetConfig(m=2, d=50, init="gaussian", sigma_0=0.01)
+    with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+        calibrate_sam_tau(params, n=4, net=net, eta=eta, B=2)
+
+
 def test_calibrate_sam_tau_small_instance():
     params = DataParams(d=800, P=2, sigma_p=1.0, p=0.0, mu_norm=2.0)
     net = NetConfig(m=4, d=800, init="gaussian", sigma_0=1.0 / (2 * math.sqrt(800)))

@@ -14,6 +14,7 @@ from samdyn.config import (
 )
 from samdyn.data import load_dataset
 from samdyn.experiments import phase_grid_spec
+from samdyn.network import save_weights
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -93,6 +94,13 @@ def test_unknown_key_rejected(tmp_path, capsys):
     code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "sigma_q" in capsys.readouterr().err
+
+
+def test_snapshot_weights_is_not_a_train_key(tmp_path):
+    """No train output reads record weights, so the config has no key for them."""
+    cfg = write_cfg(tmp_path, TINY_TRAIN + "\nsnapshot_weights = true\n")
+    with pytest.raises(ConfigError, match="unknown config key 'snapshot_weights'"):
+        load_train_setup(cfg)
 
 
 def test_batch_must_divide_n(tmp_path, capsys):
@@ -236,6 +244,19 @@ def test_decompose_cli(tmp_path):
     blob = np.load(out / "rho.npz")
     assert blob["rho"].shape == (2, 3, 8)
     assert float(blob["residual"]) <= 1e-9
+
+
+def test_decompose_cli_zero_mu_names_the_degenerate_basis(tmp_path, capsys):
+    data = tmp_path / "ds.npz"
+    assert main(["gen-data", "--d", "30", "--n", "4", "--mu-norm", "0",
+                 "--seed", "0", "--out", str(data)]) == 0
+    w0 = tmp_path / "w0.npz"
+    save_weights(w0, np.zeros((2, 2, 30)))
+    capsys.readouterr()
+    code = main(["decompose", "--data", str(data), "--weights", str(w0),
+                 "--weights0", str(w0), "--out", str(tmp_path / "dec")])
+    assert code == 2
+    assert "mu has zero norm" in capsys.readouterr().err
 
 
 def test_checked_in_reduced_config_matches_preset():

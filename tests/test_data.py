@@ -149,6 +149,37 @@ def test_concentration_small_d_reports_failures():
     assert rows["noise_norm_range"] == len(rep.norm_violations)
 
 
+def test_gram_is_the_span_gram_formed_once():
+    params = DataParams(d=30, P=3, p=0.1, mu_norm=2.0)
+    ds = gen_dataset(params, make_signal(30, 2.0), 6, seed=5)
+    gram = ds.gram
+    assert gram is ds.gram
+    assert gram.shape == (7, 7) and not gram.flags.writeable
+    V = np.concatenate([ds.mu[None, :], ds.xi])
+    assert np.allclose(gram, V @ V.T, rtol=1e-13, atol=1e-12)
+    # the products training has always formed, so its bits do not move
+    assert gram[0, 0] == ds.mu @ ds.mu
+    assert np.array_equal(gram[1:, 0], ds.xi @ ds.mu)
+    assert np.array_equal(gram[0, 1:], ds.xi @ ds.mu)
+    assert np.array_equal(gram[1:, 1:], ds.xi @ ds.xi.T)
+
+
+def test_concentration_report_reads_the_gram():
+    """The report's bounds are checked against ds.gram's entries."""
+    params = DataParams(d=6, P=2, p=0.0, mu_norm=3.0)
+    ds = gen_dataset(params, make_signal(6, 3.0), 12, seed=2)
+    rep = concentration_report(ds, delta=0.05)
+    norms = np.diag(ds.gram)[1:]
+    assert rep.norm_violations  # chi-square with 6 dof strays outside [3, 9]
+    assert rep.norm_violations == list(np.flatnonzero((norms < 3) | (norms > 9)))
+    mu_bound = 3.0 * np.sqrt(2 * np.log(6 * 12 / 0.05))
+    assert rep.mu_violations == list(np.flatnonzero(np.abs(ds.gram[1:, 0]) > mu_bound))
+    cross_bound = 2 * np.sqrt(6 * np.log(6 * 144 / 0.05))
+    want = [(i, k) for i in range(12) for k in range(i + 1, 12)
+            if abs(ds.gram[1 + i, 1 + k]) > cross_bound]
+    assert rep.cross_violations == want
+
+
 def test_save_load_roundtrip(tmp_path):
     params = DataParams(d=8, P=3, p=0.2, sigma_p=0.7, mu_norm=2.0)
     ds = gen_dataset(params, make_signal(8, 2.0), 9, seed=11)

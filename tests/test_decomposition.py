@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,10 @@ from samdyn.decomposition import (
     DegenerateBasisError,
     InvariantViolation,
     basis_from_dataset,
-    make_basis,
     oracle_solve,
     reconstruct,
+    span_coeffs,
+    span_view,
     write_coeff_csv,
 )
 from samdyn.network import NetConfig
@@ -84,7 +87,7 @@ def test_oracle_basis_readoff():
     basis = basis_from_dataset(ds)
     w0 = np.zeros((2, 2, 30))
     w = w0.copy()
-    w[0, 0] += basis.mu / basis.mu_norm_sq  # j=+1 drift of exactly gamma=1
+    w[0, 0] += basis.mu / basis.gram[0, 0]  # j=+1 drift of exactly gamma=1
     sol = oracle_solve(w, w0, basis)
     assert sol.gamma[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(sol.rho)) <= 1e-12
@@ -145,15 +148,92 @@ def test_degenerate_basis_duplicate_noise():
     ds = gen_dataset(params, make_signal(20, 1.0), 3, seed=3)
     xis = ds.xi.copy()
     xis[2] = xis[1]
+    basis = basis_from_dataset(dataclasses.replace(ds, xi=xis))
+    w0 = np.zeros((2, 2, 20))
     with pytest.raises(DegenerateBasisError, match="xi_1.*xi_2"):
-        make_basis(ds.mu, xis, P=2)
+        oracle_solve(w0, w0, basis)
 
 
 def test_degenerate_basis_zero_mu():
     params = DataParams(d=20, P=2, mu_norm=1.0)
     ds = gen_dataset(params, make_signal(20, 1.0), 3, seed=4)
+    basis = basis_from_dataset(dataclasses.replace(ds, mu=np.zeros(20)))
+    w0 = np.zeros((2, 2, 20))
     with pytest.raises(DegenerateBasisError, match="mu"):
-        make_basis(np.zeros(20), ds.xi, P=2)
+        oracle_solve(w0, w0, basis)
+
+
+def test_degenerate_basis_messages_unchanged():
+    """A degenerate dataset builds a Basis; the oracle names the problem."""
+    params = DataParams(d=20, P=2, mu_norm=0.0)
+    ds = gen_dataset(params, make_signal(20, 0.0), 3, seed=4)
+    w0 = np.zeros((2, 2, 20))
+    with pytest.raises(DegenerateBasisError, match="^basis vector mu has zero norm$"):
+        oracle_solve(w0, w0, basis_from_dataset(ds))
+    # n >= d: the Gram matrix is singular without any zero vector
+    wide = gen_dataset(DataParams(d=4, P=2, mu_norm=1.0), make_signal(4, 1.0), 5, seed=0)
+    w0 = np.zeros((2, 2, 4))
+    with pytest.raises(DegenerateBasisError,
+                       match=r"^Gram condition number .* exceeds 1\.0e\+12; nearest "
+                             r"dependence between (mu|xi_\d) and xi_\d \(\|cos\| = "):
+        oracle_solve(w0, w0, basis_from_dataset(wide))
+
+
+def test_basis_shares_the_dataset_span():
+    params = DataParams(d=40, P=3, mu_norm=2.0)
+    ds = gen_dataset(params, make_signal(40, 2.0), 5, seed=6)
+    basis = basis_from_dataset(ds)
+    assert basis.gram is ds.gram
+    assert np.shares_memory(basis.xis, ds.xi)
+    assert np.shares_memory(basis.mu, ds.mu)
+    assert basis.P == 3
+
+
+def test_span_coeffs_is_the_oracle_readoff():
+    """oracle_solve on w0 + C [mu; xi] returns span_coeffs(C)."""
+    rng = np.random.default_rng(3)
+    params = DataParams(d=50, P=3, mu_norm=1.5)
+    ds = gen_dataset(params, make_signal(50, 1.5), 4, seed=8)
+    basis = basis_from_dataset(ds)
+    c = rng.normal(size=(2 * 2, 5))
+    w0 = rng.normal(size=(2, 2, 50))
+    w = w0 + (c[:, :1] * ds.mu + c[:, 1:] @ ds.xi).reshape(2, 2, 50)
+    gamma, rho = span_coeffs(c, ds.gram, 3)
+    assert np.array_equal(gamma[:, 0], np.array([1.0, -1.0]) * c[[0, 2], 0] * ds.gram[0, 0])
+    assert np.array_equal(rho[1, 1], c[3, 1:] * 2 * np.diag(ds.gram)[1:])
+    sol = oracle_solve(w, w0, basis)
+    assert np.allclose(sol.gamma, gamma, rtol=1e-9, atol=1e-12)
+    assert np.allclose(sol.rho, rho, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", [
+    dict(algo="sgd", B=6, n=6),
+    dict(algo="sam", tau=0.08, B=6, n=6),
+    dict(algo="sam", tau=0.08, B=3, n=6, sam_phase_iters=5, record_every=1),
+    dict(algo="sam", tau=0.08, B=6, n=6, mu_norm=0.0),
+], ids=["sgd-full-batch", "sam-full-batch", "sam-minibatch-phase", "sam-zero-mu"])
+def test_span_view_matches_tracker_at_every_record(case):
+    """The coefficients read off a record's C are the tracker's, state by state."""
+    case = dict(case)
+    mu_norm = case.pop("mu_norm", 2.0)
+    n = case.pop("n")
+    d, m = 120, 3
+    params = DataParams(d=d, P=3, sigma_p=1.0, p=0.2, mu_norm=mu_norm)
+    ds = gen_dataset(params, make_signal(d, mu_norm), n, seed=11)
+    net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)
+    tracker = CoeffTracker(ds, m)
+    cfg = TrainConfig(eta=0.05, epochs=8, seed=2, **case)
+    traj = train(ds, net, cfg, hooks=(tracker,))
+    assert len(traj.records) > 2
+    for rec in traj.records:
+        view = span_view(rec.c, ds.gram, ds.y, ds.params.P)
+        view.check_patterns(ds.y)
+        tracked = tracker.state_at(rec.t, rec.b).coeffs
+        for name in ("gamma", "zeta", "omega"):
+            got, want = getattr(view, name), getattr(tracked, name)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
+    if mu_norm == 0.0:
+        assert not view.gamma.any()
 
 
 def test_pattern_violations_raise():

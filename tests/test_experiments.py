@@ -5,8 +5,9 @@ import shutil
 import numpy as np
 import pytest
 
-from samdyn import experiments
-from samdyn.data import DataParams, make_signal
+from samdyn import experiments, optim
+from samdyn.data import DataParams, gen_dataset, make_signal
+from samdyn.decomposition import CoeffTracker
 from samdyn.experiments import (
     GridSpec,
     aggregate,
@@ -21,7 +22,8 @@ from samdyn.experiments import (
     write_results_csv,
     TrialResult,
 )
-from samdyn.optim import TrainConfig
+from samdyn.network import model_grad_coeffs
+from samdyn.optim import TrainConfig, train
 
 from helpers import reference_test_error
 
@@ -156,6 +158,52 @@ def test_cell_variant_failure_leaves_others_unchanged():
     assert failed.failed and failed.error.startswith("TrainingDivergedError")
     assert not sgd.failed
     assert sgd == run_cell(spec, 60, 4.0, 0, ("sgd",))[0]
+
+
+def test_run_cell_trains_without_hooks(monkeypatch):
+    """The grid reads its coefficients from the records' C: no per-step hook."""
+    calls = []
+
+    def spy(ds, net, cfg, hooks=()):
+        calls.append(tuple(hooks))
+        return train(ds, net, cfg, hooks=hooks)
+
+    monkeypatch.setattr(experiments, "train", spy)
+    results = run_cell(tiny_spec(), 60, 4.0, 0, ("sam", "sgd"))
+    assert calls == [(), ()]
+    assert not any(r.failed for r in results)
+    assert all(r.max_gamma > 0 and r.max_sum_zeta > 0 for r in results)
+
+
+def test_run_cell_catches_a_sign_flipped_noise_coefficient(monkeypatch):
+    """A step that moves C against the sign its own BatchTerms imply fails
+    the trial; a replay of the BatchTerms would not see it."""
+    def flipped(*args):
+        g, terms = model_grad_coeffs(*args)
+        g = g.copy()
+        g[:, 1:] *= -1.0
+        return g, terms
+
+    monkeypatch.setattr(optim, "model_grad_coeffs", flipped)
+    [result] = run_cell(tiny_spec(), 60, 4.0, 0, ("sgd",))
+    assert result.failed
+    assert result.error.startswith("InvariantViolation: ")
+
+
+def test_run_cell_coefficients_match_the_tracker():
+    """max_gamma and max_sum_zeta equal the coefficient tracker's final values."""
+    spec = tiny_spec()
+    ds = gen_dataset(spec.data_params(120, 4.0), make_signal(120, 4.0), spec.n,
+                     seed=trial_seed_sequence(0, 120, 4.0, 1).spawn(3)[0])
+    train_seed = int(trial_seed_sequence(0, 120, 4.0, 1).spawn(3)[1].generate_state(1)[0])
+    for result in run_cell(spec, 120, 4.0, 1, ("sam", "sgd")):
+        tracker = CoeffTracker(ds, spec.m)
+        cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
+        train(ds, spec.net_config(120), cfg, hooks=(tracker,))
+        want_gamma = float(tracker.coeffs.gamma.max())
+        want_zeta = float(tracker.coeffs.zeta.sum(axis=2).max())
+        assert result.max_gamma == pytest.approx(want_gamma, rel=1e-12)
+        assert result.max_sum_zeta == pytest.approx(want_zeta, rel=1e-12)
 
 
 def test_run_grid_single_cell(tmp_path):
