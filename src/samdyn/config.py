@@ -16,8 +16,10 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 from .data import DataParams
-from .experiments import GridSpec
+from .experiments import GridSpec, openblas_environment
 from .network import NetConfig
 from .optim import TrainConfig
 
@@ -234,7 +236,8 @@ def load_grid_spec(path, seed_override: int | None = None, environ=None) -> tupl
 
 
 def write_manifest(out_dir, command: str, config: dict, base_seed, outputs) -> Path:
-    """Reproducibility record, written before any work starts."""
+    """Reproducibility record, written before any work starts; it includes
+    numpy's version and its OpenBLAS build and thread count at that point."""
     from . import __version__
 
     out = Path(out_dir)
@@ -248,6 +251,8 @@ def write_manifest(out_dir, command: str, config: dict, base_seed, outputs) -> P
         "base_seed": base_seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": list(map(str, outputs)),
+        "numpy": np.__version__,
+        "openblas": openblas_environment(),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -15,8 +15,8 @@ Two independent routes to the coefficients are cross-checked:
 - an incremental tracker that replays each optimizer step's exact loss
   derivatives and activation indicators in coefficient space, and
 - a least-squares oracle that solves the (n+1)-dimensional Gram system for
-  the drift of each filter.  Its Basis holds views of mu, xi and
-  Dataset.gram, never copies.
+  the drift of each filter on every call.  Its Basis holds views of mu, xi
+  and Dataset.gram, never copies, and checks their conditioning once.
 
 The update rules make the sign split structural: for y_i = j every rho
 increment is >= 0 (zeta never decreases), for y_i = -j every increment is
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import Dataset
 from .network import J_SIGNS, BatchTerms, span_vectors
@@ -150,10 +149,10 @@ class Basis:
     P: int
 
     @cached_property
-    def cho(self) -> tuple:
-        """Cholesky factor of gram, formed on the oracle's first call.  Raises
-        DegenerateBasisError naming the most collinear pair when the condition
-        number exceeds _COND_LIMIT (duplicated xi, zero mu, n >= d)."""
+    def checked_cond(self) -> float:
+        """Condition number of gram, checked on the oracle's first call.  Raises
+        DegenerateBasisError naming the most collinear pair when it exceeds
+        _COND_LIMIT (duplicated xi, zero mu, n >= d)."""
         gram = self.gram
         diag = np.diag(gram)
         cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
@@ -171,7 +170,7 @@ class Basis:
                 f"nearest dependence between {_name_basis_vector(int(a))} and "
                 f"{_name_basis_vector(int(b))} (|cos| = {abs(corr[a, b]):.6f})"
             )
-        return cho_factor(gram)
+        return cond
 
 
 def _name_basis_vector(k: int) -> str:
@@ -192,17 +191,17 @@ class OracleCoeffs:
 def oracle_solve(w: np.ndarray, w0: np.ndarray, basis: Basis) -> OracleCoeffs:
     """Least-squares read-off of the decomposition coefficients.
 
-    Solves the Gram normal equations for each filter's drift and reads the
-    basis weights off with span_coeffs.  One factorization, checked for
-    conditioning on first use, is shared across all 2m filters and every
-    call on the same basis.
+    Solves the Gram normal equations for all 2m filters' drifts on every
+    call and reads the basis weights off with span_coeffs; the basis's
+    conditioning guard runs on its first call only.
     """
     if w.shape != w0.shape:
         raise ValueError(f"weight shapes differ: {w.shape} vs {w0.shape}")
     two, m, d = w.shape
     drift = (w - w0).reshape(2 * m, d)
     rhs = np.hstack([(drift @ basis.mu)[:, None], drift @ basis.xis.T])
-    c = cho_solve(basis.cho, rhs.T).T  # (2m, n+1)
+    basis.checked_cond  # refuses a degenerate basis, once per basis
+    c = np.linalg.solve(basis.gram, rhs.T).T  # (2m, n+1)
     recon = span_vectors(c, basis.mu, basis.xis).reshape(2 * m, d)
     drift_norm = float(np.linalg.norm(drift))
     residual = 0.0 if drift_norm == 0 else float(np.linalg.norm(drift - recon)) / drift_norm

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .checks import activation_threshold, effective_sigma0, own_noise_pre
 from .data import DataParams, gen_dataset, make_signal
@@ -296,33 +295,41 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
 
 
 def _openblas_thread_controls() -> list[tuple]:
-    """(get_num_threads, set_num_threads) of each OpenBLAS that the numpy
-    and scipy wheels bundle; each wheel ships its own copy, and the lookup
-    returns the handle the interpreter already holds.  Empty when numpy and
-    scipy link another BLAS."""
+    """(get_num_threads, set_num_threads, get_config) of the OpenBLAS that
+    the numpy wheel bundles, the only BLAS a samdyn process loads; the
+    lookup returns the handle the interpreter already holds.  Empty when
+    numpy links another BLAS."""
     controls = []
-    for mod in (np, scipy):
-        libs_dir = Path(mod.__file__).parent.parent / f"{mod.__name__}.libs"
-        for path in sorted(libs_dir.glob("*openblas*")):
-            lib = ctypes.CDLL(str(path))
-            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                         "openblas_get_num_threads64_", "openblas_get_num_threads"):
-                get = getattr(lib, name, None)
-                if get is not None:
-                    set_ = getattr(lib, name.replace("get_", "set_"))
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
-                    break
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        # the file name's part between "lib" and "openblas" prefixes the symbols
+        prefix = path.name[len("lib"):path.name.index("openblas")]
+        for suffix in ("64_", ""):
+            name = f"{prefix}openblas_get_num_threads{suffix}"
+            get = getattr(lib, name, None)
+            if get is not None:
+                set_ = getattr(lib, name.replace("get_", "set_"))
+                config = getattr(lib, name.replace("num_threads", "config"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                controls.append((get, set_, config))
+                break
     return controls
+
+
+def openblas_environment() -> list[dict]:
+    """Build string and current thread count of each bundled OpenBLAS."""
+    return [{"config": config().decode().strip(), "threads": get()}
+            for get, _, config in _openblas_thread_controls()]
 
 
 def _pin_blas_threads(counts=None) -> list[int]:
     """Set each bundled OpenBLAS to its entry of counts (default: one
     thread each) and return the counts it had before."""
     controls = _openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    for (_, set_), n in zip(controls, counts or [1] * len(controls)):
+    before = [get() for get, _, _ in controls]
+    for (_, set_, _), n in zip(controls, counts or [1] * len(controls)):
         set_(n)
     return before
 

@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         if self.record_every is not None and self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if self.sam_phase_iters is not None and self.sam_phase_iters < 0:
+            raise ValueError(f"sam_phase_iters must be >= 0, got {self.sam_phase_iters}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from samdyn.config import (
     parse_config_file,
 )
 from samdyn.data import load_dataset
-from samdyn.experiments import phase_grid_spec
+from samdyn.experiments import _openblas_thread_controls, phase_grid_spec
 from samdyn.network import save_weights
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -101,6 +101,26 @@ def test_snapshot_weights_is_not_a_train_key(tmp_path):
     cfg = write_cfg(tmp_path, TINY_TRAIN + "\nsnapshot_weights = true\n")
     with pytest.raises(ConfigError, match="unknown config key 'snapshot_weights'"):
         load_train_setup(cfg)
+
+
+def test_negative_sam_phase_iters_refused_before_manifest(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_TRAIN + "algo = sam\ntau = 0.1\nsam_phase_iters = -3\n")
+    out = tmp_path / "x"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "sam_phase_iters" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_manifest_records_numpy_and_openblas(tmp_path):
+    assert main(["gen-data", "--d", "16", "--n", "4", "--mu-norm", "1.0",
+                 "--out", str(tmp_path / "ds.npz")]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["numpy"] == np.__version__
+    expected = [{"config": config().decode().strip(), "threads": get()}
+                for get, _, config in _openblas_thread_controls()]
+    assert manifest["openblas"] == expected
+    for lib in manifest["openblas"]:
+        assert lib["config"].startswith("OpenBLAS") and lib["threads"] >= 1
 
 
 def test_batch_must_divide_n(tmp_path, capsys):

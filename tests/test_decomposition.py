@@ -179,6 +179,42 @@ def test_degenerate_basis_messages_unchanged():
         oracle_solve(w0, w0, basis_from_dataset(wide))
 
 
+@pytest.mark.parametrize("d,n,B,min_cond", [(500, 64, 16, 1.0), (120, 100, 25, 1e3)],
+                         ids=["d500_n64", "ill_conditioned_d120_n100"])
+def test_oracle_matches_an_independent_lstsq(d, n, B, min_cond):
+    """The per-call Gram solve agrees with a least-squares fit of the drift
+    on [mu; xi]^T, with norms taken from the vectors, not the Gram."""
+    ds, traj, _ = _small_run(algo="sam", tau=0.05, d=d, n=n, B=B, epochs=2)
+    basis = basis_from_dataset(ds)
+    sol = oracle_solve(traj.w_final, traj.w0, basis)
+    assert min_cond < basis.checked_cond <= 1e12
+    m = traj.w0.shape[1]
+    drift = (traj.w_final - traj.w0).reshape(2 * m, d)
+    coef = np.linalg.lstsq(np.vstack([ds.mu, ds.xi]).T, drift.T, rcond=None)[0].T
+    gamma = coef[:, 0].reshape(2, m) * float(ds.mu @ ds.mu) * np.array([[1.0], [-1.0]])
+    rho = (coef[:, 1:] * (ds.params.P - 1) * np.sum(ds.xi**2, axis=1)).reshape(2, m, n)
+    assert np.any(gamma != 0) and np.any(rho != 0)
+    assert np.all(np.abs(sol.gamma - gamma) <= 1e-10 * np.maximum(1.0, np.abs(gamma)))
+    assert np.all(np.abs(sol.rho - rho) <= 1e-10 * np.maximum(1.0, np.abs(rho)))
+
+
+def test_conditioning_guard_runs_once_per_basis(monkeypatch):
+    ds, traj, _ = _small_run(n=6, epochs=2)
+    calls = []
+    cond = np.linalg.cond
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return cond(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    basis = basis_from_dataset(ds)
+    sols = [oracle_solve(r.weights, traj.w0, basis) for r in traj.records]
+    assert len(sols) > 2 and calls == [(7, 7)]
+    oracle_solve(traj.w_final, traj.w0, basis_from_dataset(ds))
+    assert calls == [(7, 7)] * 2
+
+
 def test_basis_shares_the_dataset_span():
     params = DataParams(d=40, P=3, mu_norm=2.0)
     ds = gen_dataset(params, make_signal(40, 2.0), 5, seed=6)

@@ -249,10 +249,10 @@ def test_run_grid_runs_trials_on_one_blas_thread(tmp_path, monkeypatch):
     and the caller's counts are back when run_grid returns."""
     controls = experiments._openblas_thread_controls()
     if not controls:
-        pytest.skip("numpy and scipy link no bundled OpenBLAS")
+        pytest.skip("numpy links no bundled OpenBLAS")
 
     def counts():
-        return [get() for get, _ in experiments._openblas_thread_controls()]
+        return [get() for get, _, _ in experiments._openblas_thread_controls()]
 
     def probe(spec, d, mu_norm, seed, variants):
         return [TrialResult(d=d, mu_norm=mu_norm, algo=variant, seed=seed, test_error=0.5,

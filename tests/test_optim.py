@@ -338,3 +338,10 @@ def test_metrics_csv(tmp_path):
 def test_non_finite_parameters_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+def test_negative_sam_phase_iters_rejected():
+    with pytest.raises(ValueError, match="sam_phase_iters must be >= 0, got -3"):
+        TrainConfig(eta=0.1, B=1, epochs=1, algo="sam", tau=0.1, sam_phase_iters=-3)
+    assert TrainConfig(eta=0.1, B=1, epochs=1, algo="sam", tau=0.1,
+                       sam_phase_iters=0).sam_phase_iters == 0
