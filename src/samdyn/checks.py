@@ -195,13 +195,17 @@ def check_coeff_bounds(
     gamma_min = 0.0
     gamma_max = 0.0
     for st in history:
-        zeta_viol += int(np.any(st.coeffs.zeta < 0) or np.any(st.coeffs.zeta > alpha))
-        omega_viol += int(np.any(st.coeffs.omega < omega_floor))
-        gamma_viol += int(np.any(st.coeffs.gamma < -1.0 / 12.0))
-        zeta_max = max(zeta_max, float(st.coeffs.zeta.max()))
-        omega_min = min(omega_min, float(st.coeffs.omega.min()))
-        gamma_min = min(gamma_min, float(st.coeffs.gamma.min()))
-        gamma_max = max(gamma_max, float(st.coeffs.gamma.max()))
+        # one min and one max per array; a NaN makes them NaN and fails its check
+        z_lo, z_hi = float(st.coeffs.zeta.min()), float(st.coeffs.zeta.max())
+        o_lo = float(st.coeffs.omega.min())
+        g_lo, g_hi = float(st.coeffs.gamma.min()), float(st.coeffs.gamma.max())
+        zeta_viol += int(not (z_lo >= 0 and z_hi <= alpha))
+        omega_viol += int(not o_lo >= omega_floor)
+        gamma_viol += int(not g_lo >= -1.0 / 12.0)
+        zeta_max = max(zeta_max, z_hi)
+        omega_min = min(omega_min, o_lo)
+        gamma_min = min(gamma_min, g_lo)
+        gamma_max = max(gamma_max, g_hi)
     scale = consts.gamma_hat * alpha
     c_prime = gamma_max / scale if scale > 0 else float("nan")
     return [

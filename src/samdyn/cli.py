@@ -167,7 +167,7 @@ def _cmd_decompose(args) -> int:
         for row, j in enumerate((1, -1)):
             for r in range(sol.gamma.shape[1]):
                 fh.write(
-                    f"{j},{r},{sol.gamma[row, r]!r},{float(zeta[row, r].sum())!r},"
+                    f"{j},{r},{float(sol.gamma[row, r])!r},{float(zeta[row, r].sum())!r},"
                     f"{float(omega[row, r].min())!r},{float(zeta[row, r].max())!r}\n"
                 )
     np.savez(out / "rho.npz", gamma=sol.gamma, rho=sol.rho, residual=sol.residual)

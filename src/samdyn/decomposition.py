@@ -63,6 +63,11 @@ class Coeffs:
 
     def check_patterns(self, y: np.ndarray) -> None:
         """Hard-assert the sign and label-pattern invariants."""
+        # zeta must vanish where y_i != j and omega where y_i == j
+        if not ((self.zeta < 0).any() or (self.omega > 0).any()
+                or np.where(_own_label(y), self.omega, self.zeta).any()):
+            return
+        # some invariant failed: find the first, in a fixed order, to name it
         if np.any(self.zeta < 0):
             raise InvariantViolation("zeta has a negative entry")
         if np.any(self.omega > 0):
@@ -135,8 +140,13 @@ def span_view(c: np.ndarray, gram: np.ndarray, y: np.ndarray, P: int) -> Coeffs:
     """The Coeffs of the drift C [mu; xi] with rho split by label (zeta where
     y_i = j): a training record's tracked coefficients, without a replay."""
     gamma, rho = span_coeffs(c, gram, P)
-    own = (y[None, :] == J_SIGNS[:, None])[:, None, :]  # (2, 1, n)
+    own = _own_label(y)
     return Coeffs(gamma=gamma, zeta=np.where(own, rho, 0.0), omega=np.where(own, 0.0, rho))
+
+
+def _own_label(y: np.ndarray) -> np.ndarray:
+    """(2, 1, n) mask of y_i == j: where rho is zeta, against a (2, m, n) array."""
+    return (y == J_SIGNS[:, None])[:, None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,9 +260,10 @@ class CoeffTracker:
         self.check = check
         self.coeffs = Coeffs.zeros(m, self.n)
         self.history: list[CoeffState] = []
-        if keep_history:
-            self.history.append(CoeffState(0, 0, 0, self.coeffs.copy()))
+        self._by_state: dict[tuple[int, int], CoeffState] = {}
         self._keep = keep_history
+        if keep_history:
+            self._keep_state(CoeffState(0, 0, 0, self.coeffs.copy()))
 
     def __call__(self, event) -> None:
         self.coeffs = track_step(
@@ -271,13 +282,18 @@ class CoeffTracker:
         if self._keep:
             H = self.n // len(event.batch)
             t, b = (event.t + 1, 0) if event.b + 1 == H else (event.t, event.b + 1)
-            self.history.append(CoeffState(t, b, event.step + 1, self.coeffs.copy()))
+            # track_step returned fresh arrays, so the history may hold them
+            self._keep_state(CoeffState(t, b, event.step + 1, self.coeffs))
+
+    def _keep_state(self, st: CoeffState) -> None:
+        self.history.append(st)
+        self._by_state.setdefault((st.t, st.b), st)
 
     def state_at(self, t: int, b: int) -> CoeffState:
-        for st in self.history:
-            if st.t == t and st.b == b:
-                return st
-        raise KeyError(f"no tracked coefficients at state ({t}, {b})")
+        st = self._by_state.get((t, b))
+        if st is None:
+            raise KeyError(f"no tracked coefficients at state ({t}, {b})")
+        return st
 
 
 def write_coeff_csv(path, history: list[CoeffState]) -> None:
@@ -290,6 +306,6 @@ def write_coeff_csv(path, history: list[CoeffState]) -> None:
                     zrow = st.coeffs.zeta[row, r]
                     orow = st.coeffs.omega[row, r]
                     fh.write(
-                        f"{st.t},{st.b},{j},{r},{st.coeffs.gamma[row, r]!r},"
+                        f"{st.t},{st.b},{j},{r},{float(st.coeffs.gamma[row, r])!r},"
                         f"{float(zrow.sum())!r},{float(orow.min())!r},{float(zrow.max())!r}\n"
                     )

@@ -22,6 +22,13 @@ numbers are those of a run of the variant alone.  Training runs without
 hooks.  run_grid schedules cells largest d first, so the longest cells do
 not land last on one worker.
 
+The test-draw stream is fixed by its chunks of 256 samples: each draws
+the true labels y_hat, then the label flips, then the chunk's (256, d)
+noise as back-to-back standard-normal fills.  estimate_test_error draws
+and scores that noise a few rows at a time in one reused buffer of about
+2 MiB, whatever d is; a fill continues the generator where the last one
+stopped, so the block size is not part of the stream.
+
 Every cell run_grid executes runs on one OpenBLAS thread: pool workers pin
 themselves when they start, and a serial run pins the caller for its
 duration and restores its counts afterwards.  One thread per worker keeps
@@ -50,7 +57,8 @@ from .network import NetConfig, model_margins, model_preacts
 from .optim import TrainConfig, TrainingDivergedError, train
 
 _SEED_TAG = 88261599  # fixed domain tag for trial seed derivation
-_TEST_CHUNK = 256  # test samples drawn per block; part of the test-draw stream
+_TEST_CHUNK = 256  # test samples per chunk of y_hat, flips and noise; part of the test-draw stream
+_TEST_BLOCK_BYTES = 2 << 20  # noise buffer of the test scorer; not part of the stream
 
 
 @dataclass(frozen=True)
@@ -165,29 +173,51 @@ def estimate_test_error(
 ) -> list[tuple[float, float]]:
     """(rate, stderr) for each weight array in ws: the fraction of fresh
     samples with y != sign(f), where sign(0) counts as an error.  Every w is
-    scored on the same samples, drawn in fixed-size chunks (y_hat, flip,
-    then xi) so large d stays memory-bounded while the stream remains
-    reproducible for a given generator state.  xi is drawn into one reused
-    buffer: scaling standard normals by sigma_p gives the bits
-    rng.normal(0, sigma_p) would.
+    scored on the same samples.
+
+    The samples are the test-draw stream: chunks of _TEST_CHUNK samples,
+    each drawing y_hat, then the flips, then the chunk's (k, d) noise as
+    back-to-back standard-normal fills scaled by sigma_p, which gives the
+    bits rng.normal(0, sigma_p, (k, d)) would.  The noise is drawn and
+    scored in blocks of _test_block_rows(d) rows in one reused buffer, so
+    memory stays near _TEST_BLOCK_BYTES at any d; a fill continues the
+    generator where the last one stopped, so the block size is not part of
+    the stream.
     """
     if n_test < 1:
         raise ValueError(f"n_test must be >= 1, got {n_test}")
+    d = params.d
+    rows = _test_block_rows(d)
+    buf = np.empty((min(rows, n_test), d))
+    # per w: <w, mu> once, the filters as (2m, d) rows, and a chunk's <w, xi>
+    scored = []
+    for w in ws:
+        mu_pre, _ = model_preacts(w, mu, buf[:0])  # also checks w against d
+        pre = np.empty((mu_pre.size, min(_TEST_CHUNK, n_test)))
+        scored.append((mu_pre, w.reshape(-1, d), pre))
     errors = [0] * len(ws)
-    buf = np.empty((min(_TEST_CHUNK, n_test), params.d))
     remaining = n_test
     while remaining > 0:
         k = min(_TEST_CHUNK, remaining)
         y_hat = np.where(rng.random(k) < 0.5, 1.0, -1.0)
         y = np.where(rng.random(k) < params.p, -y_hat, y_hat)
-        xi = rng.standard_normal(out=buf[:k])
-        xi *= params.sigma_p
-        for i, w in enumerate(ws):
-            mu_pre, noise_pre = model_preacts(w, mu, xi)
+        for start in range(0, k, rows):
+            xi = rng.standard_normal(out=buf[:min(rows, k - start)])
+            xi *= params.sigma_p
+            for _, filters, pre in scored:
+                np.matmul(filters, xi.T, out=pre[:, start:start + len(xi)])
+        for i, (mu_pre, _, pre) in enumerate(scored):
+            noise_pre = pre[:, :k].reshape(mu_pre.shape + (k,))
             errors[i] += int(np.sum(model_margins(mu_pre, noise_pre, y, y_hat, params.P) <= 0))
         remaining -= k
     rates = [e / n_test for e in errors]
     return [(rate, math.sqrt(rate * (1 - rate) / n_test)) for rate in rates]
+
+
+def _test_block_rows(d: int) -> int:
+    """Noise rows estimate_test_error draws and scores at a time: as many as
+    fit _TEST_BLOCK_BYTES, at least one and at most a chunk."""
+    return min(_TEST_CHUNK, max(1, _TEST_BLOCK_BYTES // (8 * d)))
 
 
 _TRIAL_ERRORS = (TrainingDivergedError, InvariantViolation, FloatingPointError, ValueError)

@@ -23,7 +23,7 @@ from samdyn.checks import (
     write_report_csv,
 )
 from samdyn.data import DataParams, gen_dataset, make_signal
-from samdyn.decomposition import CoeffTracker
+from samdyn.decomposition import Coeffs, CoeffState, CoeffTracker
 from samdyn.network import NetConfig
 from samdyn.optim import TrainConfig, epoch_schedule, train
 
@@ -123,6 +123,28 @@ def test_coeff_bounds_benign_run_within_alpha():
     assert reports["omega_range"].violations == 0
     assert reports["gamma_range"].violations == 0
     assert "empirical_upper_ratio" in reports["gamma_range"].detail
+
+
+def test_coeff_bounds_counts_each_violating_state():
+    """A state violates a range when any entry leaves it; the bounds
+    themselves are inside, and a NaN entry is outside."""
+    consts = TheoryConstants(t_star=10, alpha=1.0, beta=0.5, snr=0.1, gamma_hat=1.0)
+
+    def state(zeta=0.0, omega=0.0, gamma=0.0):
+        c = Coeffs.zeros(2, 3)
+        c.zeta[1, 0, 2], c.omega[0, 1, 1], c.gamma[1, 1] = zeta, omega, gamma
+        return CoeffState(0, 0, 0, c)
+
+    history = [state(), state(zeta=1.0, omega=-0.5, gamma=-1.0 / 12.0), state(zeta=1.5),
+               state(zeta=-1e-300), state(zeta=math.nan), state(omega=-10.0),
+               state(gamma=-0.1), state(gamma=math.nan)]
+    reports = {r.check: r for r in check_coeff_bounds(history, consts, d=10**12)}
+    assert [reports[k].violations for k in ("zeta_range", "omega_range", "gamma_range")] \
+        == [3, 1, 2]
+    assert all(r.total == len(history) for r in reports.values())
+    assert reports["zeta_range"].worst_case_value == 1.5
+    assert reports["omega_range"].worst_case_value == -10.0
+    assert reports["gamma_range"].worst_case_value == -0.1
 
 
 def test_good_batches_full_batch_counts():

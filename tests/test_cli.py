@@ -266,6 +266,28 @@ def test_decompose_cli(tmp_path):
     assert float(blob["residual"]) <= 1e-9
 
 
+def test_demo_coefficient_csvs_hold_numbers(tmp_path):
+    """coeffs.csv from train and decomposition.csv from decompose hold a
+    number in every field; gamma is a numpy scalar and must not be written
+    as its repr."""
+    run_dir, out = tmp_path / "run", tmp_path / "dec"
+    assert main(["train", "--config", str(CONFIGS / "train_demo.cfg"),
+                 "--out", str(run_dir)]) == 0
+    assert main([
+        "decompose", "--data", str(run_dir / "dataset.npz"),
+        "--weights", str(run_dir / "w_final.npz"),
+        "--weights0", str(run_dir / "w0.npz"), "--out", str(out),
+    ]) == 0
+    for path, ints in ((run_dir / "coeffs.csv", 4), (out / "decomposition.csv", 2)):
+        header, *rows = path.read_text().splitlines()
+        assert rows
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == len(header.split(","))
+            [int(v) for v in fields[:ints]]
+            [float(v) for v in fields[ints:]]
+
+
 def test_decompose_cli_zero_mu_names_the_degenerate_basis(tmp_path, capsys):
     data = tmp_path / "ds.npz"
     assert main(["gen-data", "--d", "30", "--n", "4", "--mu-norm", "0",

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,23 +90,44 @@ def test_estimate_chance_level_no_signal():
 def test_estimate_scores_every_w_on_the_reference_stream():
     """Two weight arrays scored on one shared draw each get exactly the
     estimate of the documented per-chunk stream, and the generator ends
-    where that stream leaves it."""
-    d, n_test = 30, 600  # n_test not a multiple of the chunk size
-    params = DataParams(d=d, P=3, sigma_p=1.7, p=0.2, mu_norm=1.5)
-    mu = make_signal(d, 1.5)
-    w1, w2 = np.random.default_rng(11).normal(0.0, 0.3, size=(2, 2, 4, d))
-    rng = np.random.default_rng(12)
-    got = estimate_test_error([w1, w2], params, mu, n_test, rng)
-    want = []
-    for w in (w1, w2):
-        ref_rng = np.random.default_rng(12)
-        want.append(reference_test_error(w, params, mu, n_test, ref_rng))
-    assert got == want
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert got[0] != got[1] and all(0.0 < rate < 1.0 for rate, _ in got)
+    where that stream leaves it: for one sample, for sizes that leave a
+    partial chunk, and at a d whose noise is scored in blocks smaller than
+    a chunk."""
+    assert experiments._test_block_rows(5000) < experiments._TEST_CHUNK
+    for d, n_test in itertools.product((30, 5000), (1, 257, 600)):
+        params = DataParams(d=d, P=3, sigma_p=1.7, p=0.2, mu_norm=1.5)
+        mu = make_signal(d, 1.5)
+        w1, w2 = np.random.default_rng(11).normal(0.0, 0.3, size=(2, 2, 4, d))
+        rng = np.random.default_rng(12)
+        got = estimate_test_error([w1, w2], params, mu, n_test, rng)
+        want = []
+        for w in (w1, w2):
+            ref_rng = np.random.default_rng(12)
+            want.append(reference_test_error(w, params, mu, n_test, ref_rng))
+        assert got == want, (d, n_test)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, (d, n_test)
+        if n_test == 600:
+            assert got[0] != got[1] and all(0.0 < rate < 1.0 for rate, _ in got)
     # the buffered draw is bitwise the rng.normal draw it replaces
     scaled = np.random.default_rng(3).standard_normal((5, d)) * params.sigma_p
     assert np.array_equal(scaled, np.random.default_rng(3).normal(0.0, params.sigma_p, (5, d)))
+
+
+def test_estimate_test_error_memory_does_not_grow_with_the_chunk():
+    """At d=20000 the scorer holds one noise block of about 2 MiB, not a
+    (256, d) chunk of 41 MB."""
+    d = 20000
+    params = DataParams(d=d, P=2, sigma_p=1.0, p=0.0, mu_norm=3.0)
+    mu = make_signal(d, 3.0)
+    ws = list(np.random.default_rng(0).normal(0.0, 0.01, size=(2, 2, 10, d)))
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        estimate_test_error(ws, params, mu, 300, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_trial_seed_sequence_is_coordinate_hash():
