@@ -9,13 +9,14 @@ the same trajectory reproduces the same report.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .data import DataParams, gen_dataset, make_signal
 from .network import NetConfig, loss_grad, model_preacts
 from .optim import TrainConfig, Trajectory, train
+from .tables import write_csv
 
 
 @dataclass
@@ -33,13 +34,7 @@ class CheckReport:
 
 
 def write_report_csv(path, reports: list[CheckReport]) -> None:
-    with open(path, "w") as fh:
-        fh.write("check,window,violations,total,worst_case_value,detail\n")
-        for r in reports:
-            fh.write(
-                f"{r.check},{r.window},{r.violations},{r.total},"
-                f"{r.worst_case_value!r},{r.detail}\n"
-            )
+    write_csv(path, [f.name for f in fields(CheckReport)], map(astuple, reports))
 
 
 def effective_sigma0(net: NetConfig) -> float:
@@ -72,7 +67,6 @@ class TheoryConstants:
     beta: float       # 2 max{|<w0, mu>|, (P-1)|<w0, xi_i>|}
     snr: float        # ||mu|| / ((P-1) sigma_p sqrt(d))
     gamma_hat: float  # n * snr^2
-    kappa: float = 10.0
     c1_logit: float = 5.0
 
     @classmethod

@@ -36,10 +36,12 @@ from .data import (
     make_signal,
     save_dataset,
 )
-from .decomposition import CoeffTracker, basis_from_dataset, oracle_solve, write_coeff_csv
+from .decomposition import (COEFF_COLUMNS, CoeffTracker, basis_from_dataset, coeff_rows,
+                            oracle_solve, write_coeff_csv)
 from .experiments import check_grid_run, run_grid
 from .network import load_weights, save_weights
 from .optim import train, write_metrics_csv
+from .tables import write_csv
 
 
 def _cmd_gen_data(args) -> int:
@@ -82,18 +84,13 @@ def _cmd_train(args) -> int:
     cfg = dataclasses.replace(setup.train, seed=train_seed)
     mu = make_signal(setup.params.d, setup.params.mu_norm)
     ds = gen_dataset(setup.params, mu, setup.n, seed=data_ss)
-    hooks = []
-    tracker = None
-    if setup.track_coeffs:
-        tracker = CoeffTracker(ds, setup.net.m)
-        hooks.append(tracker)
-    traj = train(ds, setup.net, cfg, hooks=hooks)
+    tracker = CoeffTracker(ds, setup.net.m)
+    traj = train(ds, setup.net, cfg, hooks=(tracker,))
     save_dataset(out / "dataset.npz", ds)
     write_metrics_csv(out / "metrics.csv", traj)
     save_weights(out / "w0.npz", traj.w0)
     save_weights(out / "w_final.npz", traj.w_final)
-    if tracker is not None:
-        write_coeff_csv(out / "coeffs.csv", tracker.history)
+    write_coeff_csv(out / "coeffs.csv", tracker.history)
     print(
         f"trained {cfg.algo} for {cfg.epochs} epochs: "
         f"final loss {traj.records[-1].train_loss:.6f} -> {out}"
@@ -162,14 +159,7 @@ def _cmd_decompose(args) -> int:
     sol = oracle_solve(w, w0, basis)
     zeta = np.where(sol.rho >= 0, sol.rho, 0.0)
     omega = np.where(sol.rho <= 0, sol.rho, 0.0)
-    with open(out / "decomposition.csv", "w") as fh:
-        fh.write("j,r,gamma,sum_zeta,min_omega,max_zeta\n")
-        for row, j in enumerate((1, -1)):
-            for r in range(sol.gamma.shape[1]):
-                fh.write(
-                    f"{j},{r},{float(sol.gamma[row, r])!r},{float(zeta[row, r].sum())!r},"
-                    f"{float(omega[row, r].min())!r},{float(zeta[row, r].max())!r}\n"
-                )
+    write_csv(out / "decomposition.csv", COEFF_COLUMNS, coeff_rows(sol.gamma, zeta, omega))
     np.savez(out / "rho.npz", gamma=sol.gamma, rho=sol.rho, residual=sol.residual)
     print(f"decomposed {args.weights}: projection residual {sol.residual:.3e} -> {out}")
     return 0

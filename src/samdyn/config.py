@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataParams
-from .experiments import GridSpec, openblas_environment
+from .experiments import GridSpec, openblas_environment, phase_train_variants
 from .network import NetConfig
 from .optim import TrainConfig
 
@@ -61,15 +61,6 @@ def apply_env_overrides(raw: dict[str, str], schema: dict, environ=None) -> dict
     return out
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
 # schema: key -> (kind, required, default)
 TRAIN_SCHEMA: dict[str, tuple] = {
     "d": ("int", True, None),
@@ -89,7 +80,6 @@ TRAIN_SCHEMA: dict[str, tuple] = {
     "seed": ("int", False, 0),
     "record_every": ("opt_int", False, None),
     "sam_phase_iters": ("opt_int", False, None),
-    "track_coeffs": ("bool", False, True),
 }
 
 GRID_SCHEMA: dict[str, tuple] = {
@@ -138,8 +128,6 @@ def _convert_value(key: str, value: str, kind: str):
     try:
         if kind in scalar:
             return scalar[kind](value)
-        if kind == "bool":
-            return _parse_bool(value, key)
         if kind == "opt_int":
             return None if value == "" else int(value)
         if kind == "opt_float":
@@ -163,7 +151,6 @@ class TrainSetup:
     n: int
     net: NetConfig
     train: TrainConfig
-    track_coeffs: bool
     raw: dict
 
 
@@ -191,10 +178,7 @@ def load_train_setup(path, seed_override: int | None = None, environ=None) -> Tr
         raise ConfigError(str(exc)) from None
     if cfg["n"] % cfg["B"] != 0:
         raise ConfigError(f"B={cfg['B']} does not divide n={cfg['n']}")
-    return TrainSetup(
-        params=params, n=cfg["n"], net=net, train=train,
-        track_coeffs=cfg["track_coeffs"], raw=cfg,
-    )
+    return TrainSetup(params=params, n=cfg["n"], net=net, train=train, raw=cfg)
 
 
 def load_grid_spec(path, seed_override: int | None = None, environ=None) -> tuple[GridSpec, dict]:
@@ -202,17 +186,11 @@ def load_grid_spec(path, seed_override: int | None = None, environ=None) -> tupl
     cfg = typed_config(raw, GRID_SCHEMA)
     if seed_override is not None:
         cfg["base_seed"] = seed_override
-    variants = {}
     for algo in cfg["algos"]:
         if algo not in ("sgd", "sam"):
             raise ConfigError(f"algos: unknown algorithm {algo!r}")
-        variants[algo] = TrainConfig(
-            eta=cfg["eta"],
-            B=cfg["B"],
-            epochs=cfg["epochs"],
-            algo=algo,
-            tau=cfg["tau"] if algo == "sam" else 0.0,
-        )
+    variants = phase_train_variants(cfg["algos"], eta=cfg["eta"], epochs=cfg["epochs"],
+                                    B=cfg["B"], tau=cfg["tau"])
     try:
         spec = GridSpec(
             d_values=tuple(cfg["d_values"]),

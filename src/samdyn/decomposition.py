@@ -30,6 +30,7 @@ import numpy as np
 
 from .data import Dataset
 from .network import J_SIGNS, BatchTerms, span_vectors
+from .tables import write_csv
 
 
 class InvariantViolation(AssertionError):
@@ -114,12 +115,11 @@ def track_step(
 
     coef = -(eta * (P - 1) ** 2 / (B * m)) * ell * xi_norm_sq[batch]  # (B,) >= 0
     contrib = noise_act * coef[None, None, :]  # (2, m, B)
+    own = _own_label(yb)  # a batch lists each sample once
     zeta = coeffs.zeta.copy()
     omega = coeffs.omega.copy()
-    for row, j in enumerate(J_SIGNS):
-        own = yb == j
-        np.add.at(zeta[row].T, batch[own], contrib[row][:, own].T)
-        np.subtract.at(omega[row].T, batch[~own], contrib[row][:, ~own].T)
+    zeta[:, :, batch] += np.where(own, contrib, 0.0)
+    omega[:, :, batch] -= np.where(own, 0.0, contrib)
     return Coeffs(gamma=gamma, zeta=zeta, omega=omega)
 
 
@@ -296,16 +296,23 @@ class CoeffTracker:
         return st
 
 
+COEFF_COLUMNS = ("j", "r", "gamma", "sum_zeta", "min_omega", "max_zeta")
+
+
+def coeff_rows(gamma: np.ndarray, zeta: np.ndarray, omega: np.ndarray) -> list[tuple]:
+    """One COEFF_COLUMNS row per filter, class +1 first: its gamma, the sum
+    and max of its zeta and the min of its omega."""
+    return [
+        (j, r, gamma[row, r], zeta[row, r].sum(), omega[row, r].min(), zeta[row, r].max())
+        for row, j in enumerate((1, -1))
+        for r in range(gamma.shape[1])
+    ]
+
+
 def write_coeff_csv(path, history: list[CoeffState]) -> None:
-    """Coefficient time series: (t, b, j, r, gamma, sum_zeta, min_omega, max_zeta)."""
-    with open(path, "w") as fh:
-        fh.write("t,b,j,r,gamma,sum_zeta,min_omega,max_zeta\n")
-        for st in history:
-            for row, j in enumerate((1, -1)):
-                for r in range(st.coeffs.gamma.shape[1]):
-                    zrow = st.coeffs.zeta[row, r]
-                    orow = st.coeffs.omega[row, r]
-                    fh.write(
-                        f"{st.t},{st.b},{j},{r},{float(st.coeffs.gamma[row, r])!r},"
-                        f"{float(zrow.sum())!r},{float(orow.min())!r},{float(zrow.max())!r}\n"
-                    )
+    """Coefficient time series: (t, b) and the COEFF_COLUMNS of each state."""
+    write_csv(path, ("t", "b") + COEFF_COLUMNS, [
+        (st.t, st.b) + row
+        for st in history
+        for row in coeff_rows(st.coeffs.gamma, st.coeffs.zeta, st.coeffs.omega)
+    ])

@@ -25,9 +25,9 @@ not land last on one worker.
 The test-draw stream is fixed by its chunks of 256 samples: each draws
 the true labels y_hat, then the label flips, then the chunk's (256, d)
 noise as back-to-back standard-normal fills.  estimate_test_error draws
-and scores that noise a few rows at a time in one reused buffer of about
-2 MiB, whatever d is; a fill continues the generator where the last one
-stopped, so the block size is not part of the stream.
+and scores that noise in near-equal blocks of rows in one reused buffer of
+about 2 MiB (at least 8 rows); a fill continues the generator where the
+last one stopped, so the block size is not part of the stream.
 
 Every cell run_grid executes runs on one OpenBLAS thread: pool workers pin
 themselves when they start, and a serial run pins the caller for its
@@ -50,11 +50,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import activation_threshold, effective_sigma0, own_noise_pre
 from .data import DataParams, gen_dataset, make_signal
 from .decomposition import InvariantViolation, span_view
 from .network import NetConfig, model_margins, model_preacts
 from .optim import TrainConfig, TrainingDivergedError, train
+from .tables import write_csv
 
 _SEED_TAG = 88261599  # fixed domain tag for trial seed derivation
 _TEST_CHUNK = 256  # test samples per chunk of y_hat, flips and noise; part of the test-draw stream
@@ -142,7 +142,7 @@ class TrialResult:
     convergence_epoch: int | None = None
     max_gamma: float = math.nan
     max_sum_zeta: float = math.nan
-    invariant_violations: int = 0
+    invariant_violations: int = 0  # reserved: no check fills it yet, so always 0
     failed: bool = False
     error: str = ""
 
@@ -179,10 +179,13 @@ def estimate_test_error(
     each drawing y_hat, then the flips, then the chunk's (k, d) noise as
     back-to-back standard-normal fills scaled by sigma_p, which gives the
     bits rng.normal(0, sigma_p, (k, d)) would.  The noise is drawn and
-    scored in blocks of _test_block_rows(d) rows in one reused buffer, so
-    memory stays near _TEST_BLOCK_BYTES at any d; a fill continues the
-    generator where the last one stopped, so the block size is not part of
-    the stream.
+    scored in ceil(k / _test_block_rows(d)) blocks whose sizes differ by at
+    most one row, in one reused buffer, so memory stays near
+    _TEST_BLOCK_BYTES up to d = 32768; a fill continues the generator where
+    the last one stopped, so the block size is not part of the stream.
+    Only a one-sample chunk makes a one-row block: its product takes
+    numpy's matrix-vector path, whose sums can differ in the last bits
+    from the reference's (k, d) product.
     """
     if n_test < 1:
         raise ValueError(f"n_test must be >= 1, got {n_test}")
@@ -201,11 +204,13 @@ def estimate_test_error(
         k = min(_TEST_CHUNK, remaining)
         y_hat = np.where(rng.random(k) < 0.5, 1.0, -1.0)
         y = np.where(rng.random(k) < params.p, -y_hat, y_hat)
-        for start in range(0, k, rows):
-            xi = rng.standard_normal(out=buf[:min(rows, k - start)])
+        blocks = -(-k // rows)
+        for b in range(blocks):
+            start, stop = k * b // blocks, k * (b + 1) // blocks
+            xi = rng.standard_normal(out=buf[:stop - start])
             xi *= params.sigma_p
             for _, filters, pre in scored:
-                np.matmul(filters, xi.T, out=pre[:, start:start + len(xi)])
+                np.matmul(filters, xi.T, out=pre[:, start:stop])
         for i, (mu_pre, _, pre) in enumerate(scored):
             noise_pre = pre[:, :k].reshape(mu_pre.shape + (k,))
             errors[i] += int(np.sum(model_margins(mu_pre, noise_pre, y, y_hat, params.P) <= 0))
@@ -215,9 +220,9 @@ def estimate_test_error(
 
 
 def _test_block_rows(d: int) -> int:
-    """Noise rows estimate_test_error draws and scores at a time: as many as
-    fit _TEST_BLOCK_BYTES, at least one and at most a chunk."""
-    return min(_TEST_CHUNK, max(1, _TEST_BLOCK_BYTES // (8 * d)))
+    """Most noise rows estimate_test_error draws and scores at a time: as
+    many as fit _TEST_BLOCK_BYTES, at least 8 and at most a chunk."""
+    return min(_TEST_CHUNK, max(8, _TEST_BLOCK_BYTES // (8 * d)))
 
 
 _TRIAL_ERRORS = (TrainingDivergedError, InvariantViolation, FloatingPointError, ValueError)
@@ -250,29 +255,25 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> lis
         ds = gen_dataset(params, mu, spec.n, seed=data_ss)
         net = spec.net_config(d)
         train_seed = int(train_ss.generate_state(1)[0])
-        thr = activation_threshold(effective_sigma0(net), spec.sigma_p, d)
     except _TRIAL_ERRORS as exc:
         for result in results:
             _fail(result, exc)
         return results
 
-    trained = []  # (result, final weights, final coefficients, inclusion violations)
+    trained = []  # (result, final weights, final coefficients)
     for result in results:
         try:
             cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
             traj = train(ds, net, cfg)
-            inclusion_viol = 0
             for rec in traj.records:
                 coeffs = span_view(rec.c, ds.gram, ds.y, spec.P)
                 coeffs.check_patterns(ds.y)
-                own = own_noise_pre(rec.noise_pre, ds.y)
-                inclusion_viol += int(np.sum(np.any((own > thr) & ~(own > 0), axis=1)))
             result.train_loss = traj.records[-1].train_loss
             for rec in traj.epoch_records():
                 if rec.train_loss <= spec.loss_target:
                     result.convergence_epoch = rec.t
                     break
-            trained.append((result, traj.w_final, coeffs, inclusion_viol))
+            trained.append((result, traj.w_final, coeffs))
         except _TRIAL_ERRORS as exc:
             _fail(result, exc)
 
@@ -285,12 +286,11 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> lis
         for t in trained:
             _fail(t[0], exc)
         return results
-    for (result, _, coeffs, inclusion_viol), (rate, stderr) in zip(trained, scores):
+    for (result, _, coeffs), (rate, stderr) in zip(trained, scores):
         result.test_error = rate
         result.test_stderr = stderr
         result.max_gamma = float(coeffs.gamma.max())
         result.max_sum_zeta = float(coeffs.zeta.sum(axis=2).max())
-        result.invariant_violations = inclusion_viol
     return results
 
 
@@ -439,58 +439,35 @@ def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> li
     return results
 
 
-_CSV_COLUMNS = (
-    "algo", "d", "mu_norm", "seed", "train_loss", "test_error", "test_stderr",
-    "convergence_epoch", "max_gamma", "max_sum_zeta", "invariant_violations",
-    "failed", "error",
-)
+def _opt_int(value: str) -> int | None:
+    return None if value == "" else int(value)
+
+
+# results.csv columns, in order, each with the reader of its TrialResult field
+_CSV_READERS = {
+    "algo": str, "d": int, "mu_norm": float, "seed": int, "train_loss": float,
+    "test_error": float, "test_stderr": float, "convergence_epoch": _opt_int,
+    "max_gamma": float, "max_sum_zeta": float, "invariant_violations": int,
+    "failed": lambda value: bool(int(value)), "error": str,
+}
+_CSV_COLUMNS = tuple(_CSV_READERS)
 
 
 def write_results_csv(path, results: list[TrialResult]) -> None:
     """Long-form per-trial table, sorted so identical grids give identical
     bytes regardless of execution order."""
     rows = sorted(results, key=lambda r: (r.algo, r.d, r.mu_norm, r.seed))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for r in rows:
-            # csv writes None (no convergence) as an empty field
-            writer.writerow([
-                r.algo, r.d, repr(r.mu_norm), r.seed, repr(r.train_loss),
-                repr(r.test_error), repr(r.test_stderr), r.convergence_epoch, repr(r.max_gamma),
-                repr(r.max_sum_zeta), r.invariant_violations, int(r.failed), r.error,
-            ])
+    write_csv(path, _CSV_COLUMNS, [[getattr(r, c) for c in _CSV_COLUMNS] for r in rows])
 
 
 def load_results_csv(path) -> list[TrialResult]:
-    results = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(_CSV_COLUMNS):
             raise ValueError(f"{path}: unexpected results header: {header}")
-        for vals in reader:
-            row = dict(zip(_CSV_COLUMNS, vals))
-            results.append(
-                TrialResult(
-                    d=int(row["d"]),
-                    mu_norm=float(row["mu_norm"]),
-                    algo=row["algo"],
-                    seed=int(row["seed"]),
-                    train_loss=float(row["train_loss"]),
-                    test_error=float(row["test_error"]),
-                    test_stderr=float(row["test_stderr"]),
-                    convergence_epoch=(
-                        None if row["convergence_epoch"] == "" else int(row["convergence_epoch"])
-                    ),
-                    max_gamma=float(row["max_gamma"]),
-                    max_sum_zeta=float(row["max_sum_zeta"]),
-                    invariant_violations=int(row["invariant_violations"]),
-                    failed=bool(int(row["failed"])),
-                    error=row["error"],
-                )
-            )
-    return results
+        return [TrialResult(**{c: _CSV_READERS[c](v) for c, v in zip(_CSV_COLUMNS, vals)})
+                for vals in reader]
 
 
 @dataclass
@@ -527,7 +504,7 @@ def aggregate(results: list[TrialResult]) -> list[CellAggregate]:
     return out
 
 
-def export_heatmap(results: list[TrialResult], out_dir, prefix: str = "heatmap") -> list[Path]:
+def export_heatmap(results: list[TrialResult], out_dir) -> list[Path]:
     """Write per-variant aggregates as CSV and a PGM render.
 
     The graymap uses gray = round(255 * (1 - clamp(error, 0, 1))), so low
@@ -546,21 +523,16 @@ def export_heatmap(results: list[TrialResult], out_dir, prefix: str = "heatmap")
     algos = sorted(by_algo) or sorted({r.algo for r in results})
     for algo in algos:
         cells = by_algo.get(algo, [])
-        csv_path = out / f"{prefix}_{algo}.csv"
-        with open(csv_path, "w") as fh:
-            fh.write("d,mu_norm,algo,mean_test_error,stderr,n_seeds\n")
-            for a in sorted(cells, key=lambda a: (a.d, a.mu_norm)):
-                fh.write(
-                    f"{a.d},{a.mu_norm!r},{a.algo},{a.mean_test_error!r},"
-                    f"{a.stderr!r},{a.n_seeds}\n"
-                )
+        csv_path = out / f"heatmap_{algo}.csv"
+        write_csv(csv_path, [f.name for f in dataclasses.fields(CellAggregate)],
+                  map(dataclasses.astuple, sorted(cells, key=lambda a: (a.d, a.mu_norm))))
         written.append(csv_path)
         if not cells:
             continue
         ds = sorted({a.d for a in cells})
         mus = sorted({a.mu_norm for a in cells})
         grid = {(a.d, a.mu_norm): a.mean_test_error for a in cells}
-        pgm_path = out / f"{prefix}_{algo}.pgm"
+        pgm_path = out / f"heatmap_{algo}.pgm"
         with open(pgm_path, "w") as fh:
             fh.write("P2\n")
             fh.write("# gray = round(255*(1 - clamp(test_error, 0, 1)));")
@@ -591,7 +563,7 @@ def phase_train_variants(algos=("sgd", "sam"), eta: float = 0.2, epochs: int = 1
     return variants
 
 
-def phase_grid_spec(reduced: bool = False, algos=("sgd", "sam"), seeds=None) -> GridSpec:
+def phase_grid_spec(reduced: bool = False, algos=("sgd", "sam")) -> GridSpec:
     """The synthetic heatmap experiment: n=20 clean samples, sigma_p=1,
     m=10 filters, d from 1000 to 21000 by mu from 0 to 10, 10 seeds,
     1000 test points.  reduced=True gives the 3x4x3-seed acceptance grid.
@@ -599,15 +571,15 @@ def phase_grid_spec(reduced: bool = False, algos=("sgd", "sam"), seeds=None) -> 
     if reduced:
         d_values = (1000, 5000, 20000)
         mu_values = (1.0, 3.0, 6.0, 10.0)
-        default_seeds = (0, 1, 2)
+        seeds = (0, 1, 2)
     else:
         d_values = tuple(range(1000, 21001, 2000))
         mu_values = tuple(float(v) for v in range(0, 11))
-        default_seeds = tuple(range(10))
+        seeds = tuple(range(10))
     return GridSpec(
         d_values=d_values,
         mu_values=mu_values,
-        seeds=tuple(seeds) if seeds is not None else default_seeds,
+        seeds=seeds,
         n=20,
         P=2,
         sigma_p=1.0,

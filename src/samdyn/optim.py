@@ -37,6 +37,7 @@ import numpy as np
 from .data import Dataset
 from .network import (BatchTerms, NetConfig, init_weights, loss, model_grad_coeffs,
                       model_margins, model_preacts, span_vectors)
+from .tables import write_csv
 
 
 class TrainingDivergedError(RuntimeError):
@@ -255,11 +256,6 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
 
 
 def write_metrics_csv(path, traj: Trajectory) -> None:
-    """Stream per-record metrics: (t, b, train_loss, min_margin, max_margin)."""
-    with open(path, "w") as fh:
-        fh.write("t,b,train_loss,min_margin,max_margin\n")
-        for r in traj.records:
-            fh.write(
-                f"{r.t},{r.b},{r.train_loss!r},"
-                f"{float(r.margins.min())!r},{float(r.margins.max())!r}\n"
-            )
+    """Per-record metrics: (t, b, train_loss, min_margin, max_margin)."""
+    write_csv(path, ("t", "b", "train_loss", "min_margin", "max_margin"),
+              [(r.t, r.b, r.train_loss, r.margins.min(), r.margins.max()) for r in traj.records])

@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from samdyn.checks import (
+    CheckReport,
     RegimeThresholds,
     SamDeactivationRecorder,
     TheoryConstants,
@@ -50,7 +52,7 @@ def test_theory_constants_formulas():
     mu_inner = np.abs(traj.w0 @ ds.mu).max()
     xi_inner = np.abs(np.einsum("jmd,nd->jmn", traj.w0, ds.xi)).max()
     assert consts.beta == pytest.approx(2 * max(mu_inner, xi_inner))
-    assert consts.kappa == 10.0 and consts.c1_logit == 5.0
+    assert consts.c1_logit == 5.0
 
 
 def test_effective_sigma0():
@@ -264,9 +266,15 @@ def test_checkers_are_pure():
 
 def test_report_csv(tmp_path):
     ds, net, traj, tracker, rec = _run(epochs=2)
-    reports = [check_logit_ratio(traj), check_sam_deactivation(rec)]
+    comma = CheckReport("custom", "epochs 0..2", 1, 4, np.float64(0.25), detail="floor -1, cap 2")
+    reports = [check_logit_ratio(traj), check_sam_deactivation(rec), comma]
     path = tmp_path / "report.csv"
     write_report_csv(path, reports)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("check,window,violations")
-    assert len(lines) == 3
+    assert len(lines) == 4
+    # a comma in a field is quoted, so every row reads back as six fields
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {6}
+    assert rows[-1] == ["custom", "epochs 0..2", "1", "4", "0.25", "floor -1, cap 2"]

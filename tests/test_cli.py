@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -97,10 +98,12 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_snapshot_weights_is_not_a_train_key(tmp_path):
-    """No train output reads record weights, so the config has no key for them."""
-    cfg = write_cfg(tmp_path, TINY_TRAIN + "\nsnapshot_weights = true\n")
-    with pytest.raises(ConfigError, match="unknown config key 'snapshot_weights'"):
-        load_train_setup(cfg)
+    """No train output reads record weights, and train always tracks the
+    coefficients, so the config has no key for either."""
+    for key in ("snapshot_weights", "track_coeffs"):
+        cfg = write_cfg(tmp_path, TINY_TRAIN + f"\n{key} = true\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_train_setup(cfg)
 
 
 def test_negative_sam_phase_iters_refused_before_manifest(tmp_path, capsys):
@@ -266,26 +269,45 @@ def test_decompose_cli(tmp_path):
     assert float(blob["residual"]) <= 1e-9
 
 
+_CSV_TEXT = {"check", "window", "detail", "algo", "error"}
+_CSV_INTS = {"t", "b", "j", "r", "d", "seed", "violations", "total", "convergence_epoch",
+             "invariant_violations", "failed", "n_seeds"}
+
+
 def test_demo_coefficient_csvs_hold_numbers(tmp_path):
-    """coeffs.csv from train and decomposition.csv from decompose hold a
-    number in every field; gamma is a numpy scalar and must not be written
-    as its repr."""
-    run_dir, out = tmp_path / "run", tmp_path / "dec"
+    """Every CSV the CLI writes (metrics, coeffs, report, decomposition,
+    results, heatmap) holds a number in every numeric field; a numpy scalar
+    must not be written as its repr."""
+    run_dir, dec, check, grid = (tmp_path / name for name in ("run", "dec", "check", "grid"))
     assert main(["train", "--config", str(CONFIGS / "train_demo.cfg"),
                  "--out", str(run_dir)]) == 0
     assert main([
         "decompose", "--data", str(run_dir / "dataset.npz"),
         "--weights", str(run_dir / "w_final.npz"),
-        "--weights0", str(run_dir / "w0.npz"), "--out", str(out),
+        "--weights0", str(run_dir / "w0.npz"), "--out", str(dec),
     ]) == 0
-    for path, ints in ((run_dir / "coeffs.csv", 4), (out / "decomposition.csv", 2)):
-        header, *rows = path.read_text().splitlines()
-        assert rows
+    assert main(["check", "--config", str(CONFIGS / "check_demo.cfg"),
+                 "--out", str(check)]) == 0
+    assert main(["grid", "--config", str(write_cfg(tmp_path, TINY_GRID)),
+                 "--out", str(grid)]) == 0
+    paths = [run_dir / "metrics.csv", run_dir / "coeffs.csv", dec / "decomposition.csv",
+             check / "report.csv", grid / "results.csv", grid / "heatmap_sgd.csv"]
+    for path in paths:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, path
         for row in rows:
-            fields = row.split(",")
-            assert len(fields) == len(header.split(","))
-            [int(v) for v in fields[:ints]]
-            [float(v) for v in fields[ints:]]
+            assert len(row) == len(header), path
+            for column, value in zip(header, row):
+                if column in _CSV_TEXT or (column == "convergence_epoch" and value == ""):
+                    continue
+                (int if column in _CSV_INTS else float)(value)
+
+
+def test_grid_config_names_an_unknown_algorithm(tmp_path):
+    cfg = write_cfg(tmp_path, TINY_GRID.replace("algos = sgd", "algos = sgd, adam"))
+    with pytest.raises(ConfigError, match="adam"):
+        load_grid_spec(cfg)
 
 
 def test_decompose_cli_zero_mu_names_the_degenerate_basis(tmp_path, capsys):

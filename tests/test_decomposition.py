@@ -16,9 +16,10 @@ from samdyn.decomposition import (
     reconstruct,
     span_coeffs,
     span_view,
+    track_step,
     write_coeff_csv,
 )
-from samdyn.network import NetConfig
+from samdyn.network import BatchTerms, NetConfig
 from samdyn.optim import TrainConfig, train
 
 
@@ -270,6 +271,32 @@ def test_span_view_matches_tracker_at_every_record(case):
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
     if mu_norm == 0.0:
         assert not view.gamma.any()
+
+
+def test_track_step_equals_the_per_row_update():
+    """The masked update of zeta and omega is bitwise the per-row
+    np.add.at / np.subtract.at loop it replaced."""
+    rng = np.random.default_rng(5)
+    m, n, B = 4, 12, 5
+    y = rng.choice([-1.0, 1.0], n)
+    start = Coeffs(np.zeros((2, m)), rng.random((2, m, n)), -rng.random((2, m, n)))
+    for _ in range(20):
+        batch = rng.permutation(n)[:B]
+        act = (rng.random((2, m, B)) < 0.6).astype(float)
+        terms = BatchTerms(mu_pre=None, noise_pre=None, sig_act=act, noise_act=act[::-1],
+                           margins=None, ell=-rng.random(B))
+        kw = dict(batch=batch, terms=terms, y=y, y_hat=y, eta=0.3, P=3,
+                  mu_norm_sq=2.0, xi_norm_sq=rng.uniform(50.0, 150.0, n))
+        got = track_step(start, **kw)
+        coef = -(0.3 * 4 / (B * m)) * terms.ell * kw["xi_norm_sq"][batch]
+        contrib = terms.noise_act * coef[None, None, :]
+        zeta, omega = start.zeta.copy(), start.omega.copy()
+        for row, j in enumerate((1.0, -1.0)):
+            own = y[batch] == j
+            np.add.at(zeta[row].T, batch[own], contrib[row][:, own].T)
+            np.subtract.at(omega[row].T, batch[~own], contrib[row][:, ~own].T)
+        assert np.array_equal(got.zeta, zeta) and np.array_equal(got.omega, omega)
+        start = got
 
 
 def test_pattern_violations_raise():

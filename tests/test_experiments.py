@@ -87,25 +87,44 @@ def test_estimate_chance_level_no_signal():
     assert 0.4 <= rate <= 0.6
 
 
+class _RecordingGenerator:
+    """A Generator that logs (chunk size, rows) for every noise fill; the
+    chunk size is the length of the last rng.random draw."""
+
+    def __init__(self, rng):
+        self.rng, self.chunk, self.fills = rng, None, []
+
+    def random(self, k):
+        self.chunk = k
+        return self.rng.random(k)
+
+    def standard_normal(self, out):
+        self.fills.append((self.chunk, len(out)))
+        return self.rng.standard_normal(out=out)
+
+
 def test_estimate_scores_every_w_on_the_reference_stream():
     """Two weight arrays scored on one shared draw each get exactly the
     estimate of the documented per-chunk stream, and the generator ends
     where that stream leaves it: for one sample, for sizes that leave a
-    partial chunk, and at a d whose noise is scored in blocks smaller than
-    a chunk."""
+    partial chunk, and at d whose noise is scored in blocks smaller than a
+    chunk.  No noise block has one row unless its chunk has one sample: at
+    d=17000, 15-row blocks would leave a one-row tail in every full chunk."""
     assert experiments._test_block_rows(5000) < experiments._TEST_CHUNK
-    for d, n_test in itertools.product((30, 5000), (1, 257, 600)):
+    assert experiments._TEST_CHUNK % experiments._test_block_rows(17000) == 1
+    for d, n_test in itertools.product((30, 5000, 17000), (1, 257, 600)):
         params = DataParams(d=d, P=3, sigma_p=1.7, p=0.2, mu_norm=1.5)
         mu = make_signal(d, 1.5)
         w1, w2 = np.random.default_rng(11).normal(0.0, 0.3, size=(2, 2, 4, d))
-        rng = np.random.default_rng(12)
+        rng = _RecordingGenerator(np.random.default_rng(12))
         got = estimate_test_error([w1, w2], params, mu, n_test, rng)
         want = []
         for w in (w1, w2):
             ref_rng = np.random.default_rng(12)
             want.append(reference_test_error(w, params, mu, n_test, ref_rng))
         assert got == want, (d, n_test)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state, (d, n_test)
+        assert rng.rng.bit_generator.state == ref_rng.bit_generator.state, (d, n_test)
+        assert all(rows > 1 or chunk == 1 for chunk, rows in rng.fills), (d, n_test, rng.fills)
         if n_test == 600:
             assert got[0] != got[1] and all(0.0 < rate < 1.0 for rate, _ in got)
     # the buffered draw is bitwise the rng.normal draw it replaces
