@@ -6,18 +6,22 @@ purely via the grid spec (no training-loop changes).  The eta list is the
 {0.001, 0.01, 0.1, 1} sweep in per-sample-sum units, rescaled to this
 codebase's mean-reduction batch gradients (multiply by n = 20).
 
-    python scripts/run_lr_ablation.py --out runs/lr_ablation --jobs 4
+    python scripts/run_lr_ablation.py --out runs/lr_ablation [--jobs 4]
+
+--jobs defaults to the CPUs the process may run on.
 """
 
 import argparse
 
+from samdyn.cli import _available_cpus
 from samdyn.experiments import lr_ablation_spec, run_grid
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--jobs", type=int, default=2)
+    ap.add_argument("--jobs", type=int, default=_available_cpus(),
+                    help="worker processes (default: the CPUs this process may run on)")
     ap.add_argument("--full", action="store_true", help="full 11x11 grid, 10 seeds")
     ap.add_argument("--resume", action="store_true")
     args = ap.parse_args()

@@ -104,7 +104,7 @@ def _cmd_grid(args) -> int:
     # a refused run leaves an existing manifest as it was
     check_grid_run(spec, out, jobs=args.jobs, resume=args.resume)
     write_manifest(out, "grid", raw, spec.base_seed,
-                   ["results.csv", "heatmap_<algo>.csv", "heatmap_<algo>.pgm"])
+                   ["results.csv", "heatmap_<algo>.csv", "heatmap_<algo>.pgm", "timings.csv"])
     results = run_grid(spec, out, jobs=args.jobs, resume=args.resume)
     failed = sum(r.failed for r in results)
     print(f"grid complete: {len(results)} trials, {failed} failed -> {out / 'results.csv'}")

@@ -261,7 +261,8 @@ def concentration_report(ds: Dataset, delta: float = 0.05) -> ConcentrationRepor
 
 
 def save_dataset(path, ds: Dataset) -> None:
-    """Write the documented binary container.
+    """Write the documented binary container to exactly path, whatever its
+    suffix.
 
     NumPy .npz archive with keys:
       header: int64 [d, P, n, seed_flag, seed], floats [sigma_p, p, mu_norm]
@@ -270,16 +271,18 @@ def save_dataset(path, ds: Dataset) -> None:
     prm = ds.params
     seed_flag = 0 if ds.seed is None else 1
     seed = 0 if ds.seed is None else ds.seed
-    np.savez(
-        path,
-        header_int=np.array([prm.d, prm.P, ds.n, seed_flag, seed], dtype=np.int64),
-        header_float=np.array([prm.sigma_p, prm.p, prm.mu_norm], dtype=np.float64),
-        mu=ds.mu,
-        y=ds.y.astype(np.int64),
-        y_hat=ds.y_hat.astype(np.int64),
-        signal_pos=ds.signal_pos,
-        xi=ds.xi,
-    )
+    # np.savez appends .npz to a path name, but not to an open file
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            header_int=np.array([prm.d, prm.P, ds.n, seed_flag, seed], dtype=np.int64),
+            header_float=np.array([prm.sigma_p, prm.p, prm.mu_norm], dtype=np.float64),
+            mu=ds.mu,
+            y=ds.y.astype(np.int64),
+            y_hat=ds.y_hat.astype(np.int64),
+            signal_pos=ds.signal_pos,
+            xi=ds.xi,
+        )
 
 
 def load_dataset(path) -> Dataset:

@@ -4,6 +4,8 @@ A GridSpec describes a (d, ||mu||) grid, a list of seeds, and one training
 variant per algorithm; run_grid executes all trials (optionally in a
 process pool), persists each trial atomically so interrupted grids resume,
 and exports per-cell aggregates as CSV plus a portable-graymap render.
+The wall time of every part it ran goes to timings.csv, never into
+results.csv.
 
 Per-trial randomness is derived from the grid coordinates, never from
 execution order: the seed material is the tuple (tag, base_seed, seed, d,
@@ -13,23 +15,30 @@ seed label denotes one (dataset, init, test set) triple shared by every
 training variant, so per-seed differences between variants are paired
 comparisons of the algorithms alone.
 
-The unit of work is therefore the (d, mu, seed) cell, not the trial:
-run_cell generates the cell's dataset, and with it the Gram matrix, once,
-trains each pending variant on it, and scores every trained variant on one
-draw of the cell's test set.  Each variant would have drawn that
-same set from the same stream, so scoring it once is exact: every trial's
-numbers are those of a run of the variant alone.  Training runs without
-hooks.  run_grid schedules cells largest d first, so the longest cells do
-not land last on one worker.
+The unit of work is therefore the (d, mu, seed) cell, not the trial, and
+a cell runs as two parts that each rebuild the cell's inputs from its
+coordinates.  The training part (train_cell) generates the dataset, and
+with it the Gram matrix, trains each pending variant on it without hooks,
+and returns each final record's C and <w, mu>.  The test-projection part
+(project_cell) draws the cell's test set once and projects its noise onto
+F = [w0's 2m filters; mu; xi_1..xi_n], a (2m+1+n)-row matrix T.  Every
+variant's weights are w0 + C [mu; xi], so its test pre-activations are
+T[:2m] + C T[2m:] (span_test_error): one projection scores every variant,
+and no d-space final weights are formed.  Each variant would have drawn
+that same set from the same stream, so scoring it once is exact: every
+trial's numbers are those of a run of the variant alone.  run_grid hands
+both parts of every pending cell to the pool, largest d first, so the
+training parts fill the workers while the largest cells draw their test
+sets; run_cell is the two parts run one after the other.
 
 The test-draw stream is fixed by its chunks of 256 samples: each draws
 the true labels y_hat, then the label flips, then the chunk's (256, d)
 noise as back-to-back standard-normal fills.  estimate_test_error draws
-and scores that noise in near-equal blocks of rows in one reused buffer of
-about 2 MiB (at least 8 rows); a fill continues the generator where the
+and projects that noise in near-equal blocks of rows in one reused buffer
+of about 2 MiB (at least 8 rows); a fill continues the generator where the
 last one stopped, so the block size is not part of the stream.
 
-Every cell run_grid executes runs on one OpenBLAS thread: pool workers pin
+Every part run_grid executes runs on one OpenBLAS thread: pool workers pin
 themselves when they start, and a serial run pins the caller for its
 duration and restores its counts afterwards.  One thread per worker keeps
 a pool of one worker per CPU from oversubscribing the cores, and it makes
@@ -44,6 +53,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,8 +62,8 @@ import numpy as np
 
 from .data import DataParams, gen_dataset, make_signal
 from .decomposition import InvariantViolation, span_view
-from .network import NetConfig, model_margins, model_preacts
-from .optim import TrainConfig, TrainingDivergedError, train
+from .network import NetConfig, model_margins
+from .optim import TrainConfig, TrainingDivergedError, initial_weights, train
 from .tables import write_csv
 
 _SEED_TAG = 88261599  # fixed domain tag for trial seed derivation
@@ -164,65 +174,81 @@ def _mu_key(mu_norm: float) -> int:
     return int(round(mu_norm * 1_000_000))
 
 
-def estimate_test_error(
-    ws,
-    params: DataParams,
-    mu: np.ndarray,
-    n_test: int,
-    rng: np.random.Generator,
-) -> list[tuple[float, float]]:
-    """(rate, stderr) for each weight array in ws: the fraction of fresh
-    samples with y != sign(f), where sign(0) counts as an error.  Every w is
-    scored on the same samples.
+@dataclass(frozen=True)
+class TestProjection:
+    """One draw of a test set, kept as its labels and the projections
+    t[k] = <F_k, xi> of its noise onto the rows of a filter matrix F."""
+
+    y: np.ndarray      # (n_test,) labels after the flips
+    y_hat: np.ndarray  # (n_test,) true labels
+    t: np.ndarray      # (rows of F, n_test)
+    P: int
+
+    def error(self, mu_pre: np.ndarray, noise_pre: np.ndarray) -> tuple[float, float]:
+        """(rate, stderr) of the network with pre-activations mu_pre (2, m)
+        and noise_pre (2, m, n_test): the fraction of samples with
+        y != sign(f), where sign(0) counts as an error."""
+        n_test = len(self.y)
+        errors = int(np.count_nonzero(model_margins(mu_pre, noise_pre, self.y, self.y_hat,
+                                                    self.P) <= 0))
+        rate = errors / n_test
+        return rate, math.sqrt(rate * (1 - rate) / n_test)
+
+
+def estimate_test_error(filters: np.ndarray, params: DataParams, n_test: int,
+                        rng: np.random.Generator) -> TestProjection:
+    """The d-dimensional stage of the test-error estimate: draw n_test
+    samples and project their noise onto the rows of filters (rows, d).
 
     The samples are the test-draw stream: chunks of _TEST_CHUNK samples,
     each drawing y_hat, then the flips, then the chunk's (k, d) noise as
     back-to-back standard-normal fills scaled by sigma_p, which gives the
     bits rng.normal(0, sigma_p, (k, d)) would.  The noise is drawn and
-    scored in ceil(k / _test_block_rows(d)) blocks whose sizes differ by at
-    most one row, in one reused buffer, so memory stays near
+    projected in ceil(k / _test_block_rows(d)) blocks whose sizes differ by
+    at most one row, in one reused buffer, so memory stays near
     _TEST_BLOCK_BYTES up to d = 32768; a fill continues the generator where
     the last one stopped, so the block size is not part of the stream.
-    Only a one-sample chunk makes a one-row block: its product takes
-    numpy's matrix-vector path, whose sums can differ in the last bits
-    from the reference's (k, d) product.
+    Each block's product is xi_block @ filters.T, which reads the filters
+    once per block.  Only a one-sample chunk makes a one-row block: its
+    product takes numpy's vector-matrix path, whose sums can differ in the
+    last bits from a (k, d) product.
     """
     if n_test < 1:
         raise ValueError(f"n_test must be >= 1, got {n_test}")
     d = params.d
+    if filters.ndim != 2 or filters.shape[1] != d:
+        raise ValueError(f"filters must have shape (rows, {d}), got {filters.shape}")
     rows = _test_block_rows(d)
     buf = np.empty((min(rows, n_test), d))
-    # per w: <w, mu> once, the filters as (2m, d) rows, and a chunk's <w, xi>
-    scored = []
-    for w in ws:
-        mu_pre, _ = model_preacts(w, mu, buf[:0])  # also checks w against d
-        pre = np.empty((mu_pre.size, min(_TEST_CHUNK, n_test)))
-        scored.append((mu_pre, w.reshape(-1, d), pre))
-    errors = [0] * len(ws)
-    remaining = n_test
-    while remaining > 0:
-        k = min(_TEST_CHUNK, remaining)
-        y_hat = np.where(rng.random(k) < 0.5, 1.0, -1.0)
-        y = np.where(rng.random(k) < params.p, -y_hat, y_hat)
+    y_hat, y = np.empty(n_test), np.empty(n_test)
+    proj = np.empty((n_test, len(filters)))
+    for first in range(0, n_test, _TEST_CHUNK):
+        k = min(_TEST_CHUNK, n_test - first)
+        chunk = slice(first, first + k)
+        y_hat[chunk] = np.where(rng.random(k) < 0.5, 1.0, -1.0)
+        y[chunk] = np.where(rng.random(k) < params.p, -y_hat[chunk], y_hat[chunk])
         blocks = -(-k // rows)
         for b in range(blocks):
-            start, stop = k * b // blocks, k * (b + 1) // blocks
+            start, stop = first + k * b // blocks, first + k * (b + 1) // blocks
             xi = rng.standard_normal(out=buf[:stop - start])
             xi *= params.sigma_p
-            for _, filters, pre in scored:
-                np.matmul(filters, xi.T, out=pre[:, start:stop])
-        for i, (mu_pre, _, pre) in enumerate(scored):
-            noise_pre = pre[:, :k].reshape(mu_pre.shape + (k,))
-            errors[i] += int(np.sum(model_margins(mu_pre, noise_pre, y, y_hat, params.P) <= 0))
-        remaining -= k
-    rates = [e / n_test for e in errors]
-    return [(rate, math.sqrt(rate * (1 - rate) / n_test)) for rate in rates]
+            np.matmul(xi, filters.T, out=proj[start:stop])
+    return TestProjection(y=y, y_hat=y_hat, t=proj.T, P=params.P)
 
 
 def _test_block_rows(d: int) -> int:
-    """Most noise rows estimate_test_error draws and scores at a time: as
+    """Most noise rows estimate_test_error draws and projects at a time: as
     many as fit _TEST_BLOCK_BYTES, at least 8 and at most a chunk."""
     return min(_TEST_CHUNK, max(8, _TEST_BLOCK_BYTES // (8 * d)))
+
+
+def span_test_error(draw: TestProjection, c: np.ndarray, mu_pre: np.ndarray):
+    """(rate, stderr) of the weights w0 + C [mu; xi] on a draw projected
+    onto F = [w0's 2m filters; mu; xi_1..xi_n]: <w, xi_test> is
+    t[:2m] + C t[2m:], so one projection scores every C of the cell."""
+    two_m = len(c)
+    noise_pre = draw.t[:two_m] + c @ draw.t[two_m:]
+    return draw.error(mu_pre, noise_pre.reshape(2, two_m // 2, -1))
 
 
 _TRIAL_ERRORS = (TrainingDivergedError, InvariantViolation, FloatingPointError, ValueError)
@@ -233,69 +259,104 @@ def _fail(result: TrialResult, exc: Exception) -> None:
     result.error = f"{type(exc).__name__}: {exc}"
 
 
-def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> list[TrialResult]:
-    """Train each listed variant on the (d, mu_norm, seed) cell and score
-    them all on one test draw; one TrialResult per variant, in order, each
-    deterministic given its coordinates.
+def _cell_inputs(spec: GridSpec, d: int, mu_norm: float, seed: int):
+    """The (d, mu_norm, seed) cell's dataset, network, training seed and
+    test stream, rebuilt from its coordinates alone."""
+    data_ss, train_ss, test_ss = trial_seed_sequence(spec.base_seed, d, mu_norm, seed).spawn(3)
+    ds = gen_dataset(spec.data_params(d, mu_norm), make_signal(d, mu_norm), spec.n,
+                     seed=data_ss)
+    return ds, spec.net_config(d), int(train_ss.generate_state(1)[0]), test_ss
+
+
+def train_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> list[tuple]:
+    """The training part of a cell: train each listed variant on the cell's
+    dataset and return, in order, (TrialResult, (C, mu_pre) of the final
+    record), with None in place of the pair for a variant that failed.
 
     Coefficients are read off each record's C (span_view): sign patterns
     are checked at every record, max_gamma and max_sum_zeta use the last.
-
-    Failures are captured in the results so a grid never aborts on one bad
-    cell: a variant that diverges or breaks an invariant fails alone, and an
-    error while building the cell or scoring it fails every variant it
-    covers.
+    A variant that diverges or breaks an invariant fails alone; an error
+    building the cell fails every variant.
     """
     results = [TrialResult(d=d, mu_norm=mu_norm, algo=v, seed=seed) for v in variants]
     try:
-        ss = trial_seed_sequence(spec.base_seed, d, mu_norm, seed)
-        data_ss, train_ss, test_ss = ss.spawn(3)
-        params = spec.data_params(d, mu_norm)
-        mu = make_signal(d, mu_norm)
-        ds = gen_dataset(params, mu, spec.n, seed=data_ss)
-        net = spec.net_config(d)
-        train_seed = int(train_ss.generate_state(1)[0])
+        ds, net, train_seed, _ = _cell_inputs(spec, d, mu_norm, seed)
     except _TRIAL_ERRORS as exc:
         for result in results:
             _fail(result, exc)
-        return results
+        return [(result, None) for result in results]
 
-    trained = []  # (result, final weights, final coefficients)
+    out = []
     for result in results:
+        final = None
         try:
             cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
             traj = train(ds, net, cfg)
             for rec in traj.records:
                 coeffs = span_view(rec.c, ds.gram, ds.y, spec.P)
                 coeffs.check_patterns(ds.y)
-            result.train_loss = traj.records[-1].train_loss
-            for rec in traj.epoch_records():
-                if rec.train_loss <= spec.loss_target:
-                    result.convergence_epoch = rec.t
+            result.train_loss = rec.train_loss
+            for epoch_rec in traj.epoch_records():
+                if epoch_rec.train_loss <= spec.loss_target:
+                    result.convergence_epoch = epoch_rec.t
                     break
-            trained.append((result, traj.w_final, coeffs))
+            result.max_gamma = float(coeffs.gamma.max())
+            result.max_sum_zeta = float(coeffs.zeta.sum(axis=2).max())
+            final = (rec.c, rec.mu_pre)
         except _TRIAL_ERRORS as exc:
             _fail(result, exc)
+        out.append((result, final))
+    return out
 
-    if not trained:
-        return results
+
+def project_cell(spec: GridSpec, d: int, mu_norm: float, seed: int):
+    """The test-projection part of a cell: draw its test set and project it
+    onto F = [w0's 2m filters; mu; xi_1..xi_n], the span every variant's
+    weights live in.  Returns the TestProjection, or the error that
+    building the cell or drawing raised, which fails every variant the
+    training part trained."""
     try:
-        scores = estimate_test_error([t[1] for t in trained], params, mu, spec.n_test,
-                                     np.random.default_rng(test_ss))
+        ds, net, train_seed, test_ss = _cell_inputs(spec, d, mu_norm, seed)
+        w0 = initial_weights(net, train_seed)
+        filters = np.concatenate([w0.reshape(-1, d), ds.mu[None, :], ds.xi])
+        return estimate_test_error(filters, ds.params, spec.n_test,
+                                   np.random.default_rng(test_ss))
     except _TRIAL_ERRORS as exc:
-        for t in trained:
-            _fail(t[0], exc)
-        return results
-    for (result, _, coeffs), (rate, stderr) in zip(trained, scores):
-        result.test_error = rate
-        result.test_stderr = stderr
-        result.max_gamma = float(coeffs.gamma.max())
-        result.max_sum_zeta = float(coeffs.zeta.sum(axis=2).max())
-    return results
+        return exc
 
 
-def _cell_task(args):
-    return run_cell(*args)
+def score_cell(trained: list[tuple], draw) -> list[TrialResult]:
+    """Join a cell's two parts: score every trained variant on the cell's
+    one test projection; a failed projection fails them all."""
+    for result, final in trained:
+        if final is None:
+            continue
+        if isinstance(draw, Exception):
+            _fail(result, draw)
+        else:
+            result.test_error, result.test_stderr = span_test_error(draw, *final)
+    return [result for result, _ in trained]
+
+
+def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> list[TrialResult]:
+    """Train each listed variant on the (d, mu_norm, seed) cell and score
+    them all on one test draw; one TrialResult per variant, in order, each
+    deterministic given its coordinates.  Failures are captured in the
+    results, so a grid never aborts on one bad cell."""
+    return score_cell(train_cell(spec, d, mu_norm, seed, variants),
+                      project_cell(spec, d, mu_norm, seed))
+
+
+def _part_task(task):
+    """Run one part of a cell, ("train" | "test", spec, d, mu_norm, seed,
+    variants), and return its output and its wall time in seconds."""
+    part, spec, d, mu_norm, seed, variants = task
+    start = time.perf_counter()
+    if part == "train":
+        output = train_cell(spec, d, mu_norm, seed, variants)
+    else:
+        output = project_cell(spec, d, mu_norm, seed)
+    return output, time.perf_counter() - start
 
 
 def _trial_filename(d, mu_norm, variant, seed) -> str:
@@ -390,52 +451,61 @@ def check_grid_run(spec: GridSpec, out_dir, jobs: int = 1,
 
 
 def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> list[TrialResult]:
-    """Execute every (d, mu, variant, seed) trial, one run_cell per
-    (d, mu, seed) cell, and persist results.
+    """Execute every (d, mu, variant, seed) trial, as a training part and a
+    test-projection part per (d, mu, seed) cell, and persist results.
 
-    Writes trials/<trial>.json incrementally (atomic per trial), then
-    results.csv and per-variant heatmap CSV + PGM files under out_dir.
-    With resume=True, existing trial files are loaded instead of re-run.
-    check_grid_run's refusals come before anything is written.
+    Writes trials/<trial>.json incrementally (atomic per trial, once both
+    parts of its cell are in), then results.csv, per-variant heatmap CSV +
+    PGM files, and timings.csv (the wall time of each part this run
+    executed) under out_dir.  With resume=True, existing trial files are
+    loaded instead of re-run.  check_grid_run's refusals come before
+    anything is written.
     """
     done = check_grid_run(spec, out_dir, jobs, resume)
     out = Path(out_dir)
     trials_dir = out / "trials"
     trials_dir.mkdir(parents=True, exist_ok=True)
     cells = spec.cells()
-    # one task per (d, mu, seed) cell with its pending variants, largest d first
+    # both parts of each (d, mu, seed) cell with pending variants, adjacent, largest d first
     pending: dict[tuple, list[str]] = {}
     for d, mu_norm, variant, seed in cells:
         if (d, mu_norm, variant, seed) not in done:
             pending.setdefault((d, mu_norm, seed), []).append(variant)
-    tasks = sorted(((spec, d, mu_norm, seed, tuple(variants))
-                    for (d, mu_norm, seed), variants in pending.items()),
-                   key=lambda task: -task[1])
+    tasks = [(part, spec, d, mu_norm, seed, tuple(variants))
+             for (d, mu_norm, seed), variants in sorted(pending.items(), key=lambda kv: -kv[0][0])
+             for part in ("test", "train")]
 
-    def persist(results: list[TrialResult]) -> None:
-        for r in results:
-            cell = (r.d, r.mu_norm, r.algo, r.seed)
-            payload = {**dataclasses.asdict(r), "spec": _trial_spec(spec, r.algo)}
-            _atomic_write_json(trials_dir / _trial_filename(*cell), payload)
-            done[cell] = r
+    timings = []
+
+    def persist(outputs) -> None:
+        parts = {}
+        for (part, _, d, mu_norm, seed, _), (output, seconds) in zip(tasks, outputs):
+            timings.append((d, mu_norm, seed, part, seconds))
+            parts[part] = output
+            if len(parts) < 2:
+                continue
+            for r in score_cell(parts.pop("train"), parts.pop("test")):
+                cell = (r.d, r.mu_norm, r.algo, r.seed)
+                payload = {**dataclasses.asdict(r), "spec": _trial_spec(spec, r.algo)}
+                _atomic_write_json(trials_dir / _trial_filename(*cell), payload)
+                done[cell] = r
 
     if jobs > 1 and len(tasks) > 1:
-        # a fork pool starts every worker at once: start no more than there are cells
+        # a fork pool starts every worker at once: start no more than there are tasks
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                  initializer=_pin_blas_threads) as pool:
-            for results in pool.map(_cell_task, tasks):
-                persist(results)
+            persist(pool.map(_part_task, tasks))
     else:
         caller_threads = _pin_blas_threads()
         try:
-            for task in tasks:
-                persist(run_cell(*task))
+            persist(map(_part_task, tasks))
         finally:
             _pin_blas_threads(caller_threads)
 
     results = [done[c] for c in cells]
     write_results_csv(out / "results.csv", results)
     export_heatmap(results, out)
+    write_csv(out / "timings.csv", ("d", "mu_norm", "seed", "part", "seconds"), sorted(timings))
     return results
 
 

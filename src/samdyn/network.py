@@ -180,8 +180,9 @@ def model_gradient(w, mu, xi, y, y_hat, P: int) -> tuple[np.ndarray, BatchTerms]
 
 
 def save_weights(path, w: np.ndarray) -> None:
-    """Checkpoint container: d, m and the row-major filter dump."""
-    np.savez(path, shape=np.array(w.shape, dtype=np.int64), w=w)
+    """Checkpoint container at exactly path: d, m and the row-major filter dump."""
+    with open(path, "wb") as fh:  # np.savez appends .npz to a path name
+        np.savez(fh, shape=np.array(w.shape, dtype=np.int64), w=w)
 
 
 def load_weights(path) -> np.ndarray:

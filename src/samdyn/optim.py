@@ -19,9 +19,10 @@ step or record needs is <w0, v_k> + C G_k, the gradient is a coefficient
 matrix (network.model_grad_coeffs), the SAM norm is ||g||_F^2 = sum (g G) * g
 and the SAM perturbation shifts C on the batch columns.  A step therefore
 costs O(m n B) whatever d is; d-vectors are formed only for the weight
-snapshots and w_final.  G is multiplied, never inverted, so mu = 0 or n >= d
-needs no special case.  Every record keeps its C, from which
-decomposition.span_view reads the signal/noise coefficients.
+snapshots and, on first access, Trajectory.w_final.  G is multiplied,
+never inverted, so mu = 0 or n >= d needs no special case.  Every record
+keeps its C, from which decomposition.span_view reads the signal/noise
+coefficients.
 
 Hooks are called once per batch step with a StepEvent carrying the exact
 loss derivatives and activation indicators the step used (for SAM, those of
@@ -31,6 +32,7 @@ tracker to reproduce the weight trajectory exactly.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -101,15 +103,14 @@ class TrajectoryRecord:
     weights: np.ndarray | None = None
 
 
-@dataclass
-class Trajectory:
-    records: list[TrajectoryRecord] = field(default_factory=list)
-    schedules: list[list[np.ndarray]] = field(default_factory=list)
-    w0: np.ndarray | None = None
-    w_final: np.ndarray | None = None
+def _run_streams(seed: int):
+    """The init and shuffle streams of a run with TrainConfig.seed = seed."""
+    return np.random.SeedSequence(seed).spawn(2)
 
-    def epoch_records(self) -> list[TrajectoryRecord]:
-        return [r for r in self.records if r.b == 0]
+
+def initial_weights(net: NetConfig, seed: int) -> np.ndarray:
+    """The w0 that train draws for TrainConfig.seed = seed."""
+    return init_weights(net, np.random.default_rng(_run_streams(seed)[0]))
 
 
 def epoch_schedule(n: int, B: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -141,6 +142,25 @@ class _Span:
 
     def weights(self, c: np.ndarray) -> np.ndarray:
         return self.w0 + span_vectors(c, self.ds.mu, self.ds.xi)
+
+
+@dataclass
+class Trajectory:
+    span: _Span
+    records: list[TrajectoryRecord] = field(default_factory=list)
+    schedules: list[list[np.ndarray]] = field(default_factory=list)
+
+    @property
+    def w0(self) -> np.ndarray:
+        return self.span.w0
+
+    @cached_property
+    def w_final(self) -> np.ndarray:
+        """The final weights w0 + C [mu; xi] in d-space, formed on first access."""
+        return self.span.weights(self.records[-1].c)
+
+    def epoch_records(self) -> list[TrajectoryRecord]:
+        return [r for r in self.records if r.b == 0]
 
 
 def _split(pre: np.ndarray):
@@ -197,14 +217,11 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
         raise ValueError(f"B={cfg.B} does not divide n={n}")
     H = n // cfg.B
 
-    ss = np.random.SeedSequence(cfg.seed)
-    init_ss, shuffle_ss = ss.spawn(2)
-    w0 = init_weights(net, np.random.default_rng(init_ss))
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    span = _Span(w0, ds)
+    span = _Span(initial_weights(net, cfg.seed), ds)
+    shuffle_rng = np.random.default_rng(_run_streams(cfg.seed)[1])
     c = np.zeros_like(span.base)
 
-    traj = Trajectory(w0=w0)
+    traj = Trajectory(span)
 
     def due(s: int) -> bool:
         if cfg.record_every is None:
@@ -251,7 +268,6 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
             s += 1
 
     record(cfg.epochs, 0)
-    traj.w_final = span.weights(c)
     return traj
 
 

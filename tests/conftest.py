@@ -6,9 +6,11 @@ import pytest
 from samdyn.checks import scaled_tau
 from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.decomposition import CoeffTracker
-from samdyn.experiments import estimate_test_error, run_grid, phase_grid_spec
+from samdyn.experiments import run_grid, phase_grid_spec
 from samdyn.network import NetConfig
 from samdyn.optim import TrainConfig, train
+
+from helpers import score_weights
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +35,7 @@ def bayes_floor_runs():
         ds = gen_dataset(params, make_signal(d, mu_norm), n, seed=9000 + seed)
         cfg = TrainConfig(eta=0.2, B=n, epochs=100, algo="sgd", seed=seed)
         traj = train(ds, net, cfg)
-        [(rate, stderr)] = estimate_test_error(
+        [(rate, stderr)] = score_weights(
             [traj.w_final], params, ds.mu, 1000, np.random.default_rng(7000 + seed)
         )
         runs.append({"ds": ds, "traj": traj, "test_error": rate, "stderr": stderr})

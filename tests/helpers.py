@@ -3,6 +3,7 @@
 import numpy as np
 
 from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
+from samdyn.experiments import estimate_test_error
 from samdyn.network import init_weights, model_gradient, model_margins, model_preacts
 from samdyn.optim import epoch_schedule
 
@@ -109,6 +110,18 @@ def dspace_train(ds, net, cfg):
             s += 1
     record(cfg.epochs, 0)
     return records, w
+
+
+def score_weights(ws, params, mu, n_test, rng):
+    """(rate, stderr) of each plain weight array in ws on one test draw:
+    estimate_test_error projects the draw onto all their filters stacked,
+    and each array is scored on its own rows."""
+    two_m = ws[0].shape[0] * ws[0].shape[1]
+    draw = estimate_test_error(np.concatenate([w.reshape(two_m, -1) for w in ws]), params,
+                               n_test, rng)
+    return [draw.error(w @ mu, np.ascontiguousarray(draw.t[i * two_m:(i + 1) * two_m])
+                       .reshape(w.shape[:2] + (-1,)))
+            for i, w in enumerate(ws)]
 
 
 def reference_test_error(w, params, mu, n_test, rng):

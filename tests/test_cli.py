@@ -70,6 +70,23 @@ def test_gen_data_roundtrip(tmp_path, capsys):
     assert (tmp_path / "manifest.json").exists()
 
 
+def test_gen_data_writes_exactly_the_named_file(tmp_path, capsys):
+    """A non-.npz --out name is the file written and recorded, so decompose
+    reads it back by that name; so does a weights file saved under one."""
+    out = tmp_path / "gd" / "data.bin"
+    assert main(["gen-data", "--d", "30", "--n", "4", "--mu-norm", "2.0",
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["data.bin", "manifest.json"]
+    assert json.loads((out.parent / "manifest.json").read_text())["outputs"] == [str(out)]
+    ds = load_dataset(out)
+    assert ds.n == 4 and ds.params.d == 30
+    weights = tmp_path / "w.ckpt"
+    save_weights(weights, np.random.default_rng(0).normal(size=(2, 2, 30)))
+    assert main(["decompose", "--data", str(out), "--weights", str(weights),
+                 "--weights0", str(weights), "--out", str(tmp_path / "dec")]) == 0
+    assert not list(tmp_path.rglob("*.npz.npz")) and not (tmp_path / "w.ckpt.npz").exists()
+
+
 def test_train_deterministic_metrics(tmp_path):
     cfg = write_cfg(tmp_path, TINY_TRAIN)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "a"),
@@ -166,6 +183,7 @@ def test_grid_cli_end_to_end(tmp_path):
     assert not (out / "checks").exists()
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     assert not any("checks" in str(o) for o in outputs)
+    assert "timings.csv" in outputs and (out / "timings.csv").exists()
     # resume with everything done is a no-op with identical output
     before = (out / "results.csv").read_bytes()
     assert main(["grid", "--config", str(cfg), "--out", str(out), "--resume"]) == 0

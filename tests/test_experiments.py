@@ -1,6 +1,9 @@
+import csv
 import dataclasses
 import itertools
 import json
+import multiprocessing
+import os
 import shutil
 import tracemalloc
 
@@ -24,10 +27,10 @@ from samdyn.experiments import (
     write_results_csv,
     TrialResult,
 )
-from samdyn.network import model_grad_coeffs
+from samdyn.network import model_grad_coeffs, model_preacts, span_vectors
 from samdyn.optim import TrainConfig, train
 
-from helpers import reference_test_error
+from helpers import reference_test_error, score_weights
 
 
 def tiny_spec(**overrides):
@@ -53,8 +56,8 @@ def tiny_spec(**overrides):
 def test_estimate_zero_weights_sign_convention():
     params = DataParams(d=10, P=2, p=0.0, mu_norm=1.0)
     w = np.zeros((2, 3, 10))
-    [(rate, stderr)] = estimate_test_error([w], params, make_signal(10, 1.0), 500,
-                                           np.random.default_rng(0))
+    [(rate, stderr)] = score_weights([w], params, make_signal(10, 1.0), 500,
+                                     np.random.default_rng(0))
     assert rate == 1.0  # f = 0 everywhere and sign(0) counts as an error
     assert stderr == 0.0
 
@@ -64,7 +67,7 @@ def test_estimate_perfect_classifier():
     params = DataParams(d=d, P=2, p=0.0, mu_norm=20.0)
     mu = make_signal(d, 20.0)
     w = np.stack([mu[None, :], -mu[None, :]])  # w_+ = mu, w_- = -mu
-    [(rate, stderr)] = estimate_test_error([w], params, mu, 1000, np.random.default_rng(1))
+    [(rate, stderr)] = score_weights([w], params, mu, 1000, np.random.default_rng(1))
     assert rate <= 0.01
 
 
@@ -74,7 +77,7 @@ def test_estimate_bayes_floor():
     params = DataParams(d=d, P=2, p=p, mu_norm=25.0)
     mu = make_signal(d, 25.0)
     w = np.stack([mu[None, :], -mu[None, :]])
-    [(rate, stderr)] = estimate_test_error([w], params, mu, 4000, np.random.default_rng(2))
+    [(rate, stderr)] = score_weights([w], params, mu, 4000, np.random.default_rng(2))
     assert abs(rate - p) <= 3 * max(stderr, np.sqrt(p * (1 - p) / 4000))
 
 
@@ -82,8 +85,8 @@ def test_estimate_chance_level_no_signal():
     d = 80
     params = DataParams(d=d, P=2, p=0.0, mu_norm=0.0)
     w = np.random.default_rng(3).normal(size=(2, 4, d))
-    [(rate, _)] = estimate_test_error([w], params, make_signal(d, 0.0), 1000,
-                                      np.random.default_rng(4))
+    [(rate, _)] = score_weights([w], params, make_signal(d, 0.0), 1000,
+                                np.random.default_rng(4))
     assert 0.4 <= rate <= 0.6
 
 
@@ -117,7 +120,7 @@ def test_estimate_scores_every_w_on_the_reference_stream():
         mu = make_signal(d, 1.5)
         w1, w2 = np.random.default_rng(11).normal(0.0, 0.3, size=(2, 2, 4, d))
         rng = _RecordingGenerator(np.random.default_rng(12))
-        got = estimate_test_error([w1, w2], params, mu, n_test, rng)
+        got = score_weights([w1, w2], params, mu, n_test, rng)
         want = []
         for w in (w1, w2):
             ref_rng = np.random.default_rng(12)
@@ -134,19 +137,64 @@ def test_estimate_scores_every_w_on_the_reference_stream():
 
 def test_estimate_test_error_memory_does_not_grow_with_the_chunk():
     """At d=20000 the scorer holds one noise block of about 2 MiB, not a
-    (256, d) chunk of 41 MB."""
+    (256, d) chunk of 41 MB, while it projects onto a cell's 41 rows
+    [w0's 20 filters; mu; xi_1..xi_20]."""
     d = 20000
     params = DataParams(d=d, P=2, sigma_p=1.0, p=0.0, mu_norm=3.0)
-    mu = make_signal(d, 3.0)
-    ws = list(np.random.default_rng(0).normal(0.0, 0.01, size=(2, 2, 10, d)))
+    filters = np.random.default_rng(0).normal(0.0, 0.01, size=(41, d))
     rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
-        estimate_test_error(ws, params, mu, 300, rng)
+        estimate_test_error(filters, params, 300, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_span_scorer_matches_the_reference_on_the_weights():
+    """A projection onto [w0; mu; xi] scores w0 + C [mu; xi] as the d-space
+    reference scores those weights, for random w0 and C, and leaves the
+    generator where the reference leaves it."""
+    for d in (30, 5000, 17000):
+        params = DataParams(d=d, P=3, sigma_p=1.7, p=0.2, mu_norm=1.5)
+        ds = gen_dataset(params, make_signal(d, 1.5), 6, seed=d)
+        rng = np.random.default_rng(21)
+        w0 = rng.normal(0.0, 0.3, size=(2, 4, d))
+        cs = rng.normal(0.0, 0.5, size=(2, 8, 7))
+        filters = np.concatenate([w0.reshape(8, d), ds.mu[None, :], ds.xi])
+        test_rng = np.random.default_rng(22)
+        draw = estimate_test_error(filters, params, 600, test_rng)
+        for c in cs:
+            w = w0 + span_vectors(c, ds.mu, ds.xi)
+            mu_pre = model_preacts(w, ds.mu, ds.xi[:0])[0]
+            ref_rng = np.random.default_rng(22)
+            want = reference_test_error(w, params, ds.mu, 600, ref_rng)
+            assert experiments.span_test_error(draw, c, mu_pre) == want, d
+            assert 0.0 < want[0] < 1.0
+            assert test_rng.bit_generator.state == ref_rng.bit_generator.state, d
+
+
+@pytest.mark.parametrize("init", ["gaussian", "uniform_fan_in"])
+def test_projection_part_projects_onto_the_trained_w0(monkeypatch, init):
+    """The test projection's rows are train's own w0, bit for bit, then mu
+    and the cell's xi_i."""
+    spec = tiny_spec(init=init)
+    seen = []
+    project = experiments.estimate_test_error
+
+    def spy(filters, *args):
+        seen.append(filters.copy())
+        return project(filters, *args)
+
+    monkeypatch.setattr(experiments, "estimate_test_error", spy)
+    experiments.project_cell(spec, 60, 4.0, 1)
+    ss = trial_seed_sequence(0, 60, 4.0, 1).spawn(3)
+    ds = gen_dataset(spec.data_params(60, 4.0), make_signal(60, 4.0), spec.n, seed=ss[0])
+    cfg = dataclasses.replace(spec.train["sgd"], seed=int(ss[1].generate_state(1)[0]))
+    w0 = train(ds, spec.net_config(60), cfg).w0
+    [filters] = seen
+    assert np.array_equal(filters, np.concatenate([w0.reshape(6, 60), ds.mu[None, :], ds.xi]))
 
 
 def test_trial_seed_sequence_is_coordinate_hash():
@@ -287,35 +335,48 @@ def test_run_grid_rejects_jobs_below_one(tmp_path, jobs):
 
 
 def test_run_grid_runs_trials_on_one_blas_thread(tmp_path, monkeypatch):
-    """Serial and pooled trials see one thread in every bundled OpenBLAS,
-    and the caller's counts are back when run_grid returns."""
+    """Serial and pooled training and test-projection parts see one thread
+    in every bundled OpenBLAS, and the caller's counts are back when
+    run_grid returns."""
     controls = experiments._openblas_thread_controls()
     if not controls:
         pytest.skip("numpy links no bundled OpenBLAS")
+    log = tmp_path / "threads.log"
 
-    def counts():
-        return [get() for get, _, _ in experiments._openblas_thread_controls()]
+    def note(part):
+        counts = [get() for get, _, _ in experiments._openblas_thread_controls()]
+        with open(log, "a") as fh:
+            fh.write(f"{part} {counts}\n")
 
-    def probe(spec, d, mu_norm, seed, variants):
-        return [TrialResult(d=d, mu_norm=mu_norm, algo=variant, seed=seed, test_error=0.5,
-                            error=repr(counts())) for variant in variants]
+    def train_probe(spec, d, mu_norm, seed, variants):
+        note("train")
+        return [(TrialResult(d=d, mu_norm=mu_norm, algo=v, seed=seed, test_error=0.5), None)
+                for v in variants]
 
-    # the pool forks, so its workers see the probe too
-    monkeypatch.setattr(experiments, "run_cell", probe)
+    def project_probe(spec, d, mu_norm, seed):
+        note("test")
+        return ValueError("probe")
+
+    # the pool forks, so its workers see the probes too
+    monkeypatch.setattr(experiments, "train_cell", train_probe)
+    monkeypatch.setattr(experiments, "project_cell", project_probe)
     before = experiments._pin_blas_threads([2] * len(controls))
     try:
-        caller = counts()
+        caller = [get() for get, _, _ in controls]
         for jobs in (1, 2):
-            results = run_grid(tiny_spec(), tmp_path / f"jobs{jobs}", jobs=jobs)
-            assert {r.error for r in results} == {repr([1] * len(controls))}
-            assert counts() == caller
+            log.unlink(missing_ok=True)
+            run_grid(tiny_spec(), tmp_path / f"jobs{jobs}", jobs=jobs)
+            lines = log.read_text().splitlines()
+            assert len(lines) == len(tiny_spec().cells())  # one line per part
+            assert set(lines) == {f"{part} {[1] * len(controls)}" for part in ("train", "test")}
+            assert [get() for get, _, _ in controls] == caller
     finally:
         experiments._pin_blas_threads(before)
 
 
 def test_run_grid_pool_size_and_order(tmp_path, monkeypatch):
-    """The pool starts no more workers than there are cells and is handed
-    the cells largest d first."""
+    """The pool starts no more workers than there are tasks and is handed
+    both parts of every cell, adjacent, largest d first."""
     seen = []
 
     class RecordingPool(experiments.ProcessPoolExecutor):
@@ -325,51 +386,111 @@ def test_run_grid_pool_size_and_order(tmp_path, monkeypatch):
 
         def map(self, fn, tasks):
             tasks = list(tasks)
-            seen.append([task[1] for task in tasks])
+            seen.append([(task[0], task[2]) for task in tasks])
             return super().map(fn, tasks)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     spec = tiny_spec(d_values=(60, 120, 90), mu_values=(2.0,), seeds=(0,))
     run_grid(spec, tmp_path, jobs=8)
-    assert seen == [3, [120, 90, 60]]
+    assert seen == [6, [(part, d) for d in (120, 90, 60) for part in ("test", "train")]]
+
+
+def test_one_cell_grid_runs_its_parts_in_two_workers(tmp_path, monkeypatch):
+    """At jobs=2 a one-cell grid's training part and test projection run
+    side by side in two worker processes: each part waits at a barrier
+    for the other, which one worker running both in turn could not pass."""
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=30)
+    train_part, project_part = experiments.train_cell, experiments.project_cell
+
+    def meet(part):
+        barrier.wait()
+        (tmp_path / f"{part}.pid").write_text(str(os.getpid()))
+
+    def train_spy(*args):
+        meet("train")
+        return train_part(*args)
+
+    def project_spy(*args):
+        meet("test")
+        return project_part(*args)
+
+    spec = tiny_spec(d_values=(60,), mu_values=(2.0,), seeds=(0,))
+    alone = run_cell(spec, 60, 2.0, 0, ("sam", "sgd"))
+    monkeypatch.setattr(experiments, "train_cell", train_spy)
+    monkeypatch.setattr(experiments, "project_cell", project_spy)
+    assert run_grid(spec, tmp_path / "grid", jobs=2) == alone
+    pids = {int((tmp_path / f"{part}.pid").read_text()) for part in ("train", "test")}
+    assert len(pids) == 2 and os.getpid() not in pids
 
 
 def test_run_grid_scores_each_cell_once(tmp_path, monkeypatch):
-    """Both variants of a (d, mu, seed) cell are scored on one test draw."""
-    calls = []
-    score = experiments.estimate_test_error
+    """Each (d, mu, seed) cell draws one test projection, onto its
+    2m + 1 + n span rows, and that one projection scores all its variants."""
+    projections, scored = [], []
+    project, score = experiments.estimate_test_error, experiments.span_test_error
 
-    def spy(ws, *args):
-        calls.append(len(ws))
-        return score(ws, *args)
+    def project_spy(filters, *args):
+        projections.append(project(filters, *args))
+        return projections[-1]
 
-    monkeypatch.setattr(experiments, "estimate_test_error", spy)
+    def score_spy(draw, *args):
+        scored.append(draw)
+        return score(draw, *args)
+
+    monkeypatch.setattr(experiments, "estimate_test_error", project_spy)
+    monkeypatch.setattr(experiments, "span_test_error", score_spy)
     spec = tiny_spec()
     run_grid(spec, tmp_path)
-    assert calls == [2] * (len(spec.cells()) // 2)
+    assert len(projections) == len(spec.cells()) // 2
+    assert {draw.t.shape for draw in projections} == {(2 * spec.m + 1 + spec.n, spec.n_test)}
+    assert [sum(s is draw for s in scored) for draw in projections] == [2] * len(projections)
 
 
 def test_run_grid_resume_runs_only_pending_variant(tmp_path, monkeypatch):
     """With one variant of a cell missing, the resume trains that variant
-    alone and results.csv matches the fresh run byte for byte."""
+    alone, projects that cell's test set alone, and results.csv matches
+    the fresh run byte for byte."""
     spec = tiny_spec()
     run_grid(spec, tmp_path / "full")
     partial = tmp_path / "partial"
     shutil.copytree(tmp_path / "full" / "trials", partial / "trials")
     (partial / "trials" / "sam_d120_mu4.0_s1.json").unlink()
     calls = []
-    cell = experiments.run_cell
+    train_part, project_part = experiments.train_cell, experiments.project_cell
 
-    def spy(spec, d, mu_norm, seed, variants):
-        calls.append((d, mu_norm, seed, variants))
-        return cell(spec, d, mu_norm, seed, variants)
+    def train_spy(spec, d, mu_norm, seed, variants):
+        calls.append(("train", d, mu_norm, seed, variants))
+        return train_part(spec, d, mu_norm, seed, variants)
 
-    monkeypatch.setattr(experiments, "run_cell", spy)
+    def project_spy(spec, d, mu_norm, seed):
+        calls.append(("test", d, mu_norm, seed))
+        return project_part(spec, d, mu_norm, seed)
+
+    monkeypatch.setattr(experiments, "train_cell", train_spy)
+    monkeypatch.setattr(experiments, "project_cell", project_spy)
     run_grid(spec, partial, resume=True)
-    assert calls == [(120, 4.0, 1, ("sam",))]
+    assert calls == [("test", 120, 4.0, 1), ("train", 120, 4.0, 1, ("sam",))]
     assert (tmp_path / "full/results.csv").read_bytes() == (
         partial / "results.csv"
     ).read_bytes()
+
+
+def test_run_grid_writes_part_timings_beside_results(tmp_path):
+    """timings.csv holds one row per part the run executed; a resume with
+    nothing pending times nothing and leaves results.csv as it was."""
+    spec = tiny_spec(d_values=(60, 120), mu_values=(2.0,), seeds=(0,))
+    run_grid(spec, tmp_path, jobs=2)
+    with open(tmp_path / "timings.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["d", "mu_norm", "seed", "part", "seconds"]
+    assert [row[:4] for row in rows[1:]] == [[d, "2.0", "0", part] for d in ("60", "120")
+                                             for part in ("test", "train")]
+    assert all(float(row[4]) > 0 for row in rows[1:])
+    assert "seconds" not in (tmp_path / "results.csv").read_text()
+    before = (tmp_path / "results.csv").read_bytes()
+    run_grid(spec, tmp_path, resume=True)
+    assert (tmp_path / "timings.csv").read_text().splitlines() == [",".join(rows[0])]
+    assert (tmp_path / "results.csv").read_bytes() == before
 
 
 def test_run_grid_resume_completes_partial(tmp_path):
