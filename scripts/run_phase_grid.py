@@ -2,16 +2,16 @@
 """Reproduce the full synthetic phase-transition heatmaps.
 
 Runs the 11 x 11 (d, ||mu||) grid with 10 seeds for both the plain and the
-perturbed optimizer (2420 trials; about 3.5 minutes with --jobs 2 on 2
+perturbed optimizer (2420 trials; about 3.2 minutes with --jobs 2 on 2
 cores).  Use --reduced for the 3 x 4 x 3-seed acceptance-scale grid (about
-6 s with --jobs 2 on 2 cores).  --jobs defaults to the CPUs the process may
+5 s with --jobs 2 on 2 cores).  --jobs defaults to the CPUs the process may
 run on.
 
     python scripts/run_phase_grid.py --out runs/phase [--jobs 4] [--reduced]
 
-Outputs results.csv, heatmap_{sgd,sam}.{csv,pgm} and timings.csv (the
-wall time of each cell's training and test-projection part) under --out; rerun
-with --resume to continue an interrupted grid.
+Outputs results.csv, heatmap_{sgd,sam}.{csv,pgm} and timings.csv (one row
+per cell: the seconds spent building its dataset, training and testing)
+under --out; rerun with --resume to continue an interrupted grid.
 """
 
 import argparse

@@ -4,7 +4,7 @@ A GridSpec describes a (d, ||mu||) grid, a list of seeds, and one training
 variant per algorithm; run_grid executes all trials (optionally in a
 process pool), persists each trial atomically so interrupted grids resume,
 and exports per-cell aggregates as CSV plus a portable-graymap render.
-The wall time of every part it ran goes to timings.csv, never into
+The wall time of every cell it ran goes to timings.csv, never into
 results.csv.
 
 Per-trial randomness is derived from the grid coordinates, never from
@@ -15,21 +15,18 @@ seed label denotes one (dataset, init, test set) triple shared by every
 training variant, so per-seed differences between variants are paired
 comparisons of the algorithms alone.
 
-The unit of work is therefore the (d, mu, seed) cell, not the trial, and
-a cell runs as two parts that each rebuild the cell's inputs from its
-coordinates.  The training part (train_cell) generates the dataset, and
-with it the Gram matrix, trains each pending variant on it without hooks,
-and returns each final record's C and <w, mu>.  The test-projection part
-(project_cell) draws the cell's test set once and projects its noise onto
-F = [w0's 2m filters; mu; xi_1..xi_n], a (2m+1+n)-row matrix T.  Every
-variant's weights are w0 + C [mu; xi], so its test pre-activations are
-T[:2m] + C T[2m:] (span_test_error): one projection scores every variant,
-and no d-space final weights are formed.  Each variant would have drawn
-that same set from the same stream, so scoring it once is exact: every
-trial's numbers are those of a run of the variant alone.  run_grid hands
-both parts of every pending cell to the pool, largest d first, so the
-training parts fill the workers while the largest cells draw their test
-sets; run_cell is the two parts run one after the other.
+The unit of work is therefore the (d, mu, seed) cell, not the trial:
+run_cell generates the cell's dataset, and with it the Gram matrix, once,
+trains each pending variant on it without hooks and keeps each final
+record's C and <w, mu>.  It then draws the cell's test set once and
+projects its noise onto F = [w0's 2m filters; mu; xi_1..xi_n], a
+(2m+1+n)-row matrix T.  Every variant's weights are w0 + C [mu; xi], so
+its test pre-activations are T[:2m] + C T[2m:] (span_test_error): one
+projection scores every variant, and no d-space final weights are formed.
+Each variant would have drawn that same set from the same stream, so
+scoring it once is exact: every trial's numbers are those of a run of the
+variant alone.  run_grid hands the pool one run_cell task per cell with
+pending variants, largest d first.
 
 The test-draw stream is fixed by its chunks of 256 samples: each draws
 the true labels y_hat, then the label flips, then the chunk's (256, d)
@@ -38,7 +35,7 @@ and projects that noise in near-equal blocks of rows in one reused buffer
 of about 2 MiB (at least 8 rows); a fill continues the generator where the
 last one stopped, so the block size is not part of the stream.
 
-Every part run_grid executes runs on one OpenBLAS thread: pool workers pin
+Every cell run_grid executes runs on one OpenBLAS thread: pool workers pin
 themselves when they start, and a serial run pins the caller for its
 duration and restores its counts afterwards.  One thread per worker keeps
 a pool of one worker per CPU from oversubscribing the cores, and it makes
@@ -63,7 +60,7 @@ import numpy as np
 from .data import DataParams, gen_dataset, make_signal
 from .decomposition import InvariantViolation, span_view
 from .network import NetConfig, model_margins
-from .optim import TrainConfig, TrainingDivergedError, initial_weights, train
+from .optim import TrainConfig, TrainingDivergedError, train
 from .tables import write_csv
 
 _SEED_TAG = 88261599  # fixed domain tag for trial seed derivation
@@ -261,34 +258,41 @@ def _fail(result: TrialResult, exc: Exception) -> None:
 
 def _cell_inputs(spec: GridSpec, d: int, mu_norm: float, seed: int):
     """The (d, mu_norm, seed) cell's dataset, network, training seed and
-    test stream, rebuilt from its coordinates alone."""
+    test stream, built from its coordinates alone."""
     data_ss, train_ss, test_ss = trial_seed_sequence(spec.base_seed, d, mu_norm, seed).spawn(3)
     ds = gen_dataset(spec.data_params(d, mu_norm), make_signal(d, mu_norm), spec.n,
                      seed=data_ss)
     return ds, spec.net_config(d), int(train_ss.generate_state(1)[0]), test_ss
 
 
-def train_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> list[tuple]:
-    """The training part of a cell: train each listed variant on the cell's
-    dataset and return, in order, (TrialResult, (C, mu_pre) of the final
-    record), with None in place of the pair for a variant that failed.
+def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
+    """Train each listed variant on the (d, mu_norm, seed) cell and score
+    them all on one test draw.  Returns one TrialResult per variant, in
+    order, each deterministic given its coordinates, and the cell's wall
+    times (data_s, train_s, test_s): building the dataset and its Gram,
+    training with the record checks, and the test draw with the scoring.
 
     Coefficients are read off each record's C (span_view): sign patterns
     are checked at every record, max_gamma and max_sum_zeta use the last.
-    A variant that diverges or breaks an invariant fails alone; an error
-    building the cell fails every variant.
+    Failures are captured in the results, so a grid never aborts on one
+    bad cell: an error building the cell fails every variant, a variant
+    that diverges or breaks an invariant fails alone, and an error in the
+    test draw fails every trained variant.  A cell with no trained variant
+    draws no test set.
     """
     results = [TrialResult(d=d, mu_norm=mu_norm, algo=v, seed=seed) for v in variants]
+    t0 = time.perf_counter()
     try:
-        ds, net, train_seed, _ = _cell_inputs(spec, d, mu_norm, seed)
+        ds, net, train_seed, test_ss = _cell_inputs(spec, d, mu_norm, seed)
+        ds.gram  # formed here, so data_s counts it
     except _TRIAL_ERRORS as exc:
         for result in results:
             _fail(result, exc)
-        return [(result, None) for result in results]
+        return results, (time.perf_counter() - t0, 0.0, 0.0)
+    t1 = time.perf_counter()
 
-    out = []
+    finals = []  # (result, C, mu_pre) of each trained variant's final record
     for result in results:
-        final = None
         try:
             cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
             traj = train(ds, net, cfg)
@@ -302,61 +306,25 @@ def train_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> l
                     break
             result.max_gamma = float(coeffs.gamma.max())
             result.max_sum_zeta = float(coeffs.zeta.sum(axis=2).max())
-            final = (rec.c, rec.mu_pre)
+            finals.append((result, rec.c, rec.mu_pre))
+            w0 = traj.w0  # every variant trains from this w0
         except _TRIAL_ERRORS as exc:
             _fail(result, exc)
-        out.append((result, final))
-    return out
+        traj = None  # keep no trajectory through the next variant or the draw
+    t2 = time.perf_counter()
 
-
-def project_cell(spec: GridSpec, d: int, mu_norm: float, seed: int):
-    """The test-projection part of a cell: draw its test set and project it
-    onto F = [w0's 2m filters; mu; xi_1..xi_n], the span every variant's
-    weights live in.  Returns the TestProjection, or the error that
-    building the cell or drawing raised, which fails every variant the
-    training part trained."""
-    try:
-        ds, net, train_seed, test_ss = _cell_inputs(spec, d, mu_norm, seed)
-        w0 = initial_weights(net, train_seed)
-        filters = np.concatenate([w0.reshape(-1, d), ds.mu[None, :], ds.xi])
-        return estimate_test_error(filters, ds.params, spec.n_test,
-                                   np.random.default_rng(test_ss))
-    except _TRIAL_ERRORS as exc:
-        return exc
-
-
-def score_cell(trained: list[tuple], draw) -> list[TrialResult]:
-    """Join a cell's two parts: score every trained variant on the cell's
-    one test projection; a failed projection fails them all."""
-    for result, final in trained:
-        if final is None:
-            continue
-        if isinstance(draw, Exception):
-            _fail(result, draw)
+    if finals:
+        try:
+            filters = np.concatenate([w0.reshape(-1, d), ds.mu[None, :], ds.xi])
+            draw = estimate_test_error(filters, ds.params, spec.n_test,
+                                       np.random.default_rng(test_ss))
+        except _TRIAL_ERRORS as exc:
+            for result, _, _ in finals:
+                _fail(result, exc)
         else:
-            result.test_error, result.test_stderr = span_test_error(draw, *final)
-    return [result for result, _ in trained]
-
-
-def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants) -> list[TrialResult]:
-    """Train each listed variant on the (d, mu_norm, seed) cell and score
-    them all on one test draw; one TrialResult per variant, in order, each
-    deterministic given its coordinates.  Failures are captured in the
-    results, so a grid never aborts on one bad cell."""
-    return score_cell(train_cell(spec, d, mu_norm, seed, variants),
-                      project_cell(spec, d, mu_norm, seed))
-
-
-def _part_task(task):
-    """Run one part of a cell, ("train" | "test", spec, d, mu_norm, seed,
-    variants), and return its output and its wall time in seconds."""
-    part, spec, d, mu_norm, seed, variants = task
-    start = time.perf_counter()
-    if part == "train":
-        output = train_cell(spec, d, mu_norm, seed, variants)
-    else:
-        output = project_cell(spec, d, mu_norm, seed)
-    return output, time.perf_counter() - start
+            for result, c, mu_pre in finals:
+                result.test_error, result.test_stderr = span_test_error(draw, c, mu_pre)
+    return results, (t1 - t0, t2 - t1, time.perf_counter() - t2)
 
 
 def _trial_filename(d, mu_norm, variant, seed) -> str:
@@ -383,6 +351,26 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+_TIMING_COLUMNS = ("d", "mu_norm", "seed", "data_s", "train_s", "test_s")
+
+
+def _read_timings(path) -> dict[tuple, tuple]:
+    """The rows of an earlier timings.csv by (d, mu_norm, seed); none when
+    the file is missing, has another header or a row that does not parse."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except FileNotFoundError:
+        return {}
+    if rows[:1] != [list(_TIMING_COLUMNS)]:
+        return {}
+    try:
+        return {(int(d), float(mu_norm), int(seed)): (float(data_s), float(train_s), float(test_s))
+                for d, mu_norm, seed, data_s, train_s, test_s in rows[1:]}
+    except ValueError:  # e.g. a last row cut short by an interrupted run
+        return {}
 
 
 def _openblas_thread_controls() -> list[tuple]:
@@ -431,7 +419,8 @@ def check_grid_run(spec: GridSpec, out_dir, jobs: int = 1,
     trials a resume reuses, by cell.
 
     Raises ValueError for jobs < 1 and, with resume=True, for a trial file
-    under out_dir stamped with a different or no _trial_spec.
+    under out_dir stamped with a different or no _trial_spec.  A trial read
+    back as not failed but with a non-finite test_error is marked failed.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -446,19 +435,23 @@ def check_grid_run(spec: GridSpec, out_dir, jobs: int = 1,
                 payload = json.load(fh)
             if payload.pop("spec", None) != _trial_spec(spec, cell[2]):
                 raise ValueError(f"{path}: trial was run with a different or unrecorded spec")
-            done[cell] = TrialResult(**payload)
+            result = TrialResult(**payload)
+            if not result.failed and not math.isfinite(result.test_error):
+                _fail(result, ValueError(f"{path.name}: test_error is {result.test_error!r}"))
+            done[cell] = result
     return done
 
 
 def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> list[TrialResult]:
-    """Execute every (d, mu, variant, seed) trial, as a training part and a
-    test-projection part per (d, mu, seed) cell, and persist results.
+    """Execute every (d, mu, variant, seed) trial, as one run_cell task per
+    (d, mu, seed) cell with pending variants, and persist results.
 
-    Writes trials/<trial>.json incrementally (atomic per trial, once both
-    parts of its cell are in), then results.csv, per-variant heatmap CSV +
-    PGM files, and timings.csv (the wall time of each part this run
-    executed) under out_dir.  With resume=True, existing trial files are
-    loaded instead of re-run.  check_grid_run's refusals come before
+    Writes trials/<trial>.json incrementally (atomic per trial, as each
+    cell finishes), then results.csv, per-variant heatmap CSV + PGM files,
+    and timings.csv (per cell: data_s, train_s and test_s as run_cell
+    measures them) under out_dir.  With resume=True, existing trial files
+    are loaded instead of re-run, and timings.csv keeps its rows for the
+    cells this run did not execute.  check_grid_run's refusals come before
     anything is written.
     """
     done = check_grid_run(spec, out_dir, jobs, resume)
@@ -466,46 +459,41 @@ def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> li
     trials_dir = out / "trials"
     trials_dir.mkdir(parents=True, exist_ok=True)
     cells = spec.cells()
-    # both parts of each (d, mu, seed) cell with pending variants, adjacent, largest d first
     pending: dict[tuple, list[str]] = {}
     for d, mu_norm, variant, seed in cells:
         if (d, mu_norm, variant, seed) not in done:
             pending.setdefault((d, mu_norm, seed), []).append(variant)
-    tasks = [(part, spec, d, mu_norm, seed, tuple(variants))
-             for (d, mu_norm, seed), variants in sorted(pending.items(), key=lambda kv: -kv[0][0])
-             for part in ("test", "train")]
-
-    timings = []
+    # run_cell's arguments, one column per parameter, one row per cell, largest d first
+    order = sorted(pending, key=lambda cell: -cell[0])
+    columns = ([spec] * len(order), *zip(*order), [tuple(pending[cell]) for cell in order])
+    timings = _read_timings(out / "timings.csv") if resume else {}
 
     def persist(outputs) -> None:
-        parts = {}
-        for (part, _, d, mu_norm, seed, _), (output, seconds) in zip(tasks, outputs):
-            timings.append((d, mu_norm, seed, part, seconds))
-            parts[part] = output
-            if len(parts) < 2:
-                continue
-            for r in score_cell(parts.pop("train"), parts.pop("test")):
-                cell = (r.d, r.mu_norm, r.algo, r.seed)
+        for cell, (results, seconds) in zip(order, outputs):
+            timings[cell] = seconds
+            for r in results:
+                trial = (r.d, r.mu_norm, r.algo, r.seed)
                 payload = {**dataclasses.asdict(r), "spec": _trial_spec(spec, r.algo)}
-                _atomic_write_json(trials_dir / _trial_filename(*cell), payload)
-                done[cell] = r
+                _atomic_write_json(trials_dir / _trial_filename(*trial), payload)
+                done[trial] = r
 
-    if jobs > 1 and len(tasks) > 1:
-        # a fork pool starts every worker at once: start no more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+    if jobs > 1 and len(order) > 1:
+        # a fork pool starts every worker at once: start no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(jobs, len(order)),
                                  initializer=_pin_blas_threads) as pool:
-            persist(pool.map(_part_task, tasks))
+            persist(pool.map(run_cell, *columns))
     else:
         caller_threads = _pin_blas_threads()
         try:
-            persist(map(_part_task, tasks))
+            persist(map(run_cell, *columns))
         finally:
             _pin_blas_threads(caller_threads)
 
     results = [done[c] for c in cells]
     write_results_csv(out / "results.csv", results)
     export_heatmap(results, out)
-    write_csv(out / "timings.csv", ("d", "mu_norm", "seed", "part", "seconds"), sorted(timings))
+    write_csv(out / "timings.csv", _TIMING_COLUMNS,
+              [(*cell, *seconds) for cell, seconds in sorted(timings.items())])
     return results
 
 
@@ -575,7 +563,9 @@ def aggregate(results: list[TrialResult]) -> list[CellAggregate]:
 
 
 def export_heatmap(results: list[TrialResult], out_dir) -> list[Path]:
-    """Write per-variant aggregates as CSV and a PGM render.
+    """Write per-variant aggregates as CSV and a PGM render: one CSV for
+    every variant in results, empty and with no PGM when none of its
+    trials survived.
 
     The graymap uses gray = round(255 * (1 - clamp(error, 0, 1))), so low
     test error renders bright; rows are d ascending (top row = smallest d),
@@ -590,19 +580,19 @@ def export_heatmap(results: list[TrialResult], out_dir) -> list[Path]:
         by_algo.setdefault(a.algo, []).append(a)
 
     written = []
-    algos = sorted(by_algo) or sorted({r.algo for r in results})
-    for algo in algos:
+    for algo in sorted({r.algo for r in results}):
         cells = by_algo.get(algo, [])
         csv_path = out / f"heatmap_{algo}.csv"
         write_csv(csv_path, [f.name for f in dataclasses.fields(CellAggregate)],
                   map(dataclasses.astuple, sorted(cells, key=lambda a: (a.d, a.mu_norm))))
         written.append(csv_path)
+        pgm_path = out / f"heatmap_{algo}.pgm"
         if not cells:
+            pgm_path.unlink(missing_ok=True)  # no render of an earlier run beside an empty table
             continue
         ds = sorted({a.d for a in cells})
         mus = sorted({a.mu_norm for a in cells})
         grid = {(a.d, a.mu_norm): a.mean_test_error for a in cells}
-        pgm_path = out / f"heatmap_{algo}.pgm"
         with open(pgm_path, "w") as fh:
             fh.write("P2\n")
             fh.write("# gray = round(255*(1 - clamp(test_error, 0, 1)));")

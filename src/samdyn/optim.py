@@ -103,16 +103,6 @@ class TrajectoryRecord:
     weights: np.ndarray | None = None
 
 
-def _run_streams(seed: int):
-    """The init and shuffle streams of a run with TrainConfig.seed = seed."""
-    return np.random.SeedSequence(seed).spawn(2)
-
-
-def initial_weights(net: NetConfig, seed: int) -> np.ndarray:
-    """The w0 that train draws for TrainConfig.seed = seed."""
-    return init_weights(net, np.random.default_rng(_run_streams(seed)[0]))
-
-
 def epoch_schedule(n: int, B: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Uniformly random partition of [n] into H = n/B batches of size B.
 
@@ -217,8 +207,9 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
         raise ValueError(f"B={cfg.B} does not divide n={n}")
     H = n // cfg.B
 
-    span = _Span(initial_weights(net, cfg.seed), ds)
-    shuffle_rng = np.random.default_rng(_run_streams(cfg.seed)[1])
+    init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    span = _Span(init_weights(net, np.random.default_rng(init_ss)), ds)
+    shuffle_rng = np.random.default_rng(shuffle_ss)
     c = np.zeros_like(span.base)
 
     traj = Trajectory(span)

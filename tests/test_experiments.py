@@ -2,8 +2,6 @@ import csv
 import dataclasses
 import itertools
 import json
-import multiprocessing
-import os
 import shutil
 import tracemalloc
 
@@ -177,8 +175,8 @@ def test_span_scorer_matches_the_reference_on_the_weights():
 
 @pytest.mark.parametrize("init", ["gaussian", "uniform_fan_in"])
 def test_projection_part_projects_onto_the_trained_w0(monkeypatch, init):
-    """The test projection's rows are train's own w0, bit for bit, then mu
-    and the cell's xi_i."""
+    """run_cell projects its test draw onto train's own w0, bit for bit,
+    then mu and the cell's xi_i."""
     spec = tiny_spec(init=init)
     seen = []
     project = experiments.estimate_test_error
@@ -188,7 +186,7 @@ def test_projection_part_projects_onto_the_trained_w0(monkeypatch, init):
         return project(filters, *args)
 
     monkeypatch.setattr(experiments, "estimate_test_error", spy)
-    experiments.project_cell(spec, 60, 4.0, 1)
+    run_cell(spec, 60, 4.0, 1, ("sgd", "sam"))
     ss = trial_seed_sequence(0, 60, 4.0, 1).spawn(3)
     ds = gen_dataset(spec.data_params(60, 4.0), make_signal(60, 4.0), spec.n, seed=ss[0])
     cfg = dataclasses.replace(spec.train["sgd"], seed=int(ss[1].generate_state(1)[0]))
@@ -209,12 +207,12 @@ def test_variants_share_data_and_init():
     """The same seed label pairs the algorithms on one (dataset, init,
     test set) triple, so variant differences are paired comparisons."""
     spec = tiny_spec()
-    sgd, sam = run_cell(spec, 60, 4.0, 0, ("sgd", "sam"))
+    (sgd, sam), _ = run_cell(spec, 60, 4.0, 0, ("sgd", "sam"))
     zero_tau_sam = GridSpec(
         **{**spec.__dict__, "train": {"sam": TrainConfig(eta=0.4, B=8, epochs=12,
                                                           algo="sam", tau=0.0)}}
     )
-    paired = run_cell(zero_tau_sam, 60, 4.0, 0, ("sam",))[0]
+    [paired], _ = run_cell(zero_tau_sam, 60, 4.0, 0, ("sam",))
     # tau=0 SAM is bitwise SGD on the shared streams
     assert paired.train_loss == sgd.train_loss
     assert paired.test_error == sgd.test_error
@@ -223,8 +221,8 @@ def test_variants_share_data_and_init():
 
 def test_run_trial_deterministic():
     spec = tiny_spec()
-    a = run_cell(spec, 60, 4.0, 0, ("sgd",))[0]
-    b = run_cell(spec, 60, 4.0, 0, ("sgd",))[0]
+    [a], _ = run_cell(spec, 60, 4.0, 0, ("sgd",))
+    [b], _ = run_cell(spec, 60, 4.0, 0, ("sgd",))
     assert a == b
     assert not a.failed
     assert 0.0 <= a.test_error <= 1.0
@@ -233,7 +231,7 @@ def test_run_trial_deterministic():
 
 def test_run_trial_no_signal_chance_level():
     spec = tiny_spec(mu_values=(0.0,), n_test=400)
-    r = run_cell(spec, 100, 0.0, 0, ("sgd",))[0]
+    [r], _ = run_cell(spec, 100, 0.0, 0, ("sgd",))
     assert not r.failed
     assert 0.35 <= r.test_error <= 0.65
 
@@ -244,10 +242,10 @@ def test_cell_variant_failure_leaves_others_unchanged():
     boom = TrainConfig(eta=1e308, B=8, epochs=12, algo="sgd")
     spec = tiny_spec(train={**tiny_spec().train, "boom": boom})
     with np.errstate(over="ignore", invalid="ignore"):
-        failed, sgd = run_cell(spec, 60, 4.0, 0, ("boom", "sgd"))
+        (failed, sgd), _ = run_cell(spec, 60, 4.0, 0, ("boom", "sgd"))
     assert failed.failed and failed.error.startswith("TrainingDivergedError")
     assert not sgd.failed
-    assert sgd == run_cell(spec, 60, 4.0, 0, ("sgd",))[0]
+    assert [sgd] == run_cell(spec, 60, 4.0, 0, ("sgd",))[0]
 
 
 def test_run_cell_trains_without_hooks(monkeypatch):
@@ -259,7 +257,7 @@ def test_run_cell_trains_without_hooks(monkeypatch):
         return train(ds, net, cfg, hooks=hooks)
 
     monkeypatch.setattr(experiments, "train", spy)
-    results = run_cell(tiny_spec(), 60, 4.0, 0, ("sam", "sgd"))
+    results, _ = run_cell(tiny_spec(), 60, 4.0, 0, ("sam", "sgd"))
     assert calls == [(), ()]
     assert not any(r.failed for r in results)
     assert all(r.max_gamma > 0 and r.max_sum_zeta > 0 for r in results)
@@ -275,7 +273,7 @@ def test_run_cell_catches_a_sign_flipped_noise_coefficient(monkeypatch):
         return g, terms
 
     monkeypatch.setattr(optim, "model_grad_coeffs", flipped)
-    [result] = run_cell(tiny_spec(), 60, 4.0, 0, ("sgd",))
+    [result], _ = run_cell(tiny_spec(), 60, 4.0, 0, ("sgd",))
     assert result.failed
     assert result.error.startswith("InvariantViolation: ")
 
@@ -286,7 +284,7 @@ def test_run_cell_coefficients_match_the_tracker():
     ds = gen_dataset(spec.data_params(120, 4.0), make_signal(120, 4.0), spec.n,
                      seed=trial_seed_sequence(0, 120, 4.0, 1).spawn(3)[0])
     train_seed = int(trial_seed_sequence(0, 120, 4.0, 1).spawn(3)[1].generate_state(1)[0])
-    for result in run_cell(spec, 120, 4.0, 1, ("sam", "sgd")):
+    for result in run_cell(spec, 120, 4.0, 1, ("sam", "sgd"))[0]:
         tracker = CoeffTracker(ds, spec.m)
         cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
         train(ds, spec.net_config(120), cfg, hooks=(tracker,))
@@ -294,6 +292,18 @@ def test_run_cell_coefficients_match_the_tracker():
         want_zeta = float(tracker.coeffs.zeta.sum(axis=2).max())
         assert result.max_gamma == pytest.approx(want_gamma, rel=1e-12)
         assert result.max_sum_zeta == pytest.approx(want_zeta, rel=1e-12)
+
+
+def test_run_cell_draws_no_test_set_when_every_variant_fails(monkeypatch):
+    """A cell whose every variant diverges fails them all and draws nothing."""
+    draws = []
+    monkeypatch.setattr(experiments, "estimate_test_error", lambda *args: draws.append(args))
+    boom = TrainConfig(eta=1e308, B=8, epochs=12, algo="sgd")
+    spec = tiny_spec(train={"boom": boom, "bang": boom})
+    with np.errstate(over="ignore", invalid="ignore"):
+        results, _ = run_cell(spec, 60, 4.0, 0, ("bang", "boom"))
+    assert all(r.failed and r.error.startswith("TrainingDivergedError") for r in results)
+    assert draws == []
 
 
 def test_run_grid_single_cell(tmp_path):
@@ -335,48 +345,38 @@ def test_run_grid_rejects_jobs_below_one(tmp_path, jobs):
 
 
 def test_run_grid_runs_trials_on_one_blas_thread(tmp_path, monkeypatch):
-    """Serial and pooled training and test-projection parts see one thread
-    in every bundled OpenBLAS, and the caller's counts are back when
-    run_grid returns."""
+    """Every cell task, serial and pooled, sees one thread in every bundled
+    OpenBLAS, and the caller's counts are back when run_grid returns."""
     controls = experiments._openblas_thread_controls()
     if not controls:
         pytest.skip("numpy links no bundled OpenBLAS")
     log = tmp_path / "threads.log"
 
-    def note(part):
+    def probe(spec, d, mu_norm, seed):
         counts = [get() for get, _, _ in experiments._openblas_thread_controls()]
         with open(log, "a") as fh:
-            fh.write(f"{part} {counts}\n")
+            fh.write(f"{counts}\n")
+        raise ValueError("probe")  # fails the cell's variants before any training
 
-    def train_probe(spec, d, mu_norm, seed, variants):
-        note("train")
-        return [(TrialResult(d=d, mu_norm=mu_norm, algo=v, seed=seed, test_error=0.5), None)
-                for v in variants]
-
-    def project_probe(spec, d, mu_norm, seed):
-        note("test")
-        return ValueError("probe")
-
-    # the pool forks, so its workers see the probes too
-    monkeypatch.setattr(experiments, "train_cell", train_probe)
-    monkeypatch.setattr(experiments, "project_cell", project_probe)
+    # the pool forks, so its workers see the probe too
+    monkeypatch.setattr(experiments, "_cell_inputs", probe)
     before = experiments._pin_blas_threads([2] * len(controls))
     try:
         caller = [get() for get, _, _ in controls]
         for jobs in (1, 2):
             log.unlink(missing_ok=True)
-            run_grid(tiny_spec(), tmp_path / f"jobs{jobs}", jobs=jobs)
+            results = run_grid(tiny_spec(), tmp_path / f"jobs{jobs}", jobs=jobs)
+            assert all(r.error == "ValueError: probe" for r in results)
             lines = log.read_text().splitlines()
-            assert len(lines) == len(tiny_spec().cells())  # one line per part
-            assert set(lines) == {f"{part} {[1] * len(controls)}" for part in ("train", "test")}
+            assert lines == [f"{[1] * len(controls)}"] * (len(tiny_spec().cells()) // 2)
             assert [get() for get, _, _ in controls] == caller
     finally:
         experiments._pin_blas_threads(before)
 
 
 def test_run_grid_pool_size_and_order(tmp_path, monkeypatch):
-    """The pool starts no more workers than there are tasks and is handed
-    both parts of every cell, adjacent, largest d first."""
+    """The pool starts no more workers than there are cells and is handed
+    one run_cell task per cell, largest d first."""
     seen = []
 
     class RecordingPool(experiments.ProcessPoolExecutor):
@@ -384,43 +384,15 @@ def test_run_grid_pool_size_and_order(tmp_path, monkeypatch):
             seen.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            seen.append([(task[0], task[2]) for task in tasks])
-            return super().map(fn, tasks)
+        def map(self, fn, *columns):
+            columns = [list(column) for column in columns]
+            seen.append((fn, columns[1], columns[4]))
+            return super().map(fn, *columns)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     spec = tiny_spec(d_values=(60, 120, 90), mu_values=(2.0,), seeds=(0,))
     run_grid(spec, tmp_path, jobs=8)
-    assert seen == [6, [(part, d) for d in (120, 90, 60) for part in ("test", "train")]]
-
-
-def test_one_cell_grid_runs_its_parts_in_two_workers(tmp_path, monkeypatch):
-    """At jobs=2 a one-cell grid's training part and test projection run
-    side by side in two worker processes: each part waits at a barrier
-    for the other, which one worker running both in turn could not pass."""
-    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=30)
-    train_part, project_part = experiments.train_cell, experiments.project_cell
-
-    def meet(part):
-        barrier.wait()
-        (tmp_path / f"{part}.pid").write_text(str(os.getpid()))
-
-    def train_spy(*args):
-        meet("train")
-        return train_part(*args)
-
-    def project_spy(*args):
-        meet("test")
-        return project_part(*args)
-
-    spec = tiny_spec(d_values=(60,), mu_values=(2.0,), seeds=(0,))
-    alone = run_cell(spec, 60, 2.0, 0, ("sam", "sgd"))
-    monkeypatch.setattr(experiments, "train_cell", train_spy)
-    monkeypatch.setattr(experiments, "project_cell", project_spy)
-    assert run_grid(spec, tmp_path / "grid", jobs=2) == alone
-    pids = {int((tmp_path / f"{part}.pid").read_text()) for part in ("train", "test")}
-    assert len(pids) == 2 and os.getpid() not in pids
+    assert seen == [3, (run_cell, [120, 90, 60], [("sam", "sgd")] * 3)]
 
 
 def test_run_grid_scores_each_cell_once(tmp_path, monkeypatch):
@@ -446,51 +418,106 @@ def test_run_grid_scores_each_cell_once(tmp_path, monkeypatch):
     assert [sum(s is draw for s in scored) for draw in projections] == [2] * len(projections)
 
 
+def test_serial_grid_generates_each_dataset_once(tmp_path, monkeypatch):
+    """A serial grid builds each (d, mu, seed) cell's dataset once: the
+    cell's variants and its test projection share it."""
+    made = []
+    generate = experiments.gen_dataset
+
+    def spy(params, *args, **kwargs):
+        made.append((params.d, params.mu_norm))
+        return generate(params, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "gen_dataset", spy)
+    spec = tiny_spec()
+    run_grid(spec, tmp_path, jobs=1)
+    assert sorted(made) == sorted((d, mu) for d in spec.d_values for mu in spec.mu_values
+                                  for _ in spec.seeds)
+
+
 def test_run_grid_resume_runs_only_pending_variant(tmp_path, monkeypatch):
     """With one variant of a cell missing, the resume trains that variant
-    alone, projects that cell's test set alone, and results.csv matches
-    the fresh run byte for byte."""
+    alone, draws that cell's test set alone, and results.csv matches the
+    fresh run byte for byte."""
     spec = tiny_spec()
     run_grid(spec, tmp_path / "full")
     partial = tmp_path / "partial"
     shutil.copytree(tmp_path / "full" / "trials", partial / "trials")
     (partial / "trials" / "sam_d120_mu4.0_s1.json").unlink()
     calls = []
-    train_part, project_part = experiments.train_cell, experiments.project_cell
+    trainer, project = experiments.train, experiments.estimate_test_error
 
-    def train_spy(spec, d, mu_norm, seed, variants):
-        calls.append(("train", d, mu_norm, seed, variants))
-        return train_part(spec, d, mu_norm, seed, variants)
+    def train_spy(ds, net, cfg):
+        calls.append(("train", ds.params.d, ds.params.mu_norm, cfg.algo))
+        return trainer(ds, net, cfg)
 
-    def project_spy(spec, d, mu_norm, seed):
-        calls.append(("test", d, mu_norm, seed))
-        return project_part(spec, d, mu_norm, seed)
+    def project_spy(filters, params, *args):
+        calls.append(("test", params.d, params.mu_norm))
+        return project(filters, params, *args)
 
-    monkeypatch.setattr(experiments, "train_cell", train_spy)
-    monkeypatch.setattr(experiments, "project_cell", project_spy)
+    monkeypatch.setattr(experiments, "train", train_spy)
+    monkeypatch.setattr(experiments, "estimate_test_error", project_spy)
     run_grid(spec, partial, resume=True)
-    assert calls == [("test", 120, 4.0, 1), ("train", 120, 4.0, 1, ("sam",))]
+    assert calls == [("train", 120, 4.0, "sam"), ("test", 120, 4.0)]
     assert (tmp_path / "full/results.csv").read_bytes() == (
         partial / "results.csv"
     ).read_bytes()
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_run_grid_writes_part_timings_beside_results(tmp_path):
-    """timings.csv holds one row per part the run executed; a resume with
-    nothing pending times nothing and leaves results.csv as it was."""
+    """timings.csv holds one row per cell with its data, training and test
+    seconds; a resume keeps the rows of the cells it does not rerun and
+    leaves results.csv as it was."""
     spec = tiny_spec(d_values=(60, 120), mu_values=(2.0,), seeds=(0,))
     run_grid(spec, tmp_path, jobs=2)
-    with open(tmp_path / "timings.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["d", "mu_norm", "seed", "part", "seconds"]
-    assert [row[:4] for row in rows[1:]] == [[d, "2.0", "0", part] for d in ("60", "120")
-                                             for part in ("test", "train")]
-    assert all(float(row[4]) > 0 for row in rows[1:])
-    assert "seconds" not in (tmp_path / "results.csv").read_text()
+    rows = _csv_rows(tmp_path / "timings.csv")
+    assert rows[0] == ["d", "mu_norm", "seed", "data_s", "train_s", "test_s"]
+    assert [row[:3] for row in rows[1:]] == [["60", "2.0", "0"], ["120", "2.0", "0"]]
+    assert all(float(value) > 0 for row in rows[1:] for value in row[3:])
+    assert "train_s" not in (tmp_path / "results.csv").read_text()
     before = (tmp_path / "results.csv").read_bytes()
     run_grid(spec, tmp_path, resume=True)
-    assert (tmp_path / "timings.csv").read_text().splitlines() == [",".join(rows[0])]
+    assert _csv_rows(tmp_path / "timings.csv") == rows
     assert (tmp_path / "results.csv").read_bytes() == before
+    (tmp_path / "trials" / "sgd_d120_mu2.0_s0.json").unlink()
+    run_grid(spec, tmp_path, resume=True)
+    rerun = _csv_rows(tmp_path / "timings.csv")
+    assert rerun[:2] == rows[:2] and rerun[2][:3] == rows[2][:3] and rerun[2] != rows[2]
+    assert (tmp_path / "results.csv").read_bytes() == before
+    # a file of another layout, or with a row cut short, is replaced, not merged
+    for text in ("d,mu_norm,seed,part,seconds\n60,2.0,0,train,1.0\n",
+                 ",".join(rows[0]) + "\n" + ",".join(rows[1]) + "\n120,2.0\n"):
+        (tmp_path / "timings.csv").write_text(text)
+        run_grid(spec, tmp_path, resume=True)
+        assert _csv_rows(tmp_path / "timings.csv") == rows[:1]
+
+
+def test_resume_marks_a_nan_test_error_failed(tmp_path):
+    """A trial file read back with a NaN test_error and failed = false
+    reads failed, naming the field, and every output is still written."""
+    spec = tiny_spec(d_values=(60,), mu_values=(2.0,), seeds=(0, 1))
+    run_grid(spec, tmp_path)
+    path = tmp_path / "trials" / "sgd_d60_mu2.0_s1.json"
+    payload = json.loads(path.read_text())
+    payload["test_error"] = float("nan")
+    path.write_text(json.dumps(payload))
+    for name in ("results.csv", "timings.csv", "heatmap_sgd.csv", "heatmap_sgd.pgm"):
+        (tmp_path / name).unlink()
+    results = run_grid(spec, tmp_path, resume=True)
+    for name in ("results.csv", "timings.csv", "heatmap_sgd.csv", "heatmap_sgd.pgm",
+                 "heatmap_sam.csv", "heatmap_sam.pgm"):
+        assert (tmp_path / name).exists(), name
+    [row] = [r for r in load_results_csv(tmp_path / "results.csv")
+             if (r.algo, r.seed) == ("sgd", 1)]
+    assert row.failed and "test_error" in row.error
+    assert [(r.algo, r.seed, r.error) for r in results if r.failed] == [("sgd", 1, row.error)]
+    [agg] = [a for a in aggregate(results) if a.algo == "sgd"]
+    assert agg.n_seeds == 1
 
 
 def test_run_grid_resume_completes_partial(tmp_path):
@@ -597,6 +624,21 @@ def test_results_csv_rejects_unknown_header(tmp_path):
     path.write_text("algo,d\nsgd,1\n")
     with pytest.raises(ValueError, match="header"):
         load_results_csv(path)
+
+
+def test_export_heatmap_writes_a_table_for_a_variant_with_no_survivor(tmp_path):
+    """Every variant in the results gets its CSV: empty, and with no PGM of
+    an earlier run beside it, when all its trials failed."""
+    (tmp_path / "heatmap_sgd.pgm").write_text("stale")
+    results = [TrialResult(d=10, mu_norm=1.0, algo="sgd", seed=0, failed=True, error="x"),
+               TrialResult(d=10, mu_norm=1.0, algo="sam", seed=0, test_error=0.25)]
+    paths = export_heatmap(results, tmp_path)
+    assert paths == [tmp_path / "heatmap_sam.csv", tmp_path / "heatmap_sam.pgm",
+                     tmp_path / "heatmap_sgd.csv"]
+    assert len((tmp_path / "heatmap_sam.csv").read_text().splitlines()) == 2
+    assert (tmp_path / "heatmap_sgd.csv").read_text().splitlines() == [
+        "d,mu_norm,algo,mean_test_error,stderr,n_seeds"]
+    assert not (tmp_path / "heatmap_sgd.pgm").exists()
 
 
 def test_export_heatmap_empty(tmp_path):

@@ -246,7 +246,8 @@ def test_training_never_builds_patch_tensor(monkeypatch):
     spec = dataclasses.replace(phase_grid_spec(reduced=True), n_test=100,
                                train={"sam": TrainConfig(eta=0.2, B=20, epochs=3,
                                                          algo="sam", tau=0.03)})
-    assert not run_cell(spec, 1000, 3.0, 0, ("sam",))[0].failed
+    [result], _ = run_cell(spec, 1000, 3.0, 0, ("sam",))
+    assert not result.failed
 
 
 def test_train_divergence_aborts():
