@@ -21,6 +21,8 @@ Two independent routes to the coefficients are cross-checked:
 The update rules make the sign split structural: for y_i = j every rho
 increment is >= 0 (zeta never decreases), for y_i = -j every increment is
 <= 0 (omega never increases), and the complementary entries stay zero.
+The inverse map, from coefficients back to weights, is the tests'
+reference (reconstruct in tests/helpers.py).
 """
 
 from dataclasses import dataclass
@@ -217,20 +219,6 @@ def oracle_solve(w: np.ndarray, w0: np.ndarray, basis: Basis) -> OracleCoeffs:
     residual = 0.0 if drift_norm == 0 else float(np.linalg.norm(drift - recon)) / drift_norm
     gamma, rho = span_coeffs(c, basis.gram, basis.P)
     return OracleCoeffs(gamma=gamma, rho=rho, residual=residual)
-
-
-def reconstruct(coeffs: Coeffs, basis: Basis, w0: np.ndarray) -> np.ndarray:
-    """Rebuild weights from coefficients: the inverse of the read-off."""
-    mu_norm_sq, xi_norm_sq = basis.gram[0, 0], np.diag(basis.gram)[1:]
-    w = w0 + np.einsum(
-        "jmn,nd->jmd", coeffs.rho / xi_norm_sq[None, None, :], basis.xis
-    ) / (basis.P - 1)
-    if mu_norm_sq == 0:
-        if np.any(coeffs.gamma != 0):
-            raise DegenerateBasisError("nonzero gamma with zero-norm mu")
-        return w
-    gdir = (J_SIGNS[:, None] * coeffs.gamma / mu_norm_sq)[:, :, None]
-    return w + gdir * basis.mu[None, None, :]
 
 
 @dataclass

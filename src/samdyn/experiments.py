@@ -413,14 +413,40 @@ def _pin_blas_threads(counts=None) -> list[int]:
     return before
 
 
+def _read_trial(path: Path, spec: GridSpec, cell: tuple) -> TrialResult:
+    """The TrialResult in the trial file of cell.  Raises ValueError, naming
+    the file and the field, unless the file holds the spec and exactly the
+    TrialResult fields, each of its type (an int passes as a float), with
+    the cell's own coordinates: what run_grid writes."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if payload.pop("spec", None) != _trial_spec(spec, cell[2]):
+        raise ValueError(f"{path}: trial was run with a different or unrecorded spec")
+    types = {f.name: f.type for f in dataclasses.fields(TrialResult)}
+    if payload.keys() != types.keys():
+        raise ValueError(f"{path}: unknown fields {sorted(payload.keys() - types.keys())}, "
+                         f"missing fields {sorted(types.keys() - payload.keys())}")
+    for name, kind in types.items():
+        value = payload[name]
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+            raise ValueError(f"{path}: field {name!r} holds {value!r}, "
+                             f"not {getattr(kind, '__name__', kind)}")
+    for name, value in zip(("d", "mu_norm", "algo", "seed"), cell):
+        if payload[name] != value:
+            raise ValueError(f"{path}: field {name!r} holds {payload[name]!r}, "
+                             f"but the file is the trial of {name} = {value!r}")
+    return TrialResult(**payload)
+
+
 def check_grid_run(spec: GridSpec, out_dir, jobs: int = 1,
                    resume: bool = False) -> dict[tuple, TrialResult]:
     """Refuse a grid run before it writes anything, and return the finished
     trials a resume reuses, by cell.
 
     Raises ValueError for jobs < 1 and, with resume=True, for a trial file
-    under out_dir stamped with a different or no _trial_spec.  A trial read
-    back as not failed but with a non-finite test_error is marked failed.
+    under out_dir that _read_trial refuses.  A trial read back as not failed
+    but with a non-finite test_error is marked failed.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -431,11 +457,7 @@ def check_grid_run(spec: GridSpec, out_dir, jobs: int = 1,
     for cell in spec.cells():
         path = trials_dir / _trial_filename(*cell)
         if path.exists():
-            with open(path) as fh:
-                payload = json.load(fh)
-            if payload.pop("spec", None) != _trial_spec(spec, cell[2]):
-                raise ValueError(f"{path}: trial was run with a different or unrecorded spec")
-            result = TrialResult(**payload)
+            result = _read_trial(path, spec, cell)
             if not result.failed and not math.isfinite(result.test_error):
                 _fail(result, ValueError(f"{path.name}: test_error is {result.test_error!r}"))
             done[cell] = result

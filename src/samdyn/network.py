@@ -11,14 +11,15 @@ and training minimizes the mean logistic loss l(z) = log(1 + exp(-z)) over
 a batch.  The ReLU subgradient at 0 is fixed to 1, so kink behaviour is
 deterministic.
 
-The patch functions (patch_preacts, forward, batch_loss) define the model on
-any (B, P, d) input.  Training and evaluation use its (mu, xi) form: on model
-data a filter sees only <w, y_hat mu> and <w, xi>, so model_margins and
-model_gradient work from those products and never build the patch tensor.
-The gradient is a combination of mu and the batch's xi_i, and
+This module computes the model in its (mu, xi) form; the patch form above,
+on any (B, P, d) input, is the tests' reference (tests/helpers.py).  On
+model data a filter sees only <w, y_hat mu> and <w, xi>, so model_preacts
+forms those products, model_margins the outputs, and no patch tensor is
+built.  The gradient is a combination of mu and the batch's xi_i, and
 model_grad_coeffs gives its coefficients from the pre-activations alone:
 training (optim) runs on those coefficients and never forms a d-vector per
-step, while model_gradient maps them back to d-space as the reference.
+step, and span_vectors maps coefficient rows to filters where d-space
+weights are wanted.
 """
 
 import math
@@ -64,25 +65,6 @@ def _check_dims(w: np.ndarray, x: np.ndarray) -> None:
         raise ValueError(f"input dim {x.shape[-1]} does not match weight dim {w.shape[-1]}")
 
 
-def patch_preacts(w: np.ndarray, patches: np.ndarray) -> np.ndarray:
-    """Pre-activations <w_{j,r}, x^(p)> for a batch.
-
-    patches (B, P, d) -> (B, 2, m, P).
-    """
-    _check_dims(w, patches)
-    return np.einsum("jmd,bpd->bjmp", w, patches)
-
-
-def forward(w: np.ndarray, patches: np.ndarray) -> np.ndarray | float:
-    """Network output f(W, x); accepts one input (P, d) or a batch (B, P, d)."""
-    single = patches.ndim == 2
-    pre = patch_preacts(w, patches[None] if single else patches)
-    m = w.shape[1]
-    fj = np.maximum(pre, 0.0).sum(axis=(2, 3)) / m  # (B, 2)
-    f = fj[:, 0] - fj[:, 1]
-    return float(f[0]) if single else f
-
-
 def loss(z) -> np.ndarray | float:
     """log(1 + exp(-z)), overflow-safe on both tails."""
     z = np.asarray(z, dtype=np.float64)
@@ -96,12 +78,6 @@ def loss_grad(z) -> np.ndarray | float:
     t = np.exp(-np.abs(z))
     out = np.where(z >= 0, -t / (1.0 + t), -1.0 / (1.0 + t))
     return float(out) if out.ndim == 0 else out
-
-
-def batch_loss(w: np.ndarray, patches: np.ndarray, y: np.ndarray) -> float:
-    """Mean logistic loss over the batch."""
-    f = forward(w, patches)
-    return float(np.mean(loss(y * f)))
 
 
 @dataclass(frozen=True)
@@ -134,8 +110,8 @@ def model_margins(mu_pre, noise_pre, y, y_hat, P: int) -> np.ndarray:
 
 
 def model_grad_coeffs(mu_pre, noise_pre, y, y_hat, P: int) -> tuple[np.ndarray, BatchTerms]:
-    """The gradient of batch_loss on a model-data batch as coefficients on
-    [mu; xi_1..xi_B], from the pre-activations mu_pre (2, m) and
+    """The gradient of the mean logistic loss on a model-data batch as
+    coefficients on [mu; xi_1..xi_B], from the pre-activations mu_pre (2, m) and
     noise_pre (2, m, B), with relu'(0) = 1, and the BatchTerms it was
     formed from.  Rows follow the weights' (2, m) filter order, so row
     k*m + r holds the coefficients of grad_{j,r} for j = J_SIGNS[k]:
@@ -169,14 +145,6 @@ def span_vectors(coeffs: np.ndarray, mu: np.ndarray, xi: np.ndarray) -> np.ndarr
     """Filters (2, m, d) from coefficient rows (2m, 1+B) on [mu; xi_1..xi_B]."""
     rows = coeffs[:, :1] * mu + coeffs[:, 1:] @ xi
     return rows.reshape(2, -1, len(mu))
-
-
-def model_gradient(w, mu, xi, y, y_hat, P: int) -> tuple[np.ndarray, BatchTerms]:
-    """Exact gradient of batch_loss on the model-data batch (mu, xi, y,
-    y_hat) in d-space, and the BatchTerms it was formed from: the
-    coefficients of model_grad_coeffs at w, times [mu; xi]."""
-    coeffs, terms = model_grad_coeffs(*model_preacts(w, mu, xi), y, y_hat, P)
-    return span_vectors(coeffs, mu, xi), terms
 
 
 def save_weights(path, w: np.ndarray) -> None:

@@ -73,6 +73,10 @@ class TrainConfig:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if self.sam_phase_iters is not None and self.sam_phase_iters < 0:
             raise ValueError(f"sam_phase_iters must be >= 0, got {self.sam_phase_iters}")
+        if self.algo == "sgd" and (self.tau > 0 or self.sam_phase_iters is not None):
+            raise ValueError("tau > 0 and sam_phase_iters apply to algo = sam only, "
+                             f"got tau={self.tau}, sam_phase_iters={self.sam_phase_iters} "
+                             "with algo = sgd")
 
 
 @dataclass

@@ -1,39 +1,90 @@
-"""Shared test utilities: independent oracles and small instance builders."""
+"""Shared test utilities: the model's reference definitions, independent
+oracles and small instance builders.
+
+The reference definitions are the patch network (patch_preacts, forward,
+batch_loss) on any (B, P, d) input, which samdyn.network computes in its
+(mu, xi) form, the d-space gradient model_gradient, and reconstruct, the
+map from decomposition coefficients back to weights.
+"""
 
 import numpy as np
 
 from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
+from samdyn.decomposition import DegenerateBasisError
 from samdyn.experiments import estimate_test_error
-from samdyn.network import init_weights, model_gradient, model_margins, model_preacts
+from samdyn.network import (J_SIGNS, init_weights, loss, model_grad_coeffs, model_margins,
+                            model_preacts, span_vectors)
 from samdyn.optim import epoch_schedule
 
 
+def patch_preacts(w, patches):
+    """Pre-activations <w_{j,r}, x^(p)>: weights (..., 2, m, d) on patches
+    (B, P, d) give (..., B, 2, m, P), so a stack of weight arrays shares
+    one product."""
+    if w.ndim < 3 or w.shape[-3] != 2:
+        raise ValueError(f"weights must have shape (..., 2, m, d), got {w.shape}")
+    if patches.shape[-1] != w.shape[-1]:
+        raise ValueError(f"input dim {patches.shape[-1]} does not match weight dim {w.shape[-1]}")
+    return np.einsum("...jmd,bpd->...bjmp", w, patches)
+
+
+def forward(w, patches):
+    """Network output f(W, x); accepts one input (P, d) or a batch (B, P, d),
+    and for a batch a stack of weight arrays, giving (..., B)."""
+    single = patches.ndim == 2
+    pre = patch_preacts(w, patches[None] if single else patches)
+    fj = np.maximum(pre, 0.0).sum(axis=(-2, -1)) / w.shape[-2]  # (..., B, 2)
+    f = fj[..., 0] - fj[..., 1]
+    return float(f[0]) if single else f
+
+
+def batch_loss(w, patches, y):
+    """Mean logistic loss over the batch; one per weight array of a stack."""
+    out = np.mean(loss(y * forward(w, patches)), axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def model_gradient(w, mu, xi, y, y_hat, P):
+    """Exact gradient of batch_loss on the model-data batch (mu, xi, y,
+    y_hat) in d-space, and the BatchTerms it was formed from: the
+    coefficients of model_grad_coeffs at w, times [mu; xi]."""
+    coeffs, terms = model_grad_coeffs(*model_preacts(w, mu, xi), y, y_hat, P)
+    return span_vectors(coeffs, mu, xi), terms
+
+
+def reconstruct(coeffs, basis, w0):
+    """Rebuild weights from decomposition coefficients: the inverse of the
+    read-off."""
+    mu_norm_sq, xi_norm_sq = basis.gram[0, 0], np.diag(basis.gram)[1:]
+    w = w0 + np.einsum(
+        "jmn,nd->jmd", coeffs.rho / xi_norm_sq[None, None, :], basis.xis
+    ) / (basis.P - 1)
+    if mu_norm_sq == 0:
+        if np.any(coeffs.gamma != 0):
+            raise DegenerateBasisError("nonzero gamma with zero-norm mu")
+        return w
+    gdir = (J_SIGNS[:, None] * coeffs.gamma / mu_norm_sq)[:, :, None]
+    return w + gdir * basis.mu[None, None, :]
+
+
 def fd_gradient(w, patches, y, h=1e-6):
-    """Central finite differences of the mean logistic loss over every
-    weight coordinate, vectorized over a stack of perturbed weights.  This
-    is the independent oracle for the analytic gradient: it reimplements
-    the patch forward pass and never calls network.model_gradient."""
+    """Central finite differences of batch_loss over every weight
+    coordinate, with the perturbed weights stacked into one patch product.
+    This is the independent oracle for the analytic gradient: it evaluates
+    the patch network and calls neither model_gradient, model_grad_coeffs,
+    model_margins nor anything in optim."""
     flat = w.ravel()
     k = flat.size
-    eye = np.eye(k)
-    m = w.shape[1]
-
-    def stack_losses(stack):
-        pre = np.einsum("kjmd,bpd->kbjmp", stack, patches)
-        fj = np.maximum(pre, 0.0).sum(axis=(3, 4)) / m  # (k, B, 2)
-        z = y[None, :] * (fj[:, :, 0] - fj[:, :, 1])
-        return (np.log1p(np.exp(-np.abs(z))) + np.maximum(-z, 0.0)).mean(axis=1)
-
-    plus = stack_losses((flat[None, :] + h * eye).reshape(k, *w.shape))
-    minus = stack_losses((flat[None, :] - h * eye).reshape(k, *w.shape))
+    step = h * np.eye(k)
+    plus = batch_loss((flat + step).reshape(k, *w.shape), patches, y)
+    minus = batch_loss((flat - step).reshape(k, *w.shape), patches, y)
     return ((plus - minus) / (2 * h)).reshape(w.shape)
 
 
 def min_kink_distance(w, patches):
     """Smallest |<w_{j,r}, x^(p)>| over the batch; used to reject
     configurations too close to a ReLU kink for finite differencing."""
-    pre = np.einsum("jmd,bpd->bjmp", w, patches)
-    return float(np.min(np.abs(pre)))
+    return float(np.min(np.abs(patch_preacts(w, patches))))
 
 
 def random_instance(rng, d=None, m=None, P=None, B=None, mu_norm=None, p=0.0):
@@ -78,7 +129,7 @@ def reference_dataset_arrays(params, n, seed):
 def dspace_train(ds, net, cfg):
     """optim.train replayed with d-space weights: the same initialization,
     batch schedule and recording rule, with every step taken along
-    network.model_gradient and every record read from model_preacts.  The
+    model_gradient and every record read from model_preacts.  The
     reference the span-space engine is compared against.  Returns the
     records as dicts (t, b, margins, mu_pre, noise_pre, weights) and the
     final weights."""

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from helpers import fd_gradient, min_kink_distance
+from helpers import fd_gradient, min_kink_distance, model_gradient, reconstruct
 from samdyn.checks import (
     SamDeactivationRecorder,
     activation_threshold,
@@ -21,9 +21,9 @@ from samdyn.checks import (
     scaled_tau,
 )
 from samdyn.data import DataParams, gen_dataset, make_signal
-from samdyn.decomposition import basis_from_dataset, oracle_solve, reconstruct
+from samdyn.decomposition import basis_from_dataset, oracle_solve
 from samdyn.experiments import aggregate, run_grid, phase_grid_spec
-from samdyn.network import NetConfig, model_gradient
+from samdyn.network import NetConfig
 from samdyn.optim import TrainConfig, train
 
 

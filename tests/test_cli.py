@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,8 @@ from samdyn.data import load_dataset
 from samdyn.experiments import _openblas_thread_controls, phase_grid_spec
 from samdyn.network import save_weights
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -129,6 +132,18 @@ def test_negative_sam_phase_iters_refused_before_manifest(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert "sam_phase_iters" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_sgd_with_tau_refused_before_manifest(tmp_path, capsys):
+    """A train config whose SGD run would ignore tau is refused; a grid
+    config's tau, which only the SAM variant reads, stays accepted."""
+    cfg = write_cfg(tmp_path, TINY_TRAIN + "algo = sgd\ntau = 0.4\n")
+    out = tmp_path / "x"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "tau" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    spec, _ = load_grid_spec(write_cfg(tmp_path, TINY_GRID + "tau = 0.4\n", "grid.cfg"))
+    assert spec.train["sgd"].tau == 0.0
 
 
 def test_manifest_records_numpy_and_openblas(tmp_path):
@@ -343,23 +358,24 @@ def test_decompose_cli_zero_mu_names_the_degenerate_basis(tmp_path, capsys):
 
 def test_checked_in_reduced_config_matches_preset():
     spec, _ = load_grid_spec(CONFIGS / "phase_reduced.cfg")
-    preset = phase_grid_spec(reduced=True)
-    assert spec.d_values == preset.d_values
-    assert spec.mu_values == preset.mu_values
-    assert spec.seeds == preset.seeds
-    assert spec.n == preset.n and spec.m == preset.m and spec.p == preset.p
-    assert spec.n_test == preset.n_test
-    assert spec.train == preset.train
+    assert spec == phase_grid_spec(reduced=True)
 
 
 def test_checked_in_full_configs_parse():
-    sgd, _ = load_grid_spec(CONFIGS / "phase_sgd.cfg")
-    sam, _ = load_grid_spec(CONFIGS / "phase_sam.cfg")
-    full = phase_grid_spec()
-    assert sgd.d_values == full.d_values == sam.d_values
-    assert sgd.train["sgd"] == full.train["sgd"]
-    assert sam.train["sam"] == full.train["sam"]
+    spec, _ = load_grid_spec(CONFIGS / "phase_full.cfg")
+    assert spec == phase_grid_spec()
     demo_train = load_train_setup(CONFIGS / "train_demo.cfg")
     assert demo_train.train.epochs == 100
     demo_check = load_train_setup(CONFIGS / "check_demo.cfg")
     assert demo_check.train.algo == "sam"
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_script_help_exits_zero(script):
+    """Every script still imports what it uses from samdyn and parses its
+    options, so a moved or renamed name cannot break one silently."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

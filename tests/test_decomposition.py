@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reconstruct
 from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.decomposition import (
     Coeffs,
@@ -13,7 +14,6 @@ from samdyn.decomposition import (
     InvariantViolation,
     basis_from_dataset,
     oracle_solve,
-    reconstruct,
     span_coeffs,
     span_view,
     track_step,

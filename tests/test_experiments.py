@@ -563,6 +563,43 @@ def test_resume_refuses_trial_without_spec(tmp_path):
         run_grid(spec, tmp_path, resume=True)
 
 
+@pytest.mark.parametrize("edit,field", [
+    (lambda p: p.update(test_error=None), "test_error"),
+    (lambda p: p.update(extra=1), "extra"),
+    (lambda p: p.pop("max_gamma"), "max_gamma"),
+    (lambda p: p.update(d="60"), "d"),
+    (lambda p: p.update(seed=0), "seed"),
+], ids=["null_test_error", "extra_key", "missing_key", "string_d", "other_seed"])
+def test_resume_refuses_malformed_trial(tmp_path, edit, field):
+    """A hand-edited trial file is refused before anything is written, with
+    a ValueError naming the file and the field."""
+    spec = tiny_spec(d_values=(60,), mu_values=(2.0,), seeds=(0, 1))
+    run_grid(spec, tmp_path)
+    path = tmp_path / "trials" / "sgd_d60_mu2.0_s1.json"
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    with pytest.raises(ValueError, match=rf"sgd_d60_mu2\.0_s1\.json.*'{field}'"):
+        run_grid(spec, tmp_path, resume=True)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_resume_reads_back_every_value_run_grid_writes(tmp_path):
+    """Integer mu (an int in a float field), a diverged variant's NaN floats
+    and None convergence_epoch all read back, to the same results.csv."""
+    boom = TrainConfig(eta=1e308, B=8, epochs=12, algo="sgd")
+    spec = tiny_spec(d_values=(60,), mu_values=(2,), seeds=(0,),
+                     train={"boom": boom, "sgd": TrainConfig(eta=0.4, B=8, epochs=12)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        fresh = run_grid(spec, tmp_path)
+    assert fresh[0].failed and fresh[0].convergence_epoch is None
+    before = (tmp_path / "results.csv").read_bytes()
+    resumed = run_grid(spec, tmp_path, resume=True)
+    assert [r.mu_norm for r in resumed] == [2, 2]
+    assert (tmp_path / "results.csv").read_bytes() == before
+
+
 def test_resume_after_extending_axes(tmp_path):
     """Adding d, mu or seed values keeps the finished trials: only the new
     cells run, and results.csv matches a fresh run of the wider grid."""

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_gradient, manual_dataset, min_kink_distance, random_instance
-from samdyn.network import (
-    NetConfig,
+from helpers import (
     batch_loss,
+    fd_gradient,
     forward,
-    init_weights,
-    load_weights,
-    loss,
-    loss_grad,
+    manual_dataset,
+    min_kink_distance,
     model_gradient,
-    save_weights,
+    random_instance,
 )
+from samdyn.network import NetConfig, init_weights, load_weights, loss, loss_grad, save_weights
 
 
 def _gradient(w, ds):

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import dspace_train, manual_dataset, random_instance
+from helpers import dspace_train, manual_dataset, model_gradient, random_instance
 from samdyn.checks import SamDeactivationRecorder, scaled_tau
 from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
 from samdyn.decomposition import CoeffTracker
 from samdyn.experiments import phase_grid_spec, run_cell
-from samdyn.network import NetConfig, model_grad_coeffs, model_gradient, span_vectors
+from samdyn.network import NetConfig, model_grad_coeffs, span_vectors
 from samdyn.optim import (
     TrainConfig,
     TrainingDivergedError,
@@ -346,3 +346,14 @@ def test_negative_sam_phase_iters_rejected():
         TrainConfig(eta=0.1, B=1, epochs=1, algo="sam", tau=0.1, sam_phase_iters=-3)
     assert TrainConfig(eta=0.1, B=1, epochs=1, algo="sam", tau=0.1,
                        sam_phase_iters=0).sam_phase_iters == 0
+
+
+@pytest.mark.parametrize("setting", [dict(tau=0.4), dict(sam_phase_iters=5)],
+                         ids=["tau", "sam_phase_iters"])
+def test_sam_settings_refused_for_sgd(setting):
+    """SGD would ignore both settings, so it refuses them; SAM with tau=0
+    stays allowed (criterion 3)."""
+    with pytest.raises(ValueError, match="algo = sam only"):
+        TrainConfig(eta=0.1, B=1, epochs=1, algo="sgd", **setting)
+    assert TrainConfig(eta=0.1, B=1, epochs=1, algo="sam", **setting).algo == "sam"
+    assert TrainConfig(eta=0.1, B=1, epochs=1, algo="sam", tau=0.0).tau == 0.0
