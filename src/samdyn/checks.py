@@ -14,6 +14,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .data import DataParams, gen_dataset, make_signal
+from .decomposition import REPLAY_BLOCK_BYTES
 from .network import NetConfig, loss_grad, model_preacts
 from .optim import TrainConfig, Trajectory, train
 from .tables import write_csv
@@ -225,16 +226,20 @@ class SamDeactivationRecorder:
     (j = y_k) whose unperturbed pre-activation is >= 0; it is a violation
     when the perturbed pre-activation is also >= 0 (the perturbation
     failed to deactivate the filter).  Only steps inside the first-stage
-    window are counted when t1_epochs is given.
+    window are counted when t1_epochs is given.  Each counted step's
+    pre-activations are buffered and counted a block at a time, when the
+    block reaches REPLAY_BLOCK_BYTES and whenever events or violations is
+    read, so both are sums over blocks of steps.
     """
 
     def __init__(self, y: np.ndarray, t1_epochs: float | None = None):
         self.y = np.asarray(y)
         self.t1_epochs = t1_epochs
-        self.events = 0
-        self.violations = 0
+        self._events = 0
+        self._violations = 0
         self.perturbed_steps = 0
         self.steps = 0
+        self._pending: list[tuple] = []
 
     def __call__(self, event) -> None:
         self.steps += 1
@@ -243,13 +248,31 @@ class SamDeactivationRecorder:
         if event.tau == 0.0:
             return
         self.perturbed_steps += 1
-        y = self.y[event.batch]
-        pre_w = own_noise_pre(event.at_w.noise_pre, y)  # (B, m)
-        pre_used = own_noise_pre(event.used.noise_pre, y)
-        mask = pre_w >= 0
-        viol = mask & (pre_used >= 0)
-        self.events += int(mask.sum())
-        self.violations += int(viol.sum())
+        self._pending.append((event.batch, event.at_w.noise_pre, event.used.noise_pre))
+        if len(self._pending) * 2 * event.used.noise_pre.nbytes >= REPLAY_BLOCK_BYTES:
+            self._count()
+
+    @property
+    def events(self) -> int:
+        self._count()
+        return self._events
+
+    @property
+    def violations(self) -> int:
+        self._count()
+        return self._violations
+
+    def _count(self) -> None:
+        """Add the buffered steps' events and violations, with their
+        batches joined along the sample axis."""
+        if not self._pending:
+            return
+        batch, pre_w, pre_used = (np.concatenate(a, axis=-1) for a in zip(*self._pending))
+        self._pending = []
+        y = self.y[batch]
+        mask = own_noise_pre(pre_w, y) >= 0
+        self._events += int(mask.sum())
+        self._violations += int((mask & (own_noise_pre(pre_used, y) >= 0)).sum())
 
 
 def check_sam_deactivation(recorder: SamDeactivationRecorder) -> CheckReport:
@@ -275,16 +298,15 @@ def good_batch_fractions(
 ) -> np.ndarray:
     """Per (epoch, label) fraction of batches whose clean-sample count for
     that label lies in [B/4, 3B/4]; shape (epochs, 2) for labels (+1, -1)."""
-    clean = y == y_hat
     out = np.zeros((len(schedules), 2))
-    for t, batches in enumerate(schedules):
-        for col, yval in enumerate((1.0, -1.0)):
-            good = 0
-            for idx in batches:
-                count = int(np.sum(clean[idx] & (y[idx] == yval)))
-                if B / 4 <= count <= 3 * B / 4:
-                    good += 1
-            out[t, col] = good / len(batches)
+    if not schedules:
+        return out
+    idx = np.array(schedules)  # (epochs, H, B)
+    clean = (y == y_hat)[idx]
+    for col, yval in enumerate((1.0, -1.0)):
+        count = np.sum(clean & (y[idx] == yval), axis=2)
+        good = np.sum((B / 4 <= count) & (count <= 3 * B / 4), axis=1)
+        out[:, col] = good / idx.shape[1]
     return out
 
 

@@ -13,7 +13,10 @@ off C and span_view splits rho by label, which is how the grid reads them.
 Two independent routes to the coefficients are cross-checked:
 
 - an incremental tracker that replays each optimizer step's exact loss
-  derivatives and activation indicators in coefficient space, and
+  derivatives and activation indicators in coefficient space, buffering
+  the steps and replaying them a block at a time (the recurrence is a
+  cumulative sum), with every state's patterns checked as its block is
+  replayed, and
 - a least-squares oracle that solves the (n+1)-dimensional Gram system for
   the drift of each filter on every call.  Its Basis holds views of mu, xi
   and Dataset.gram, never copies, and checks their conditioning once.
@@ -21,8 +24,9 @@ Two independent routes to the coefficients are cross-checked:
 The update rules make the sign split structural: for y_i = j every rho
 increment is >= 0 (zeta never decreases), for y_i = -j every increment is
 <= 0 (omega never increases), and the complementary entries stay zero.
-The inverse map, from coefficients back to weights, is the tests'
-reference (reconstruct in tests/helpers.py).
+The inverse map, from coefficients back to weights, and the recurrence
+applied one step at a time are the tests' references (reconstruct and
+track_step in tests/helpers.py).
 """
 
 from dataclasses import dataclass
@@ -31,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .network import J_SIGNS, BatchTerms, span_vectors
+from .network import J_SIGNS, span_vectors
 from .tables import write_csv
 
 
@@ -65,11 +69,19 @@ class Coeffs:
         return Coeffs(self.gamma.copy(), self.zeta.copy(), self.omega.copy())
 
     def check_patterns(self, y: np.ndarray) -> None:
-        """Hard-assert the sign and label-pattern invariants."""
-        # zeta must vanish where y_i != j and omega where y_i == j
-        if not ((self.zeta < 0).any() or (self.omega > 0).any()
-                or np.where(_own_label(y), self.omega, self.zeta).any()):
+        """Hard-assert the sign and label-pattern invariants.  A stack of
+        states, (k, 2, m) gamma and (k, 2, m, n) zeta and omega, is checked
+        in one pass and raises through check_patterns of its first failing
+        state."""
+        # per state: zeta < 0, omega > 0, zeta nonzero where y_i != j or omega where y_i == j
+        axes = (-3, -2, -1)
+        bad = ((self.zeta < 0).any(axis=axes) | (self.omega > 0).any(axis=axes)
+               | np.where(_own_label(y), self.omega, self.zeta).any(axis=axes))
+        if not bad.any():
             return
+        if bad.ndim:  # a stack: name the first failing state's fault
+            s = int(np.argmax(bad))
+            return Coeffs(self.gamma[s], self.zeta[s], self.omega[s]).check_patterns(y)
         # some invariant failed: find the first, in a fixed order, to name it
         if np.any(self.zeta < 0):
             raise InvariantViolation("zeta has a negative entry")
@@ -83,64 +95,24 @@ class Coeffs:
                 raise InvariantViolation(f"omega nonzero for y_i == {int(j)} in row {row}")
 
 
-def track_step(
-    coeffs: Coeffs,
-    *,
-    batch: np.ndarray,
-    terms: BatchTerms,
-    y: np.ndarray,
-    y_hat: np.ndarray,
-    eta: float,
-    P: int,
-    mu_norm_sq: float,
-    xi_norm_sq: np.ndarray,
-) -> Coeffs:
-    """Advance the coefficients by one batch step.
-
-    terms must be the BatchTerms the optimizer step descended along: its
-    ell, sig_act (2,m,B) and noise_act (2,m,B) are exactly the loss
-    derivatives and activation indicators the step used.  The gamma
-    increment is -(eta ||mu||^2/(Bm)) sum_i ell_i sig_act y_i y_hat_i
-    (clean samples push, flipped samples pull), and each in-batch sample
-    adds -(eta (P-1)^2/(Bm)) ell_i noise_act ||xi_i||^2 to its own zeta
-    (y_i = j row) or the negation to omega (y_i = -j row).
-    """
-    ell, sig_act, noise_act = terms.ell, terms.sig_act, terms.noise_act
-    B, m = len(batch), sig_act.shape[1]
-    if ell.shape != (B,) or sig_act.shape[-1] != B:
-        raise ValueError("ell/activation shapes do not match the batch")
-    yb = y[batch]
-    gy = ell * yb * y_hat[batch]
-    gamma = coeffs.gamma - (eta * mu_norm_sq / (B * m)) * np.einsum(
-        "jmb,b->jm", sig_act, gy
-    )
-
-    coef = -(eta * (P - 1) ** 2 / (B * m)) * ell * xi_norm_sq[batch]  # (B,) >= 0
-    contrib = noise_act * coef[None, None, :]  # (2, m, B)
-    own = _own_label(yb)  # a batch lists each sample once
-    zeta = coeffs.zeta.copy()
-    omega = coeffs.omega.copy()
-    zeta[:, :, batch] += np.where(own, contrib, 0.0)
-    omega[:, :, batch] -= np.where(own, 0.0, contrib)
-    return Coeffs(gamma=gamma, zeta=zeta, omega=omega)
-
-
 _COND_LIMIT = 1e12  # Gram condition number above which the oracle refuses the basis
 
 
 def span_coeffs(c: np.ndarray, gram: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """gamma (2, m) and rho (2, m, n) of the drift C [mu; xi], C (2m, n+1):
-    the mu weight times j ||mu||^2 gives gamma, the xi_i weight times
-    (P-1) ||xi_i||^2 gives rho_i, the norms read from the Gram diagonal."""
-    m = len(c) // 2
-    gamma = (c[:, 0] * gram[0, 0]).reshape(2, m) * J_SIGNS[:, None]
-    rho = (c[:, 1:] * (P - 1) * np.diag(gram)[None, 1:]).reshape(2, m, -1)
+    """gamma (..., 2, m) and rho (..., 2, m, n) of the drift C [mu; xi], C
+    (..., 2m, n+1): the mu weight times j ||mu||^2 gives gamma, the xi_i
+    weight times (P-1) ||xi_i||^2 gives rho_i, the norms read from the Gram
+    diagonal.  Leading axes are a stack of C's."""
+    lead, m = c.shape[:-2], c.shape[-2] // 2
+    gamma = (c[..., 0] * gram[0, 0]).reshape(lead + (2, m)) * J_SIGNS[:, None]
+    rho = (c[..., 1:] * (P - 1) * np.diag(gram)[None, 1:]).reshape(lead + (2, m, -1))
     return gamma, rho
 
 
 def span_view(c: np.ndarray, gram: np.ndarray, y: np.ndarray, P: int) -> Coeffs:
     """The Coeffs of the drift C [mu; xi] with rho split by label (zeta where
-    y_i = j): a training record's tracked coefficients, without a replay."""
+    y_i = j): a training record's tracked coefficients, without a replay.
+    A stack of C's gives the stacked Coeffs of every one."""
     gamma, rho = span_coeffs(c, gram, P)
     own = _own_label(y)
     return Coeffs(gamma=gamma, zeta=np.where(own, rho, 0.0), omega=np.where(own, 0.0, rho))
@@ -229,13 +201,26 @@ class CoeffState:
     coeffs: Coeffs
 
 
+# bytes of coefficient states (CoeffTracker) or buffered pre-activations
+# (checks.SamDeactivationRecorder) one block replays at once
+REPLAY_BLOCK_BYTES = 512 << 10
+
+
 class CoeffTracker:
     """Training hook that maintains the tracked coefficients.
 
-    Consumes StepEvents, applies the coefficient recurrence with the exact
-    per-step quantities, hard-asserts the sign/zero patterns after every
-    step, and (optionally) keeps the full coefficient history, one entry
-    per trajectory state.
+    Each call buffers the exact per-step quantities a StepEvent carries.
+    The recurrence is additive, state s+1 = state s + that step's
+    increment (see _replay), so a block of buffered steps is replayed at
+    once: its increments are formed in a few stacked operations, written
+    into the block's (k, 2, m) and (k, 2, m, n) arrays and summed along the
+    step axis from the last state, with the same bits as one step at a
+    time.  A block is replayed when its states reach REPLAY_BLOCK_BYTES and
+    whenever history, coeffs or state_at is read.  With check, the
+    sign/zero patterns of every state are hard-asserted when its block is
+    replayed, so a failure raises at the next replay, not at its own step.
+    With keep_history, history holds one entry per trajectory state, views
+    into the block arrays.
     """
 
     def __init__(self, ds: Dataset, m: int, keep_history: bool = True, check: bool = True):
@@ -245,39 +230,87 @@ class CoeffTracker:
         self.xi_norm_sq = np.diag(ds.gram)[1:]
         self.P = ds.params.P
         self.n = ds.n
+        self.m = m
         self.check = check
-        self.coeffs = Coeffs.zeros(m, self.n)
-        self.history: list[CoeffState] = []
+        self._coeffs = Coeffs.zeros(m, self.n)
+        self._history: list[CoeffState] = []
         self._by_state: dict[tuple[int, int], CoeffState] = {}
         self._keep = keep_history
+        self._pending: list[tuple] = []
+        state_bytes = 8 * 2 * m * (1 + 2 * self.n)
+        self._block_steps = max(1, REPLAY_BLOCK_BYTES // state_bytes)
         if keep_history:
-            self._keep_state(CoeffState(0, 0, 0, self.coeffs.copy()))
+            self._keep_state(CoeffState(0, 0, 0, self._coeffs))
 
     def __call__(self, event) -> None:
-        self.coeffs = track_step(
-            self.coeffs,
-            batch=event.batch,
-            terms=event.used,
-            y=self.y,
-            y_hat=self.y_hat,
-            eta=event.eta,
-            P=self.P,
-            mu_norm_sq=self.mu_norm_sq,
-            xi_norm_sq=self.xi_norm_sq,
-        )
+        used = event.used
+        self._pending.append((event.t, event.b, event.step, event.batch, event.eta,
+                              used.ell, used.sig_act, used.noise_act))
+        if len(self._pending) >= self._block_steps:
+            self._replay()
+
+    @property
+    def coeffs(self) -> Coeffs:
+        """The coefficients after the last step."""
+        self._replay()
+        return self._coeffs
+
+    @property
+    def history(self) -> list[CoeffState]:
+        self._replay()
+        return self._history
+
+    def _replay(self) -> None:
+        """Apply the buffered steps, k of one run's batch size B, as one block.
+
+        Step s adds -(eta ||mu||^2/(Bm)) sum_b ell_b sig_act_b y_b y_hat_b
+        to gamma (clean samples push, flipped samples pull), and each
+        in-batch sample i adds -(eta (P-1)^2/(Bm)) ell_i noise_act_i
+        ||xi_i||^2 >= 0 to its own zeta (y_i = j row) or the negation to
+        omega (y_i = -j row).  A cumulative sum from the last state then
+        gives every state of the block: a - b is the same float as
+        a + (-b), and zeta >= 0 and omega <= 0 never reach -0.0, so the
+        bits are those of adding one step at a time.
+        """
+        if not self._pending:
+            return
+        ts, bs, steps, batches, etas, ells, sig_acts, noise_acts = zip(*self._pending)
+        self._pending = []
+        batch, eta, ell = np.array(batches), np.array(etas)[:, None], np.array(ells)
+        (k, B), m, n = batch.shape, self.m, self.n
+        yb = self.y[batch]
+        gamma = np.einsum("kjmb,kb->kjm", np.array(sig_acts), ell * yb * self.y_hat[batch])
+        gamma *= -(eta * self.mu_norm_sq / (B * m))[:, :, None]
+        coef = -(eta * (self.P - 1) ** 2 / (B * m)) * ell * self.xi_norm_sq[batch]  # (k, B)
+        contrib = (np.array(noise_acts) * coef[:, None, None, :]).transpose(0, 3, 1, 2)
+        own = (yb[:, :, None] == J_SIGNS)[:, :, :, None]  # (k, B, 2, 1)
+        zeta, omega = np.zeros((k, 2, m, n)), np.zeros((k, 2, m, n))
+        rows = np.arange(k)[:, None]  # a batch lists each sample once
+        zeta[rows, :, :, batch] = np.where(own, contrib, 0.0)
+        omega[rows, :, :, batch] = -np.where(own, 0.0, contrib)
+        for block, last in ((gamma, self._coeffs.gamma), (zeta, self._coeffs.zeta),
+                            (omega, self._coeffs.omega)):
+            block[0] += last
+            np.cumsum(block, axis=0, out=block)
+        states = Coeffs(gamma, zeta, omega)
         if self.check:
-            self.coeffs.check_patterns(self.y)
+            states.check_patterns(self.y)
         if self._keep:
-            H = self.n // len(event.batch)
-            t, b = (event.t + 1, 0) if event.b + 1 == H else (event.t, event.b + 1)
-            # track_step returned fresh arrays, so the history may hold them
-            self._keep_state(CoeffState(t, b, event.step + 1, self.coeffs))
+            H = self.n // B
+            for s in range(k):
+                t, b = (ts[s] + 1, 0) if bs[s] + 1 == H else (ts[s], bs[s] + 1)
+                self._keep_state(CoeffState(t, b, steps[s] + 1,
+                                            Coeffs(gamma[s], zeta[s], omega[s])))
+            self._coeffs = self._history[-1].coeffs
+        else:  # a copy, so the block is freed
+            self._coeffs = Coeffs(gamma[-1], zeta[-1], omega[-1]).copy()
 
     def _keep_state(self, st: CoeffState) -> None:
-        self.history.append(st)
+        self._history.append(st)
         self._by_state.setdefault((st.t, st.b), st)
 
     def state_at(self, t: int, b: int) -> CoeffState:
+        self._replay()
         st = self._by_state.get((t, b))
         if st is None:
             raise KeyError(f"no tracked coefficients at state ({t}, {b})")

@@ -66,6 +66,9 @@ from .tables import write_csv
 _SEED_TAG = 88261599  # fixed domain tag for trial seed derivation
 _TEST_CHUNK = 256  # test samples per chunk of y_hat, flips and noise; part of the test-draw stream
 _TEST_BLOCK_BYTES = 2 << 20  # noise buffer of the test scorer; not part of the stream
+# records' C's one pattern check stacks: a whole run's (340 KB on the phase
+# grid) left the grid's peak RSS 1.2 MB higher, this size leaves it unchanged
+_CHECK_BLOCK_BYTES = 64 << 10
 
 
 @dataclass(frozen=True)
@@ -272,8 +275,9 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
     times (data_s, train_s, test_s): building the dataset and its Gram,
     training with the record checks, and the test draw with the scoring.
 
-    Coefficients are read off each record's C (span_view): sign patterns
-    are checked at every record, max_gamma and max_sum_zeta use the last.
+    Coefficients are read off the records' stacked C's (span_view): sign
+    patterns are checked at every record, a block of records per pass, and
+    max_gamma and max_sum_zeta use the last.
     Failures are captured in the results, so a grid never aborts on one
     bad cell: an error building the cell fails every variant, a variant
     that diverges or breaks an invariant fails alone, and an error in the
@@ -296,21 +300,24 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
         try:
             cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
             traj = train(ds, net, cfg)
-            for rec in traj.records:
-                coeffs = span_view(rec.c, ds.gram, ds.y, spec.P)
+            per = max(1, _CHECK_BLOCK_BYTES // traj.records[0].c.nbytes)
+            for lo in range(0, len(traj.records), per):
+                block = np.array([r.c for r in traj.records[lo:lo + per]])
+                coeffs = span_view(block, ds.gram, ds.y, spec.P)
                 coeffs.check_patterns(ds.y)
+            rec = traj.records[-1]
             result.train_loss = rec.train_loss
             for epoch_rec in traj.epoch_records():
                 if epoch_rec.train_loss <= spec.loss_target:
                     result.convergence_epoch = epoch_rec.t
                     break
-            result.max_gamma = float(coeffs.gamma.max())
-            result.max_sum_zeta = float(coeffs.zeta.sum(axis=2).max())
+            result.max_gamma = float(coeffs.gamma[-1].max())
+            result.max_sum_zeta = float(coeffs.zeta[-1].sum(axis=2).max())
             finals.append((result, rec.c, rec.mu_pre))
             w0 = traj.w0  # every variant trains from this w0
         except _TRIAL_ERRORS as exc:
             _fail(result, exc)
-        traj = None  # keep no trajectory through the next variant or the draw
+        traj = block = coeffs = None  # keep no trajectory through the next variant or the draw
     t2 = time.perf_counter()
 
     if finals:
@@ -415,11 +422,17 @@ def _pin_blas_threads(counts=None) -> list[int]:
 
 def _read_trial(path: Path, spec: GridSpec, cell: tuple) -> TrialResult:
     """The TrialResult in the trial file of cell.  Raises ValueError, naming
-    the file and the field, unless the file holds the spec and exactly the
-    TrialResult fields, each of its type (an int passes as a float), with
-    the cell's own coordinates: what run_grid writes."""
+    the file and the field, unless the file is a JSON object holding the
+    spec and exactly the TrialResult fields, each of its type (an int
+    passes as a float), with the cell's own coordinates: what run_grid
+    writes."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # unparsable JSON or bytes that are not UTF-8
+            raise ValueError(f"{path}: not a JSON trial file: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: holds a JSON {type(payload).__name__}, not a trial object")
     if payload.pop("spec", None) != _trial_spec(spec, cell[2]):
         raise ValueError(f"{path}: trial was run with a different or unrecorded spec")
     types = {f.name: f.type for f in dataclasses.fields(TrialResult)}

@@ -76,7 +76,7 @@ def loss_grad(z) -> np.ndarray | float:
     """d/dz log(1 + exp(-z)) = -1/(1 + exp(z)), always in (-1, 0)."""
     z = np.asarray(z, dtype=np.float64)
     t = np.exp(-np.abs(z))
-    out = np.where(z >= 0, -t / (1.0 + t), -1.0 / (1.0 + t))
+    out = np.where(z >= 0, -t, -1.0) / (1.0 + t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -102,8 +102,13 @@ def model_preacts(w: np.ndarray, mu: np.ndarray, xi: np.ndarray):
 def model_margins(mu_pre, noise_pre, y, y_hat, P: int) -> np.ndarray:
     """y_i f(W, x_i) on model data: the signal patch contributes
     relu(y_hat_i <w, mu>) once and the noise patch relu(<w, xi_i>) P-1 times."""
-    m = mu_pre.shape[1]
-    sig = np.maximum(y_hat[None, None, :] * mu_pre[:, :, None], 0.0).sum(axis=1)  # (2, B)
+    return _margins(y_hat[None, None, :] * mu_pre[:, :, None], noise_pre, y, P)
+
+
+def _margins(sig_pre, noise_pre, y, P: int) -> np.ndarray:
+    """model_margins from sig_pre (2, m, B), the products <w_{j,r}, y_hat_i mu>."""
+    m = sig_pre.shape[1]
+    sig = np.maximum(sig_pre, 0.0).sum(axis=1)  # (2, B)
     noi = np.maximum(noise_pre, 0.0).sum(axis=1)  # (2, B)
     fj = (sig + (P - 1) * noi) / m
     return y * (fj[0] - fj[1])
@@ -126,9 +131,10 @@ def model_grad_coeffs(mu_pre, noise_pre, y, y_hat, P: int) -> tuple[np.ndarray, 
     if B == 0:
         raise ValueError("batch is empty")
     m = mu_pre.shape[1]
-    margins = model_margins(mu_pre, noise_pre, y, y_hat, P)
+    sig_pre = y_hat[None, None, :] * mu_pre[:, :, None]
+    margins = _margins(sig_pre, noise_pre, y, P)
     ell = loss_grad(margins)
-    sig_act = (y_hat[None, None, :] * mu_pre[:, :, None] >= 0).astype(np.float64)
+    sig_act = (sig_pre >= 0).astype(np.float64)
     noise_act = (noise_pre >= 0).astype(np.float64)
     gy = ell * y
     coeffs = np.empty((2, m, 1 + B))

@@ -165,7 +165,7 @@ def _split(pre: np.ndarray):
 
 def _step(span: _Span, c: np.ndarray, idx, eta: float, tau: float):
     """One descent step on rows idx of the dataset from the coefficients c;
-    returns (c_next, terms_at_w, terms_used, c_used, perturbed)."""
+    returns (c_next, terms_at_w, terms_used, perturbed)."""
     ds = span.ds
     cols = np.concatenate(([0], idx + 1))
     gram = span.gram[:, cols]
@@ -173,7 +173,7 @@ def _step(span: _Span, c: np.ndarray, idx, eta: float, tau: float):
     pre = span.base[:, cols] + c @ gram
     g, at_w = model_grad_coeffs(*_split(pre), *batch)
     perturbed = False
-    c_used, g_used, used = c, g, at_w
+    g_used, used = g, at_w
     if tau > 0.0:
         gram_cc = gram[cols]
         # ||g||_F^2 as a quadratic form; rounding can take it just below 0
@@ -181,13 +181,11 @@ def _step(span: _Span, c: np.ndarray, idx, eta: float, tau: float):
         norm = math.sqrt(max(float(np.sum((g @ gram_cc) * g)), 0.0))
         if norm > 0.0:
             shift = (tau / norm) * g
-            c_used = c.copy()
-            c_used[:, cols] += shift
             g_used, used = model_grad_coeffs(*_split(pre + shift @ gram_cc), *batch)
             perturbed = True
     c_next = c.copy()
     c_next[:, cols] -= eta * g_used
-    return c_next, at_w, used, c_used, perturbed
+    return c_next, at_w, used, perturbed
 
 
 def _state_stats(span: _Span, c: np.ndarray):
@@ -251,7 +249,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
                 cfg.sam_phase_iters is None or s < cfg.sam_phase_iters
             )
             tau_eff = cfg.tau if sam_now else 0.0
-            c_next, at_w, used, _c_used, perturbed = _step(span, c, idx, cfg.eta, tau_eff)
+            c_next, at_w, used, perturbed = _step(span, c, idx, cfg.eta, tau_eff)
             if not np.all(np.isfinite(used.margins)):
                 raise TrainingDivergedError(f"non-finite margins at state ({t}, {b})")
             if hooks:

@@ -3,14 +3,16 @@ oracles and small instance builders.
 
 The reference definitions are the patch network (patch_preacts, forward,
 batch_loss) on any (B, P, d) input, which samdyn.network computes in its
-(mu, xi) form, the d-space gradient model_gradient, and reconstruct, the
-map from decomposition coefficients back to weights.
+(mu, xi) form, the d-space gradient model_gradient, reconstruct, the map
+from decomposition coefficients back to weights, and track_step, the
+coefficient recurrence one step at a time, which CoeffTracker replays a
+block of steps at a time.
 """
 
 import numpy as np
 
 from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
-from samdyn.decomposition import DegenerateBasisError
+from samdyn.decomposition import Coeffs, DegenerateBasisError
 from samdyn.experiments import estimate_test_error
 from samdyn.network import (J_SIGNS, init_weights, loss, model_grad_coeffs, model_margins,
                             model_preacts, span_vectors)
@@ -65,6 +67,37 @@ def reconstruct(coeffs, basis, w0):
         return w
     gdir = (J_SIGNS[:, None] * coeffs.gamma / mu_norm_sq)[:, :, None]
     return w + gdir * basis.mu[None, None, :]
+
+
+def track_step(coeffs, *, batch, terms, y, y_hat, eta, P, mu_norm_sq, xi_norm_sq):
+    """Advance the coefficients by one batch step.
+
+    terms must be the BatchTerms the optimizer step descended along: its
+    ell, sig_act (2,m,B) and noise_act (2,m,B) are exactly the loss
+    derivatives and activation indicators the step used.  The gamma
+    increment is -(eta ||mu||^2/(Bm)) sum_i ell_i sig_act y_i y_hat_i
+    (clean samples push, flipped samples pull), and each in-batch sample
+    adds -(eta (P-1)^2/(Bm)) ell_i noise_act ||xi_i||^2 to its own zeta
+    (y_i = j row) or the negation to omega (y_i = -j row).
+    """
+    ell, sig_act, noise_act = terms.ell, terms.sig_act, terms.noise_act
+    B, m = len(batch), sig_act.shape[1]
+    if ell.shape != (B,) or sig_act.shape[-1] != B:
+        raise ValueError("ell/activation shapes do not match the batch")
+    yb = y[batch]
+    gy = ell * yb * y_hat[batch]
+    gamma = coeffs.gamma - (eta * mu_norm_sq / (B * m)) * np.einsum(
+        "jmb,b->jm", sig_act, gy
+    )
+
+    coef = -(eta * (P - 1) ** 2 / (B * m)) * ell * xi_norm_sq[batch]  # (B,) >= 0
+    contrib = noise_act * coef[None, None, :]  # (2, m, B)
+    own = (yb == J_SIGNS[:, None])[:, None, :]  # a batch lists each sample once
+    zeta = coeffs.zeta.copy()
+    omega = coeffs.omega.copy()
+    zeta[:, :, batch] += np.where(own, contrib, 0.0)
+    omega[:, :, batch] -= np.where(own, 0.0, contrib)
+    return Coeffs(gamma=gamma, zeta=zeta, omega=omega)
 
 
 def fd_gradient(w, patches, y, h=1e-6):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from samdyn import checks
 from samdyn.checks import (
     CheckReport,
     RegimeThresholds,
@@ -178,6 +179,79 @@ def test_good_batches_monte_carlo():
     schedules = [epoch_schedule(n, B, rng) for _ in range(200)]
     fr = good_batch_fractions(schedules, y, y_hat, B)
     assert fr.mean() >= 0.5
+
+
+def _good_batch_fractions_loop(schedules, y, y_hat, B):
+    """good_batch_fractions one batch at a time: the reference for its
+    vectorised counts."""
+    clean = y == y_hat
+    out = np.zeros((len(schedules), 2))
+    for t, batches in enumerate(schedules):
+        for col, yval in enumerate((1.0, -1.0)):
+            good = 0
+            for idx in batches:
+                count = int(np.sum(clean[idx] & (y[idx] == yval)))
+                if B / 4 <= count <= 3 * B / 4:
+                    good += 1
+            out[t, col] = good / len(batches)
+    return out
+
+
+def test_good_batch_fractions_is_bitwise_the_per_batch_loop():
+    rng = np.random.default_rng(11)
+    for n, B, p in ((64, 8, 0.1), (30, 5, 0.3), (12, 12, 0.0), (10, 1, 0.2), (48, 3, 0.5)):
+        y_hat = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y = np.where(rng.random(n) < p, -y_hat, y_hat)
+        schedules = [epoch_schedule(n, B, rng) for _ in range(int(rng.integers(1, 30)))]
+        got = good_batch_fractions(schedules, y, y_hat, B)
+        want = _good_batch_fractions_loop(schedules, y, y_hat, B)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert good_batch_fractions([], y, y_hat, B).shape == (0, 2)
+
+
+def _per_step_deactivations(events, y, t1_epochs):
+    """SamDeactivationRecorder's (events, violations, perturbed_steps,
+    steps), counted one step at a time: the reference for its block sums."""
+    counts = [0, 0, 0, 0]
+    for ev in events:
+        counts[3] += 1
+        if (t1_epochs is not None and ev.t > t1_epochs) or ev.tau == 0.0:
+            continue
+        counts[2] += 1
+        yb = y[ev.batch]
+        rows, cols = (yb < 0).astype(int), np.arange(len(yb))
+        active = ev.at_w.noise_pre[rows, :, cols] >= 0  # (B, m): own-class filters
+        counts[0] += int(active.sum())
+        counts[1] += int((active & (ev.used.noise_pre[rows, :, cols] >= 0)).sum())
+    return counts
+
+
+@pytest.mark.parametrize("t1", [None, 1.0])
+@pytest.mark.parametrize("B", [1, 4, 12])
+def test_deactivation_counts_are_the_per_step_counts(monkeypatch, B, t1):
+    """Counted in blocks of 5 steps, with reads between blocks, the
+    recorder's counts equal a count one step at a time."""
+    d, n, m = 300, 12, 4
+    monkeypatch.setattr(checks, "REPLAY_BLOCK_BYTES", 5 * 2 * (2 * m * B * 8))
+    params = DataParams(d=d, P=2, sigma_p=1.0, p=0.2, mu_norm=2.0)
+    ds = gen_dataset(params, make_signal(d, 2.0), n, seed=3)
+    net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)
+    cfg = TrainConfig(eta=0.05, B=B, epochs=5, algo="sam", seed=2, sam_phase_iters=3 * n // B,
+                      tau=scaled_tau(0.1, m, B, 2, 1.0, d))
+    rec = SamDeactivationRecorder(ds.y, t1)
+    events, reads = [], []
+
+    def read_midway(ev):
+        events.append(ev)
+        if ev.step % 7 == 2:
+            reads.append((ev.step, rec.events, rec.violations))
+
+    train(ds, net, cfg, hooks=(rec, read_midway))
+    want = _per_step_deactivations(events, ds.y, t1)
+    assert [rec.events, rec.violations, rec.perturbed_steps, rec.steps] == want
+    assert want[0] > want[1] > 0 and 0 < want[2] < want[3]
+    for step, n_events, n_violations in reads:
+        assert [n_events, n_violations] == _per_step_deactivations(events[:step + 1], ds.y, t1)[:2]
 
 
 def test_classify_regime_edges():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reconstruct
+from helpers import reconstruct, track_step
+from samdyn import decomposition
 from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.decomposition import (
     Coeffs,
@@ -16,11 +17,10 @@ from samdyn.decomposition import (
     oracle_solve,
     span_coeffs,
     span_view,
-    track_step,
     write_coeff_csv,
 )
 from samdyn.network import BatchTerms, NetConfig
-from samdyn.optim import TrainConfig, train
+from samdyn.optim import StepEvent, TrainConfig, train
 
 
 def _small_run(algo="sgd", tau=0.0, d=120, n=6, m=3, B=3, epochs=4, seed=0, p=0.2,
@@ -297,6 +297,113 @@ def test_track_step_equals_the_per_row_update():
             np.subtract.at(omega[row].T, batch[~own], contrib[row][:, ~own].T)
         assert np.array_equal(got.zeta, zeta) and np.array_equal(got.omega, omega)
         start = got
+
+
+def _sequential_states(events, ds, m):
+    """The coefficients after each step of events, applied one at a time
+    with track_step from zero, the zero state first."""
+    kw = dict(y=ds.y, y_hat=ds.y_hat, P=ds.params.P, mu_norm_sq=float(ds.gram[0, 0]),
+              xi_norm_sq=np.diag(ds.gram)[1:])
+    states = [Coeffs.zeros(m, ds.n)]
+    for ev in events:
+        states.append(track_step(states[-1], batch=ev.batch, terms=ev.used, eta=ev.eta, **kw))
+    return states
+
+
+def _same_bits(a: Coeffs, b: Coeffs) -> bool:
+    return all(getattr(a, f).shape == getattr(b, f).shape
+               and getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in ("gamma", "zeta", "omega"))
+
+
+def _small_blocks(monkeypatch, steps, m, n):
+    """Make CoeffTracker replay blocks of the given number of steps."""
+    monkeypatch.setattr(decomposition, "REPLAY_BLOCK_BYTES", steps * 8 * 2 * m * (1 + 2 * n))
+
+
+@pytest.mark.parametrize("B", [1, 4, 8, 24])
+@pytest.mark.parametrize("algo,tau", [("sgd", 0.0), ("sam", 0.08)])
+def test_tracker_history_is_bitwise_the_sequential_recurrence(monkeypatch, algo, tau, B):
+    """Every state's gamma, zeta and omega, replayed in blocks of 7 steps,
+    has the bits of track_step applied one step at a time, and so has
+    every read of coeffs in the middle of a run, between two blocks."""
+    d, n, m = 150, 24, 3
+    params = DataParams(d=d, P=3, sigma_p=1.0, p=0.2, mu_norm=1.7)
+    ds = gen_dataset(params, make_signal(d, 1.7), n, seed=7)
+    net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)
+    _small_blocks(monkeypatch, 7, m, n)
+    tracker = CoeffTracker(ds, m)
+    last_only = CoeffTracker(ds, m, keep_history=False)
+    events, reads = [], []
+
+    def read_midway(ev):
+        events.append(ev)
+        if ev.step % 5 == 3:
+            reads.append((ev.step, tracker.coeffs))
+
+    epochs = 3 * B // 4 + 2
+    cfg = TrainConfig(eta=0.05, B=B, epochs=epochs, algo=algo, tau=tau, seed=1)
+    train(ds, net, cfg, hooks=(tracker, last_only, read_midway))
+    want = _sequential_states(events, ds, m)
+    H = n // B
+    assert len(events) == epochs * H > 2 * 7
+    assert [(st.t, st.b, st.step) for st in tracker.history] == \
+        [(s // H, s % H, s) for s in range(len(want))]
+    for st, ref in zip(tracker.history, want):
+        assert _same_bits(st.coeffs, ref), st.step
+        assert tracker.state_at(st.t, st.b) is st
+    assert all(_same_bits(c, want[step + 1]) for step, c in reads)
+    assert _same_bits(tracker.coeffs, want[-1]) and _same_bits(last_only.coeffs, want[-1])
+    assert last_only.history == []
+    if algo == "sam":
+        assert any(ev.used is not ev.at_w for ev in events)
+
+
+def _flipped(ev: StepEvent) -> StepEvent:
+    """ev with its loss derivatives flipped in sign and scaled up, so its
+    noise increments have the wrong sign and outweigh the earlier ones."""
+    return dataclasses.replace(ev, used=dataclasses.replace(ev.used, ell=-1e3 * ev.used.ell))
+
+
+def test_tracker_raises_on_a_planted_sign_flip_at_the_next_replay(monkeypatch):
+    """A step whose increments have the wrong sign raises InvariantViolation,
+    with check_patterns' message, when its block is replayed; with
+    check=False it does not."""
+    d, n, m = 80, 8, 2
+    ds = gen_dataset(DataParams(d=d, P=2, mu_norm=2.0), make_signal(d, 2.0), n, seed=4)
+    net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)
+    events = []
+    train(ds, net, TrainConfig(eta=0.1, B=4, epochs=6, seed=0), hooks=(events.append,))
+    events[5] = _flipped(events[5])
+    with pytest.raises(InvariantViolation) as want:
+        _sequential_states(events[:6], ds, m)[-1].check_patterns(ds.y)
+    assert str(want.value) == "zeta has a negative entry"
+    _small_blocks(monkeypatch, 4, m, n)
+    tracker = CoeffTracker(ds, m)
+    for ev in events[:7]:
+        tracker(ev)  # the flipped step waits in the second block
+    with pytest.raises(InvariantViolation, match=f"^{want.value}$"):
+        tracker(events[7])
+    unchecked = CoeffTracker(ds, m, check=False)
+    for ev in events:
+        unchecked(ev)
+    assert len(unchecked.history) == len(events) + 1
+
+
+def test_stacked_patterns_name_the_first_failing_state():
+    """check_patterns on a stack of states raises the message of its first
+    failing state, whatever later states break."""
+    y = np.array([1.0, -1.0, 1.0])
+    states = Coeffs(np.zeros((5, 2, 2)), np.zeros((5, 2, 2, 3)), np.zeros((5, 2, 2, 3)))
+    states.check_patterns(y)
+    states.zeta[4, 0, 0, 0] = -1.0
+    states.omega[2, 1, 1, 0] = 0.5
+    with pytest.raises(InvariantViolation, match="^omega has a positive entry$"):
+        states.check_patterns(y)
+    states.omega[2, 1, 1, 0] = 0.0
+    states.omega[1, 0, 1, 2] = -0.5  # y_2 = +1: omega must vanish in the j=+1 row
+    with pytest.raises(InvariantViolation, match=r"^omega nonzero for y_i == 1 in row 0$"):
+        states.check_patterns(y)
 
 
 def test_pattern_violations_raise():

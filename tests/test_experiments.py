@@ -585,6 +585,21 @@ def test_resume_refuses_malformed_trial(tmp_path, edit, field):
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("text", ['{"d": 6', "[]", '"x"', "null"],
+                         ids=["cut_short", "list", "string", "null"])
+def test_resume_refuses_a_trial_file_that_is_no_json_object(tmp_path, text):
+    """A trial file that does not parse, or holds something other than a
+    JSON object, is refused before anything is written, with a ValueError
+    naming the file."""
+    spec = tiny_spec(d_values=(60,), mu_values=(2.0,), seeds=(0, 1))
+    run_grid(spec, tmp_path)
+    (tmp_path / "trials" / "sgd_d60_mu2.0_s1.json").write_text(text)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    with pytest.raises(ValueError, match=r"sgd_d60_mu2\.0_s1\.json: "):
+        run_grid(spec, tmp_path, resume=True)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_resume_reads_back_every_value_run_grid_writes(tmp_path):
     """Integer mu (an int in a float field), a diverged variant's NaN floats
     and None convergence_epoch all read back, to the same results.csv."""

@@ -8,7 +8,7 @@ from samdyn.checks import SamDeactivationRecorder, scaled_tau
 from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
 from samdyn.decomposition import CoeffTracker
 from samdyn.experiments import phase_grid_spec, run_cell
-from samdyn.network import NetConfig, model_grad_coeffs, span_vectors
+from samdyn.network import NetConfig, model_grad_coeffs, model_preacts
 from samdyn.optim import (
     TrainConfig,
     TrainingDivergedError,
@@ -32,10 +32,12 @@ def _run_step(w, ds, idx, eta, tau):
     return span.weights(out[0]), out
 
 
-def _perturbation(w, ds, tau):
-    """The ascent perturbation a SAM step applies, in d-space."""
-    c_used = _run_step(w, ds, _all(ds), 0.0, tau)[1][3]
-    return span_vectors(c_used, ds.mu, ds.xi)
+def _descent_point(w, ds, tau):
+    """Whether a full-batch SAM step from w perturbed it, and the
+    BatchTerms at the weights its descent gradient was taken at."""
+    _, at_w, used, perturbed = _run_step(w, ds, _all(ds), 0.0, tau)[1]
+    assert (used is at_w) != perturbed
+    return perturbed, used
 
 
 def _frobenius(g):
@@ -106,10 +108,14 @@ def test_sam_perturbation_norm_and_scale_invariance():
     rng = np.random.default_rng(1)
     w, _, y, ds = random_instance(rng, B=4)
     tau = 0.37
-    eps = _perturbation(w, ds, tau)
-    assert _frobenius(eps) == pytest.approx(tau, rel=1e-12)
     g = model_gradient(w, ds.mu, ds.xi, y, ds.y_hat, ds.params.P)[0]
-    assert np.allclose(eps, tau * g / _frobenius(g), rtol=1e-12)
+    eps = tau * g / _frobenius(g)
+    assert _frobenius(eps) == pytest.approx(tau, rel=1e-12)
+    # the step's descent gradient is taken at w + eps, computed in d-space
+    perturbed, used = _descent_point(w, ds, tau)
+    assert perturbed
+    for got, want in zip((used.mu_pre, used.noise_pre), model_preacts(w + eps, ds.mu, ds.xi)):
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
     for c in (0.01, 3.0, 250.0):
         scaled = tau * (c * g) / _frobenius(c * g)
         assert np.allclose(scaled, eps, rtol=1e-9)
@@ -118,13 +124,12 @@ def test_sam_perturbation_norm_and_scale_invariance():
 def test_sam_perturbation_zero_cases():
     rng = np.random.default_rng(2)
     w, _, _, ds = random_instance(rng, B=2)
-    assert np.array_equal(_perturbation(w, ds, 0.0), np.zeros_like(w))
+    assert not _descent_point(w, ds, 0.0)[0]
     # zero-gradient point: perturbation is defined as 0
     mu = np.array([1e4, 0.0])
     ds = manual_dataset(mu, [0.0, 1e4], y=1, y_hat=1, signal_pos=0, P=2)
     wbig = np.array([[[1.0, 1.0]], [[-1.0, -1.0]]])
-    eps = _perturbation(wbig, ds, 0.5)
-    assert np.array_equal(eps, np.zeros_like(wbig))
+    assert not _descent_point(wbig, ds, 0.5)[0]
 
 
 def test_sam_step_tau_zero_is_sgd_bitwise():
