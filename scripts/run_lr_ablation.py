@@ -13,14 +13,14 @@ codebase's mean-reduction batch gradients (multiply by n = 20).
 
 import argparse
 
-from samdyn.cli import _available_cpus
+from samdyn.data import available_cpus
 from samdyn.experiments import lr_ablation_spec, run_grid
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--jobs", type=int, default=_available_cpus(),
+    ap.add_argument("--jobs", type=int, default=available_cpus(),
                     help="worker processes (default: the CPUs this process may run on)")
     ap.add_argument("--full", action="store_true", help="full 11x11 grid, 10 seeds")
     ap.add_argument("--resume", action="store_true")

@@ -183,24 +183,28 @@ def check_coeff_bounds(
     n = history[0].coeffs.zeta.shape[2]
     alpha = consts.alpha
     omega_floor = -(consts.beta + 10 * math.sqrt(math.log(6 * n**2 / delta) / d) * n * alpha)
-    zeta_viol = omega_viol = gamma_viol = 0
+    # one min or max per state and array, over stacked blocks of states; a
+    # NaN makes its state's value NaN, which fails its check and which the
+    # worst values (fmax/fmin from 0.0) skip
     states = len(history)
-    zeta_max = 0.0
-    omega_min = 0.0
-    gamma_min = 0.0
-    gamma_max = 0.0
-    for st in history:
-        # one min and one max per array; a NaN makes them NaN and fails its check
-        z_lo, z_hi = float(st.coeffs.zeta.min()), float(st.coeffs.zeta.max())
-        o_lo = float(st.coeffs.omega.min())
-        g_lo, g_hi = float(st.coeffs.gamma.min()), float(st.coeffs.gamma.max())
-        zeta_viol += int(not (z_lo >= 0 and z_hi <= alpha))
-        omega_viol += int(not o_lo >= omega_floor)
-        gamma_viol += int(not g_lo >= -1.0 / 12.0)
-        zeta_max = max(zeta_max, z_hi)
-        omega_min = min(omega_min, o_lo)
-        gamma_min = min(gamma_min, g_lo)
-        gamma_max = max(gamma_max, g_hi)
+    keys = ("zeta", "omega", "gamma")
+    per_block = max(1, REPLAY_BLOCK_BYTES // sum(getattr(history[0].coeffs, k).nbytes
+                                                  for k in keys))
+    parts = []
+    for first in range(0, states, per_block):
+        block = history[first:first + per_block]
+        zeta, omega, gamma = (np.stack([getattr(st.coeffs, k) for st in block])
+                              .reshape(len(block), -1) for k in keys)
+        parts.append((zeta.min(axis=1), zeta.max(axis=1), omega.min(axis=1),
+                      gamma.min(axis=1), gamma.max(axis=1)))
+    z_lo, z_hi, o_lo, g_lo, g_hi = map(np.concatenate, zip(*parts))
+    zeta_viol = int(np.sum(~((z_lo >= 0) & (z_hi <= alpha))))
+    omega_viol = int(np.sum(~(o_lo >= omega_floor)))
+    gamma_viol = int(np.sum(~(g_lo >= -1.0 / 12.0)))
+    zeta_max = max(0.0, float(np.fmax.reduce(z_hi)))
+    omega_min = min(0.0, float(np.fmin.reduce(o_lo)))
+    gamma_min = min(0.0, float(np.fmin.reduce(g_lo)))
+    gamma_max = max(0.0, float(np.fmax.reduce(g_hi)))
     scale = consts.gamma_hat * alpha
     c_prime = gamma_max / scale if scale > 0 else float("nan")
     return [

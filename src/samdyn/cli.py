@@ -8,7 +8,6 @@ from it.  No subcommand writes outside its --out target.
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .checks import (
 from .config import ConfigError, load_grid_spec, load_train_setup, write_manifest
 from .data import (
     DataParams,
+    available_cpus,
     concentration_report,
     gen_dataset,
     load_dataset,
@@ -165,15 +165,6 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on; an affinity mask or a container's CPU
-    set can make that fewer than the machine has."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="samdyn",
@@ -204,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--config", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--seed", type=int, default=None, help="override base_seed")
-    r.add_argument("--jobs", type=int, default=_available_cpus(),
+    r.add_argument("--jobs", type=int, default=available_cpus(),
                    help="worker processes (default: the CPUs this process may run on)")
     r.add_argument("--resume", action="store_true")
     r.set_defaults(func=_cmd_grid)

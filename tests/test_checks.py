@@ -128,6 +128,61 @@ def test_coeff_bounds_benign_run_within_alpha():
     assert "empirical_upper_ratio" in reports["gamma_range"].detail
 
 
+def _coeff_bounds_one_state_at_a_time(history, consts, d, delta=0.05):
+    """check_coeff_bounds as a loop of five reductions per state: the
+    reference for its block reduction."""
+    n = history[0].coeffs.zeta.shape[2]
+    alpha = consts.alpha
+    omega_floor = -(consts.beta + 10 * math.sqrt(math.log(6 * n**2 / delta) / d) * n * alpha)
+    zeta_viol = omega_viol = gamma_viol = 0
+    zeta_max = omega_min = gamma_min = gamma_max = 0.0
+    for st in history:
+        z_lo, z_hi = float(st.coeffs.zeta.min()), float(st.coeffs.zeta.max())
+        o_lo = float(st.coeffs.omega.min())
+        g_lo, g_hi = float(st.coeffs.gamma.min()), float(st.coeffs.gamma.max())
+        zeta_viol += int(not (z_lo >= 0 and z_hi <= alpha))
+        omega_viol += int(not o_lo >= omega_floor)
+        gamma_viol += int(not g_lo >= -1.0 / 12.0)
+        zeta_max = max(zeta_max, z_hi)
+        omega_min = min(omega_min, o_lo)
+        gamma_min = min(gamma_min, g_lo)
+        gamma_max = max(gamma_max, g_hi)
+    scale = consts.gamma_hat * alpha
+    c_prime = gamma_max / scale if scale > 0 else float("nan")
+    states = len(history)
+    return [
+        CheckReport("zeta_range", f"{states} states", zeta_viol, states, zeta_max,
+                    detail=f"bound alpha={alpha:.4f}"),
+        CheckReport("omega_range", f"{states} states", omega_viol, states, omega_min,
+                    detail=f"floor {omega_floor:.4f}"),
+        CheckReport("gamma_range", f"{states} states", gamma_viol, states, gamma_min,
+                    detail=f"empirical_upper_ratio={c_prime!r}"),
+    ]
+
+
+@pytest.mark.parametrize("block_states", [None, 3])
+def test_coeff_bounds_block_reduction_matches_the_per_state_loop(monkeypatch, block_states):
+    """On a tracked history with one planted out-of-range state, the block
+    reduction gives the per-state loop's reports: counts, worst values and
+    details, with the default block and with blocks of three states."""
+    ds, net, traj, tracker, _ = _run(epochs=40, eta=0.05)
+    consts = TheoryConstants.from_run(traj.w0, ds.mu, ds.xi, 2, 1.0, t_star=10)
+    history = list(tracker.history)
+    planted = history[17].coeffs.copy()
+    planted.zeta[0, 1, np.flatnonzero(ds.y == 1)[0]] = 2 * consts.alpha
+    planted.omega[1, 0, np.flatnonzero(ds.y == 1)[0]] = -1e6
+    planted.gamma[1, 2] = -0.5
+    history[17] = CoeffState(history[17].t, history[17].b, history[17].step, planted)
+    if block_states:
+        state = planted.gamma.nbytes + planted.zeta.nbytes + planted.omega.nbytes
+        monkeypatch.setattr(checks, "REPLAY_BLOCK_BYTES", block_states * state)
+    got = check_coeff_bounds(history, consts, d=400)
+    assert got == _coeff_bounds_one_state_at_a_time(history, consts, d=400)
+    assert [r.violations for r in got] == [1, 1, 1]
+    assert (got[0].worst_case_value, got[1].worst_case_value, got[2].worst_case_value) \
+        == (2 * consts.alpha, -1e6, -0.5)
+
+
 def test_coeff_bounds_counts_each_violating_state():
     """A state violates a range when any entry leaves it; the bounds
     themselves are inside, and a NaN entry is outside."""

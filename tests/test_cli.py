@@ -73,6 +73,15 @@ def test_gen_data_roundtrip(tmp_path, capsys):
     assert (tmp_path / "manifest.json").exists()
 
 
+def test_gen_data_refuses_a_seed_the_header_cannot_hold(tmp_path, capsys):
+    out = tmp_path / "gd" / "ds.npz"
+    assert main(["gen-data", "--d", "10", "--n", "4", "--mu-norm", "1",
+                 "--seed", str(2**63), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed 9223372036854775808 ") and "int64 header" in err
+    assert not out.exists()
+
+
 def test_gen_data_writes_exactly_the_named_file(tmp_path, capsys):
     """A non-.npz --out name is the file written and recorded, so decompose
     reads it back by that name; so does a weights file saved under one."""

@@ -1,4 +1,7 @@
+import concurrent.futures
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_dataset_arrays
+from samdyn import data
 from samdyn.data import (
     DataParams,
     concentration_report,
@@ -57,14 +61,15 @@ def test_no_flip_when_p_zero():
     mu = make_signal(4, 1.0)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        y, y_hat, _, _ = gen_sample(params, rng)
+        y, y_hat, _ = gen_sample(params, rng, np.empty(4))
         assert y == y_hat
 
 
 def test_degenerate_noise_limit():
     # sigma_p -> 0: noise patches vanish
     params = DataParams(d=5, P=2, sigma_p=1e-12, mu_norm=1.0)
-    _, _, xi, _ = gen_sample(params, np.random.default_rng(1))
+    xi = np.empty(5)
+    gen_sample(params, np.random.default_rng(1), xi)
     assert np.max(np.abs(xi)) < 1e-9
 
 
@@ -97,7 +102,7 @@ def test_flip_rate_monte_carlo():
     rng = np.random.default_rng(7)
     flipped = 0
     for _ in range(n):
-        y, y_hat, _, _ = gen_sample(params, rng)
+        y, y_hat, _ = gen_sample(params, rng, np.empty(1))
         flipped += y != y_hat
     rate = flipped / n
     sigma = np.sqrt(p * (1 - p) / n)
@@ -195,6 +200,20 @@ def test_save_load_roundtrip(tmp_path):
         assert a.dtype == b.dtype and np.array_equal(a, b), key
 
 
+def test_save_round_trips_the_largest_seed_and_refuses_a_larger_one(tmp_path):
+    """The header stores the seed as int64: 2**63 - 1 round-trips, and 2**63
+    is refused before the file is opened, so no empty file is left."""
+    params = DataParams(d=3, P=2, mu_norm=1.0)
+    path = tmp_path / "ds.npz"
+    save_dataset(path, gen_dataset(params, make_signal(3, 1.0), 2, seed=2**63 - 1))
+    assert load_dataset(path).seed == 2**63 - 1
+    ds = gen_dataset(params, make_signal(3, 1.0), 2, seed=2**63)
+    too_big = tmp_path / "big.npz"
+    with pytest.raises(ValueError, match=r"seed 9223372036854775808 .*int64 header"):
+        save_dataset(too_big, ds)
+    assert not too_big.exists()
+
+
 def _corrupt(path, tmp_path, **changes):
     """Copy a saved dataset with some archive entries replaced."""
     with np.load(path) as z:
@@ -246,7 +265,8 @@ def test_load_rejects_signal_pos_outside_range(saved, tmp_path, pos):
         load_dataset(bad)
 
 
-@pytest.mark.parametrize("d,P,p", [(1, 2, 0.0), (7, 3, 0.3), (64, 5, 0.1)])
+# the last case, 9 rows of 1 MiB, is drawn on the thread pool
+@pytest.mark.parametrize("d,P,p", [(1, 2, 0.0), (7, 3, 0.3), (64, 5, 0.1), (1 << 17, 2, 0.2)])
 def test_gen_dataset_pins_the_draw_order(d, P, p):
     """gen_dataset output equals an independent rebuild of the documented
     per-sample streams, bit for bit."""
@@ -256,6 +276,36 @@ def test_gen_dataset_pins_the_draw_order(d, P, p):
                         reference_dataset_arrays(params, 9, 123)):
         got = getattr(ds, key)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), key
+
+
+def test_pooled_gen_dataset_is_bitwise_for_every_cpu_count(monkeypatch):
+    """Above the pool's size constants gen_dataset draws on one thread per
+    CPU; the arrays do not depend on the count, even with a thread switch
+    every microsecond, and every thread is joined before it returns."""
+    params = DataParams(d=1 << 17, P=3, p=0.2, mu_norm=1.0)
+    mu = make_signal(params.d, 1.0)
+    pools = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    arrays = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(data, "available_cpus", lambda cpus=cpus: cpus)
+            threads = threading.active_count()
+            ds = gen_dataset(params, mu, 9, seed=5)
+            assert threading.active_count() == threads
+            arrays.append([getattr(ds, k).tobytes() for k in ("xi", "y", "y_hat", "signal_pos")])
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [2, 3]
+    assert arrays[0] == arrays[1] == arrays[2]
 
 
 def test_per_sample_names_are_views():
