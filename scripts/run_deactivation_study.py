@@ -12,16 +12,9 @@ seeds and prints the violation counts per radius.
 import argparse
 import math
 
-from samdyn.checks import (
-    SamDeactivationRecorder,
-    calibrate_sam_tau,
-    check_sam_deactivation,
-    first_stage_epochs,
-    scaled_tau,
-)
-from samdyn.data import DataParams, gen_dataset, make_signal
+from samdyn.checks import calibrate_sam_tau, deactivation_counts, first_stage_epochs, scaled_tau
+from samdyn.data import DataParams
 from samdyn.network import NetConfig
-from samdyn.optim import TrainConfig, train
 
 
 def main():
@@ -48,17 +41,9 @@ def main():
     epochs = int(math.ceil(t1))
     for c in (0.5 * c_cal, c_cal, 1.25 * c_cal):
         tau = scaled_tau(c, args.m, args.B, params.P, params.sigma_p, args.d)
-        events = violations = 0
-        for seed in range(args.seeds):
-            ds = gen_dataset(params, make_signal(args.d, args.mu_norm), args.n,
-                             seed=3000 + seed)
-            rec = SamDeactivationRecorder(ds.y, t1)
-            cfg = TrainConfig(eta=args.eta, B=args.B, epochs=epochs, algo="sam",
-                              tau=tau, seed=seed)
-            train(ds, net, cfg, hooks=(rec,))
-            rep = check_sam_deactivation(rec)
-            events += rep.total
-            violations += rep.violations
+        events, violations = deactivation_counts(
+            params, args.n, net, args.eta, args.B, tau,
+            [(3000 + s, s) for s in range(args.seeds)], epochs, t1)
         rate = violations / events if events else 0.0
         print(f"c = {c:.4f} (tau = {tau:.4f}): {violations}/{events} violations "
               f"(rate {rate:.5f}) over {args.seeds} seeds")

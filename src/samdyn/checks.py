@@ -374,25 +374,29 @@ def scaled_tau(c: float, m: int, B: int, P: int, sigma_p: float, d: int) -> floa
     return c * m * math.sqrt(B) / (P * sigma_p * math.sqrt(d))
 
 
-def _deactivation_violations(
+def deactivation_counts(
     params: DataParams,
     n: int,
     net: NetConfig,
     eta: float,
     B: int,
     tau: float,
-    seeds,
+    seed_pairs,
     epochs: int,
     t1: float,
-) -> int:
-    total = 0
-    for seed in seeds:
-        ds = gen_dataset(params, make_signal(params.d, params.mu_norm), n, seed=1000 + seed)
+) -> tuple[int, int]:
+    """Deactivation events and violations summed over SAM runs of radius
+    tau, one per (data seed, train seed) pair, each counted over the
+    first t1 epochs by a SamDeactivationRecorder."""
+    events = violations = 0
+    for data_seed, seed in seed_pairs:
+        ds = gen_dataset(params, make_signal(params.d, params.mu_norm), n, seed=data_seed)
         rec = SamDeactivationRecorder(ds.y, t1)
         cfg = TrainConfig(eta=eta, B=B, epochs=epochs, algo="sam", tau=tau, seed=seed)
         train(ds, net, cfg, hooks=(rec,))
-        total += rec.violations
-    return total
+        events += rec.events
+        violations += rec.violations
+    return events, violations
 
 
 def calibrate_sam_tau(
@@ -417,11 +421,11 @@ def calibrate_sam_tau(
     epochs = int(math.ceil(t1))
 
     def violations(c: float) -> int:
-        return _deactivation_violations(
+        return deactivation_counts(
             params, n, net, eta, B,
             scaled_tau(c, net.m, B, params.P, params.sigma_p, params.d),
-            seeds, epochs, t1,
-        )
+            [(1000 + s, s) for s in seeds], epochs, t1,
+        )[1]
 
     lo, hi = c_lo, c_hi
     while violations(hi) > 0:

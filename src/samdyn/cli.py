@@ -30,6 +30,7 @@ from .config import ConfigError, load_grid_spec, load_train_setup, write_manifes
 from .data import (
     DataParams,
     available_cpus,
+    check_header_seed,
     concentration_report,
     gen_dataset,
     load_dataset,
@@ -45,6 +46,7 @@ from .tables import write_csv
 
 
 def _cmd_gen_data(args) -> int:
+    check_header_seed(args.seed)  # before any work, so a refusal leaves nothing
     params = DataParams(
         d=args.d, P=args.P, sigma_p=args.sigma_p, p=args.p, mu_norm=args.mu_norm
     )

@@ -307,6 +307,13 @@ def concentration_report(ds: Dataset, delta: float = 0.05) -> ConcentrationRepor
     return rep
 
 
+def check_header_seed(seed: int) -> None:
+    """Raise ValueError for a seed outside [0, 2**63), which the int64
+    header of save_dataset cannot hold."""
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed {seed} is outside [0, 2**63), the range of the int64 header")
+
+
 def save_dataset(path, ds: Dataset) -> None:
     """Write the documented binary container to exactly path, whatever its
     suffix.
@@ -316,13 +323,12 @@ def save_dataset(path, ds: Dataset) -> None:
       mu (d,), y (n,), y_hat (n,), signal_pos (n,), xi (n, d)
 
     Raises ValueError, before the file is opened, for a seed the int64
-    header cannot hold.
+    header cannot hold (check_header_seed).
     """
     prm = ds.params
     seed_flag = 0 if ds.seed is None else 1
     seed = 0 if ds.seed is None else ds.seed
-    if not 0 <= seed < 2**63:
-        raise ValueError(f"seed {seed} is outside [0, 2**63), the range of the int64 header")
+    check_header_seed(seed)
     header_int = np.array([prm.d, prm.P, ds.n, seed_flag, seed], dtype=np.int64)
     header_float = np.array([prm.sigma_p, prm.p, prm.mu_norm], dtype=np.float64)
     # np.savez appends .npz to a path name, but not to an open file

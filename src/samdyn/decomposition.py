@@ -1,4 +1,4 @@
-"""Signal/noise decomposition of the weight drift, tracked two ways.
+"""Signal/noise decomposition of the weight drift, read two ways.
 
 Every gradient update moves a filter inside span{mu, xi_1, ..., xi_n}, so
 the drift from initialization has a unique expansion
@@ -9,24 +9,20 @@ the drift from initialization has a unique expansion
 with rho split by sign into zeta = rho * 1(rho >= 0) (noise aligned with
 the filter's own class) and omega = rho * 1(rho <= 0).  Training keeps the
 weights as w0 + C [mu; xi] (see optim); span_coeffs reads the coefficients
-off C and span_view splits rho by label, which is how the grid reads them.
-Two independent routes to the coefficients are cross-checked:
-
-- an incremental tracker that replays each optimizer step's exact loss
-  derivatives and activation indicators in coefficient space, buffering
-  the steps and replaying them a block at a time (the recurrence is a
-  cumulative sum), with every state's patterns checked as its block is
-  replayed, and
-- a least-squares oracle that solves the (n+1)-dimensional Gram system for
-  the drift of each filter on every call.  Its Basis holds views of mu, xi
-  and Dataset.gram, never copies, and checks their conditioning once.
+off C and span_view splits rho by label.  The grid reads each record's C
+this way, and so does CoeffTracker, from the C of every step, with every
+state's patterns checked.  A least-squares oracle derives them
+independently: it solves the (n+1)-dimensional Gram system for the drift
+of each filter on every call.  Its Basis holds views of mu, xi and
+Dataset.gram, never copies, and checks their conditioning once.
 
 The update rules make the sign split structural: for y_i = j every rho
 increment is >= 0 (zeta never decreases), for y_i = -j every increment is
 <= 0 (omega never increases), and the complementary entries stay zero.
-The inverse map, from coefficients back to weights, and the recurrence
-applied one step at a time are the tests' references (reconstruct and
-track_step in tests/helpers.py).
+The paper's coefficient recurrence, which forms those increments from each
+step's loss derivatives and activation indicators, and the inverse map,
+from coefficients back to weights, are the tests' references (track_step
+and reconstruct in tests/helpers.py).
 """
 
 from dataclasses import dataclass
@@ -104,14 +100,15 @@ def span_coeffs(c: np.ndarray, gram: np.ndarray, P: int) -> tuple[np.ndarray, np
     weight times (P-1) ||xi_i||^2 gives rho_i, the norms read from the Gram
     diagonal.  Leading axes are a stack of C's."""
     lead, m = c.shape[:-2], c.shape[-2] // 2
-    gamma = (c[..., 0] * gram[0, 0]).reshape(lead + (2, m)) * J_SIGNS[:, None]
+    # + 0.0 turns the -0.0 of a zero mu weight in a j = -1 row into 0.0
+    gamma = (c[..., 0] * gram[0, 0]).reshape(lead + (2, m)) * J_SIGNS[:, None] + 0.0
     rho = (c[..., 1:] * (P - 1) * np.diag(gram)[None, 1:]).reshape(lead + (2, m, -1))
     return gamma, rho
 
 
 def span_view(c: np.ndarray, gram: np.ndarray, y: np.ndarray, P: int) -> Coeffs:
     """The Coeffs of the drift C [mu; xi] with rho split by label (zeta where
-    y_i = j): a training record's tracked coefficients, without a replay.
+    y_i = j): the coefficients of a training record or of a step.
     A stack of C's gives the stacked Coeffs of every one."""
     gamma, rho = span_coeffs(c, gram, P)
     own = _own_label(y)
@@ -202,35 +199,29 @@ class CoeffState:
 
 
 # bytes of coefficient states (CoeffTracker) or buffered pre-activations
-# (checks.SamDeactivationRecorder) one block replays at once
+# (checks.SamDeactivationRecorder) one block holds
 REPLAY_BLOCK_BYTES = 512 << 10
 
 
 class CoeffTracker:
-    """Training hook that maintains the tracked coefficients.
+    """Training hook that keeps the coefficients of every state of a run.
 
-    Each call buffers the exact per-step quantities a StepEvent carries.
-    The recurrence is additive, state s+1 = state s + that step's
-    increment (see _replay), so a block of buffered steps is replayed at
-    once: its increments are formed in a few stacked operations, written
-    into the block's (k, 2, m) and (k, 2, m, n) arrays and summed along the
-    step axis from the last state, with the same bits as one step at a
-    time.  A block is replayed when its states reach REPLAY_BLOCK_BYTES and
-    whenever history, coeffs or state_at is read.  With check, the
-    sign/zero patterns of every state are hard-asserted when its block is
-    replayed, so a failure raises at the next replay, not at its own step.
-    With keep_history, history holds one entry per trajectory state, views
-    into the block arrays.
+    Each call buffers the coefficient matrix C that a StepEvent carries:
+    the weights after that step are w0 + C [mu; xi].  A block of buffered
+    C's is read off at once by span_view, which gives the block's stacked
+    (k, 2, m) gamma and (k, 2, m, n) zeta and omega.  A block is read when
+    its states reach REPLAY_BLOCK_BYTES and whenever history, coeffs or
+    state_at is read.  With check, the sign/zero patterns of every state
+    are hard-asserted when its block is read, so a failure raises at that
+    read, not at its own step.  With keep_history, history holds one entry
+    per trajectory state, views into the block arrays.
     """
 
     def __init__(self, ds: Dataset, m: int, keep_history: bool = True, check: bool = True):
         self.y = ds.y
-        self.y_hat = ds.y_hat
-        self.mu_norm_sq = float(ds.gram[0, 0])
-        self.xi_norm_sq = np.diag(ds.gram)[1:]
+        self.gram = ds.gram
         self.P = ds.params.P
         self.n = ds.n
-        self.m = m
         self.check = check
         self._coeffs = Coeffs.zeros(m, self.n)
         self._history: list[CoeffState] = []
@@ -243,75 +234,46 @@ class CoeffTracker:
             self._keep_state(CoeffState(0, 0, 0, self._coeffs))
 
     def __call__(self, event) -> None:
-        used = event.used
-        self._pending.append((event.t, event.b, event.step, event.batch, event.eta,
-                              used.ell, used.sig_act, used.noise_act))
+        self._pending.append((event.t, event.b, event.step, len(event.batch), event.c))
         if len(self._pending) >= self._block_steps:
-            self._replay()
+            self._read_pending()
 
     @property
     def coeffs(self) -> Coeffs:
         """The coefficients after the last step."""
-        self._replay()
+        self._read_pending()
         return self._coeffs
 
     @property
     def history(self) -> list[CoeffState]:
-        self._replay()
+        self._read_pending()
         return self._history
 
-    def _replay(self) -> None:
-        """Apply the buffered steps, k of one run's batch size B, as one block.
-
-        Step s adds -(eta ||mu||^2/(Bm)) sum_b ell_b sig_act_b y_b y_hat_b
-        to gamma (clean samples push, flipped samples pull), and each
-        in-batch sample i adds -(eta (P-1)^2/(Bm)) ell_i noise_act_i
-        ||xi_i||^2 >= 0 to its own zeta (y_i = j row) or the negation to
-        omega (y_i = -j row).  A running sum from the last state, one
-        np.add per step, then gives every state of the block: a - b is the
-        same float as a + (-b), and zeta >= 0 and omega <= 0 never reach
-        -0.0, so the bits are those of adding one step at a time.
-        """
+    def _read_pending(self) -> None:
+        """Read the buffered steps' coefficients off their stacked C's."""
         if not self._pending:
             return
-        ts, bs, steps, batches, etas, ells, sig_acts, noise_acts = zip(*self._pending)
+        ts, bs, steps, sizes, cs = zip(*self._pending)
         self._pending = []
-        batch, eta, ell = np.array(batches), np.array(etas)[:, None], np.array(ells)
-        (k, B), m, n = batch.shape, self.m, self.n
-        yb = self.y[batch]
-        gamma = np.einsum("kjmb,kb->kjm", np.array(sig_acts), ell * yb * self.y_hat[batch])
-        gamma *= -(eta * self.mu_norm_sq / (B * m))[:, :, None]
-        coef = -(eta * (self.P - 1) ** 2 / (B * m)) * ell * self.xi_norm_sq[batch]  # (k, B)
-        contrib = (np.array(noise_acts) * coef[:, None, None, :]).transpose(0, 3, 1, 2)
-        own = (yb[:, :, None] == J_SIGNS)[:, :, :, None]  # (k, B, 2, 1)
-        zeta, omega = np.zeros((k, 2, m, n)), np.zeros((k, 2, m, n))
-        rows = np.arange(k)[:, None]  # a batch lists each sample once
-        zeta[rows, :, :, batch] = np.where(own, contrib, 0.0)
-        omega[rows, :, :, batch] = -np.where(own, 0.0, contrib)
-        for block, last in ((gamma, self._coeffs.gamma), (zeta, self._coeffs.zeta),
-                            (omega, self._coeffs.omega)):
-            block[0] += last
-            for s in range(1, k):  # same bits as np.cumsum(axis=0), 3x faster here
-                np.add(block[s - 1], block[s], out=block[s])
-        states = Coeffs(gamma, zeta, omega)
+        states = span_view(np.stack(cs), self.gram, self.y, self.P)
         if self.check:
             states.check_patterns(self.y)
         if self._keep:
-            H = self.n // B
-            for s in range(k):
+            H = self.n // sizes[0]  # one run, one batch size
+            for s in range(len(cs)):
                 t, b = (ts[s] + 1, 0) if bs[s] + 1 == H else (ts[s], bs[s] + 1)
-                self._keep_state(CoeffState(t, b, steps[s] + 1,
-                                            Coeffs(gamma[s], zeta[s], omega[s])))
+                self._keep_state(CoeffState(t, b, steps[s] + 1, Coeffs(
+                    states.gamma[s], states.zeta[s], states.omega[s])))
             self._coeffs = self._history[-1].coeffs
         else:  # a copy, so the block is freed
-            self._coeffs = Coeffs(gamma[-1], zeta[-1], omega[-1]).copy()
+            self._coeffs = Coeffs(states.gamma[-1], states.zeta[-1], states.omega[-1]).copy()
 
     def _keep_state(self, st: CoeffState) -> None:
         self._history.append(st)
         self._by_state.setdefault((st.t, st.b), st)
 
     def state_at(self, t: int, b: int) -> CoeffState:
-        self._replay()
+        self._read_pending()
         st = self._by_state.get((t, b))
         if st is None:
             raise KeyError(f"no tracked coefficients at state ({t}, {b})")

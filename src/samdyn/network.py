@@ -82,14 +82,12 @@ def loss_grad(z) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class BatchTerms:
-    """Per-batch terms at one weight point, as a step uses and hooks replay them."""
+    """Per-batch terms at one weight point: the pre-activations a gradient
+    was formed from and the margins they give."""
 
     mu_pre: np.ndarray     # (2, m) <w_{j,r}, mu>
     noise_pre: np.ndarray  # (2, m, B) <w_{j,r}, xi_i>
-    sig_act: np.ndarray    # (2, m, B) indicators 1(<w_{j,r}, y_hat_i mu> >= 0)
-    noise_act: np.ndarray  # (2, m, B) indicators 1(<w_{j,r}, xi_i> >= 0)
     margins: np.ndarray    # (B,) y_i f(W, x_i)
-    ell: np.ndarray        # (B,) loss_grad(margins)
 
 
 def model_preacts(w: np.ndarray, mu: np.ndarray, xi: np.ndarray):
@@ -142,8 +140,7 @@ def model_grad_coeffs(mu_pre, noise_pre, y, y_hat, P: int) -> tuple[np.ndarray, 
     coeffs[:, :, 1:] = (P - 1) * noise_act * gy
     coeffs /= B * m
     coeffs *= J_SIGNS[:, None, None]
-    terms = BatchTerms(mu_pre=mu_pre, noise_pre=noise_pre, sig_act=sig_act,
-                       noise_act=noise_act, margins=margins, ell=ell)
+    terms = BatchTerms(mu_pre=mu_pre, noise_pre=noise_pre, margins=margins)
     return coeffs.reshape(2 * m, 1 + B), terms
 
 

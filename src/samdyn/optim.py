@@ -24,10 +24,10 @@ never inverted, so mu = 0 or n >= d needs no special case.  Every record
 keeps its C, from which decomposition.span_view reads the signal/noise
 coefficients.
 
-Hooks are called once per batch step with a StepEvent carrying the exact
-loss derivatives and activation indicators the step used (for SAM, those of
-the perturbed weights), which is what allows the signal/noise coefficient
-tracker to reproduce the weight trajectory exactly.
+Hooks are called once per batch step with a StepEvent carrying the batch
+terms at the weights and at the point the descent gradient was taken (for
+SAM, the perturbed weights), and the coefficients C after the step, from
+which the signal/noise coefficient tracker reads every state.
 """
 
 import math
@@ -83,16 +83,17 @@ class TrainConfig:
 class StepEvent:
     """What one optimizer step did: the batch terms at the weights w (at_w)
     and at the weights the descent gradient was taken at (used: the
-    perturbed weights for SAM, the same object as at_w for SGD)."""
+    perturbed weights for SAM, the same object as at_w for SGD), and the
+    coefficients after the step."""
 
     t: int
     b: int
     step: int
     batch: np.ndarray   # (B,) sample indices
-    eta: float
     tau: float          # effective radius; 0 when no perturbation applied
     at_w: BatchTerms
     used: BatchTerms
+    c: np.ndarray       # (2m, n+1) C after the step; training never writes to it
 
 
 @dataclass
@@ -253,8 +254,8 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
             if not np.all(np.isfinite(used.margins)):
                 raise TrainingDivergedError(f"non-finite margins at state ({t}, {b})")
             if hooks:
-                event = StepEvent(t=t, b=b, step=s, batch=idx, eta=cfg.eta,
-                                  tau=tau_eff if perturbed else 0.0, at_w=at_w, used=used)
+                event = StepEvent(t=t, b=b, step=s, batch=idx, tau=tau_eff if perturbed else 0.0,
+                                  at_w=at_w, used=used, c=c_next)
                 for hook in hooks:
                     hook(event)
             c = c_next

@@ -5,12 +5,11 @@ import pytest
 
 from samdyn.checks import scaled_tau
 from samdyn.data import DataParams, gen_dataset, make_signal
-from samdyn.decomposition import CoeffTracker
 from samdyn.experiments import run_grid, phase_grid_spec
 from samdyn.network import NetConfig
 from samdyn.optim import TrainConfig, train
 
-from helpers import score_weights
+from helpers import RecurrenceTracker, score_weights
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +44,8 @@ def bayes_floor_runs():
 @pytest.fixture(scope="session")
 def decomposition_runs():
     """Twenty seeded runs (10 SGD + 10 SAM) at d=500, n=8, m=4 with 50
-    batch iterations each, full per-iteration recording and snapshots.
+    batch iterations each, full per-iteration recording and snapshots,
+    each with the reference recurrence (helpers.RecurrenceTracker) attached.
     The wall time of the runs themselves is returned so the acceptance
     budget can include it."""
     import time
@@ -59,12 +59,12 @@ def decomposition_runs():
     for algo in ("sgd", "sam"):
         for seed in range(10):
             ds = gen_dataset(params, make_signal(d, 2.0), n, seed=500 + seed)
-            tracker = CoeffTracker(ds, m)
             cfg = TrainConfig(
                 eta=0.05, B=B, epochs=epochs, algo=algo,
                 tau=tau if algo == "sam" else 0.0, seed=seed,
                 record_every=1, snapshot_weights=True,
             )
+            tracker = RecurrenceTracker(ds, m, cfg.eta)
             traj = train(ds, net, cfg, hooks=(tracker,))
             runs.append({"algo": algo, "seed": seed, "ds": ds, "net": net,
                          "traj": traj, "tracker": tracker})

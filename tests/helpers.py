@@ -5,17 +5,18 @@ The reference definitions are the patch network (patch_preacts, forward,
 batch_loss) on any (B, P, d) input, which samdyn.network computes in its
 (mu, xi) form, the d-space gradient model_gradient, reconstruct, the map
 from decomposition coefficients back to weights, and track_step, the
-coefficient recurrence one step at a time, which CoeffTracker replays a
-block of steps at a time.
+paper's coefficient recurrence one step at a time, which RecurrenceTracker
+applies to every step of a run.  samdyn's CoeffTracker reads the same
+coefficients off each step's C instead; the tests compare the two.
 """
 
 import numpy as np
 
 from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
-from samdyn.decomposition import Coeffs, DegenerateBasisError
+from samdyn.decomposition import Coeffs, CoeffState, DegenerateBasisError
 from samdyn.experiments import estimate_test_error
-from samdyn.network import (J_SIGNS, init_weights, loss, model_grad_coeffs, model_margins,
-                            model_preacts, span_vectors)
+from samdyn.network import (J_SIGNS, init_weights, loss, loss_grad, model_grad_coeffs,
+                            model_margins, model_preacts, span_vectors)
 from samdyn.optim import epoch_schedule
 
 
@@ -72,20 +73,24 @@ def reconstruct(coeffs, basis, w0):
 def track_step(coeffs, *, batch, terms, y, y_hat, eta, P, mu_norm_sq, xi_norm_sq):
     """Advance the coefficients by one batch step.
 
-    terms must be the BatchTerms the optimizer step descended along: its
-    ell, sig_act (2,m,B) and noise_act (2,m,B) are exactly the loss
-    derivatives and activation indicators the step used.  The gamma
-    increment is -(eta ||mu||^2/(Bm)) sum_i ell_i sig_act y_i y_hat_i
-    (clean samples push, flipped samples pull), and each in-batch sample
-    adds -(eta (P-1)^2/(Bm)) ell_i noise_act ||xi_i||^2 to its own zeta
+    terms must be the BatchTerms the optimizer step descended along; the
+    loss derivatives ell = loss_grad(margins) and the activation
+    indicators sig_act = 1(y_hat_i <w, mu> >= 0) and noise_act =
+    1(<w, xi_i> >= 0), both (2, m, B), are formed from them as
+    model_grad_coeffs forms them.  The gamma increment is
+    -(eta ||mu||^2/(Bm)) sum_i ell_i sig_act y_i y_hat_i (clean samples
+    push, flipped samples pull), and each in-batch sample adds
+    -(eta (P-1)^2/(Bm)) ell_i noise_act ||xi_i||^2 to its own zeta
     (y_i = j row) or the negation to omega (y_i = -j row).
     """
-    ell, sig_act, noise_act = terms.ell, terms.sig_act, terms.noise_act
+    yb, y_hat_b = y[batch], y_hat[batch]
+    ell = loss_grad(terms.margins)
+    sig_act = (y_hat_b[None, None, :] * terms.mu_pre[:, :, None] >= 0).astype(np.float64)
+    noise_act = (terms.noise_pre >= 0).astype(np.float64)
     B, m = len(batch), sig_act.shape[1]
-    if ell.shape != (B,) or sig_act.shape[-1] != B:
-        raise ValueError("ell/activation shapes do not match the batch")
-    yb = y[batch]
-    gy = ell * yb * y_hat[batch]
+    if ell.shape != (B,) or noise_act.shape[-1] != B:
+        raise ValueError("margin/pre-activation shapes do not match the batch")
+    gy = ell * yb * y_hat_b
     gamma = coeffs.gamma - (eta * mu_norm_sq / (B * m)) * np.einsum(
         "jmb,b->jm", sig_act, gy
     )
@@ -98,6 +103,33 @@ def track_step(coeffs, *, batch, terms, y, y_hat, eta, P, mu_norm_sq, xi_norm_sq
     zeta[:, :, batch] += np.where(own, contrib, 0.0)
     omega[:, :, batch] -= np.where(own, 0.0, contrib)
     return Coeffs(gamma=gamma, zeta=zeta, omega=omega)
+
+
+class RecurrenceTracker:
+    """Training hook that applies track_step to every step of a run of
+    step size eta, from zero: the coefficient recurrence as the reference
+    for CoeffTracker.  history holds every state, the zero state first;
+    state_at and coeffs read it as CoeffTracker's do."""
+
+    def __init__(self, ds, m, eta):
+        self.kw = dict(y=ds.y, y_hat=ds.y_hat, eta=eta, P=ds.params.P,
+                       mu_norm_sq=float(ds.gram[0, 0]), xi_norm_sq=np.diag(ds.gram)[1:])
+        self.n = ds.n
+        self.history = [CoeffState(0, 0, 0, Coeffs.zeros(m, ds.n))]
+
+    def __call__(self, event):
+        H = self.n // len(event.batch)
+        t, b = (event.t + 1, 0) if event.b + 1 == H else (event.t, event.b + 1)
+        coeffs = track_step(self.history[-1].coeffs, batch=event.batch, terms=event.used,
+                            **self.kw)
+        self.history.append(CoeffState(t, b, event.step + 1, coeffs))
+
+    @property
+    def coeffs(self):
+        return self.history[-1].coeffs
+
+    def state_at(self, t, b):
+        return next(st for st in self.history if (st.t, st.b) == (t, b))
 
 
 def fd_gradient(w, patches, y, h=1e-6):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reconstruct, track_step
+from helpers import RecurrenceTracker, reconstruct, track_step
 from samdyn import decomposition
 from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.decomposition import (
     Coeffs,
+    CoeffState,
     CoeffTracker,
     DegenerateBasisError,
     InvariantViolation,
@@ -19,7 +20,7 @@ from samdyn.decomposition import (
     span_view,
     write_coeff_csv,
 )
-from samdyn.network import BatchTerms, NetConfig
+from samdyn.network import BatchTerms, NetConfig, loss_grad
 from samdyn.optim import StepEvent, TrainConfig, train
 
 
@@ -243,6 +244,18 @@ def test_span_coeffs_is_the_oracle_readoff():
     assert np.allclose(sol.rho, rho, rtol=1e-9, atol=1e-12)
 
 
+def test_zero_c_reads_positive_zero_coefficients(tmp_path):
+    """A zero mu weight in a j = -1 row reads gamma = 0.0, not -0.0, for one
+    C and for a stack, so coeffs.csv never prints -0.0."""
+    ds = gen_dataset(DataParams(d=30, P=3, mu_norm=1.5), make_signal(30, 1.5), 4, seed=8)
+    for c in (np.zeros((4, 5)), np.zeros((3, 4, 5))):
+        gamma, rho = span_coeffs(c, ds.gram, 3)
+        assert not gamma.any() and not np.signbit(gamma).any() and not np.signbit(rho).any()
+    view = span_view(np.zeros((4, 5)), ds.gram, ds.y, 3)
+    write_coeff_csv(tmp_path / "coeffs.csv", [CoeffState(0, 0, 0, view)])
+    assert "-0.0" not in (tmp_path / "coeffs.csv").read_text()
+
+
 @pytest.mark.parametrize("case", [
     dict(algo="sgd", B=6, n=6),
     dict(algo="sam", tau=0.08, B=6, n=6),
@@ -250,7 +263,8 @@ def test_span_coeffs_is_the_oracle_readoff():
     dict(algo="sam", tau=0.08, B=6, n=6, mu_norm=0.0),
 ], ids=["sgd-full-batch", "sam-full-batch", "sam-minibatch-phase", "sam-zero-mu"])
 def test_span_view_matches_tracker_at_every_record(case):
-    """The coefficients read off a record's C are the tracker's, state by state."""
+    """The coefficients read off a record's C are the paper's recurrence's,
+    state by state."""
     case = dict(case)
     mu_norm = case.pop("mu_norm", 2.0)
     n = case.pop("n")
@@ -258,8 +272,8 @@ def test_span_view_matches_tracker_at_every_record(case):
     params = DataParams(d=d, P=3, sigma_p=1.0, p=0.2, mu_norm=mu_norm)
     ds = gen_dataset(params, make_signal(d, mu_norm), n, seed=11)
     net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)
-    tracker = CoeffTracker(ds, m)
     cfg = TrainConfig(eta=0.05, epochs=8, seed=2, **case)
+    tracker = RecurrenceTracker(ds, m, cfg.eta)
     traj = train(ds, net, cfg, hooks=(tracker,))
     assert len(traj.records) > 2
     for rec in traj.records:
@@ -282,14 +296,13 @@ def test_track_step_equals_the_per_row_update():
     start = Coeffs(np.zeros((2, m)), rng.random((2, m, n)), -rng.random((2, m, n)))
     for _ in range(20):
         batch = rng.permutation(n)[:B]
-        act = (rng.random((2, m, B)) < 0.6).astype(float)
-        terms = BatchTerms(mu_pre=None, noise_pre=None, sig_act=act, noise_act=act[::-1],
-                           margins=None, ell=-rng.random(B))
+        terms = BatchTerms(mu_pre=rng.normal(size=(2, m)), noise_pre=rng.normal(size=(2, m, B)),
+                           margins=rng.normal(size=B))
         kw = dict(batch=batch, terms=terms, y=y, y_hat=y, eta=0.3, P=3,
                   mu_norm_sq=2.0, xi_norm_sq=rng.uniform(50.0, 150.0, n))
         got = track_step(start, **kw)
-        coef = -(0.3 * 4 / (B * m)) * terms.ell * kw["xi_norm_sq"][batch]
-        contrib = terms.noise_act * coef[None, None, :]
+        coef = -(0.3 * 4 / (B * m)) * loss_grad(terms.margins) * kw["xi_norm_sq"][batch]
+        contrib = (terms.noise_pre >= 0) * coef[None, None, :]
         zeta, omega = start.zeta.copy(), start.omega.copy()
         for row, j in enumerate((1.0, -1.0)):
             own = y[batch] == j
@@ -299,34 +312,24 @@ def test_track_step_equals_the_per_row_update():
         start = got
 
 
-def _sequential_states(events, ds, m):
-    """The coefficients after each step of events, applied one at a time
-    with track_step from zero, the zero state first."""
-    kw = dict(y=ds.y, y_hat=ds.y_hat, P=ds.params.P, mu_norm_sq=float(ds.gram[0, 0]),
-              xi_norm_sq=np.diag(ds.gram)[1:])
-    states = [Coeffs.zeros(m, ds.n)]
-    for ev in events:
-        states.append(track_step(states[-1], batch=ev.batch, terms=ev.used, eta=ev.eta, **kw))
-    return states
-
-
-def _same_bits(a: Coeffs, b: Coeffs) -> bool:
-    return all(getattr(a, f).shape == getattr(b, f).shape
-               and getattr(a, f).tobytes() == getattr(b, f).tobytes()
-               for f in ("gamma", "zeta", "omega"))
-
-
 def _small_blocks(monkeypatch, steps, m, n):
-    """Make CoeffTracker replay blocks of the given number of steps."""
+    """Make CoeffTracker read blocks of the given number of steps."""
     monkeypatch.setattr(decomposition, "REPLAY_BLOCK_BYTES", steps * 8 * 2 * m * (1 + 2 * n))
+
+
+def _close(a: Coeffs, b: Coeffs) -> bool:
+    """a within 1e-12 max(1, |x|) of every entry x of b."""
+    return all(getattr(a, f).shape == getattr(b, f).shape and np.all(
+        np.abs(getattr(a, f) - getattr(b, f)) <= 1e-12 * np.maximum(1.0, np.abs(getattr(b, f))))
+        for f in ("gamma", "zeta", "omega"))
 
 
 @pytest.mark.parametrize("B", [1, 4, 8, 24])
 @pytest.mark.parametrize("algo,tau", [("sgd", 0.0), ("sam", 0.08)])
-def test_tracker_history_is_bitwise_the_sequential_recurrence(monkeypatch, algo, tau, B):
-    """Every state's gamma, zeta and omega, replayed in blocks of 7 steps,
-    has the bits of track_step applied one step at a time, and so has
-    every read of coeffs in the middle of a run, between two blocks."""
+def test_tracker_history_matches_the_recurrence(monkeypatch, algo, tau, B):
+    """Every state's gamma, zeta and omega, read in blocks of 7 steps, is
+    within 1e-12 of the paper's recurrence applied one step at a time, and
+    so is every read of coeffs in the middle of a run, between two blocks."""
     d, n, m = 150, 24, 3
     params = DataParams(d=d, P=3, sigma_p=1.0, p=0.2, mu_norm=1.7)
     ds = gen_dataset(params, make_signal(d, 1.7), n, seed=7)
@@ -343,45 +346,48 @@ def test_tracker_history_is_bitwise_the_sequential_recurrence(monkeypatch, algo,
 
     epochs = 3 * B // 4 + 2
     cfg = TrainConfig(eta=0.05, B=B, epochs=epochs, algo=algo, tau=tau, seed=1)
-    train(ds, net, cfg, hooks=(tracker, last_only, read_midway))
-    want = _sequential_states(events, ds, m)
+    reference = RecurrenceTracker(ds, m, cfg.eta)
+    train(ds, net, cfg, hooks=(tracker, last_only, read_midway, reference))
+    want = reference.history
     H = n // B
     assert len(events) == epochs * H > 2 * 7
     assert [(st.t, st.b, st.step) for st in tracker.history] == \
-        [(s // H, s % H, s) for s in range(len(want))]
+        [(st.t, st.b, st.step) for st in want] == [(s // H, s % H, s) for s in range(len(want))]
     for st, ref in zip(tracker.history, want):
-        assert _same_bits(st.coeffs, ref), st.step
+        assert _close(st.coeffs, ref.coeffs), st.step
         assert tracker.state_at(st.t, st.b) is st
-    assert all(_same_bits(c, want[step + 1]) for step, c in reads)
-    assert _same_bits(tracker.coeffs, want[-1]) and _same_bits(last_only.coeffs, want[-1])
+    assert all(_close(c, want[step + 1].coeffs) for step, c in reads)
+    assert _close(tracker.coeffs, want[-1].coeffs) and _close(last_only.coeffs, want[-1].coeffs)
     assert last_only.history == []
     if algo == "sam":
         assert any(ev.used is not ev.at_w for ev in events)
 
 
-def _flipped(ev: StepEvent) -> StepEvent:
-    """ev with its loss derivatives flipped in sign and scaled up, so its
-    noise increments have the wrong sign and outweigh the earlier ones."""
-    return dataclasses.replace(ev, used=dataclasses.replace(ev.used, ell=-1e3 * ev.used.ell))
+def _negated_noise(ev: StepEvent) -> StepEvent:
+    """ev with the noise columns of its C negated, so its zeta and omega
+    have the wrong sign."""
+    c = ev.c.copy()
+    c[:, 1:] *= -1.0
+    return dataclasses.replace(ev, c=c)
 
 
 def test_tracker_raises_on_a_planted_sign_flip_at_the_next_replay(monkeypatch):
-    """A step whose increments have the wrong sign raises InvariantViolation,
-    with check_patterns' message, when its block is replayed; with
-    check=False it does not."""
+    """A step whose C has its noise columns negated raises InvariantViolation,
+    with check_patterns' message, when its block is read; with check=False
+    it does not."""
     d, n, m = 80, 8, 2
     ds = gen_dataset(DataParams(d=d, P=2, mu_norm=2.0), make_signal(d, 2.0), n, seed=4)
     net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)
     events = []
     train(ds, net, TrainConfig(eta=0.1, B=4, epochs=6, seed=0), hooks=(events.append,))
-    events[5] = _flipped(events[5])
+    events[5] = _negated_noise(events[5])
     with pytest.raises(InvariantViolation) as want:
-        _sequential_states(events[:6], ds, m)[-1].check_patterns(ds.y)
+        span_view(events[5].c, ds.gram, ds.y, ds.params.P).check_patterns(ds.y)
     assert str(want.value) == "zeta has a negative entry"
     _small_blocks(monkeypatch, 4, m, n)
     tracker = CoeffTracker(ds, m)
     for ev in events[:7]:
-        tracker(ev)  # the flipped step waits in the second block
+        tracker(ev)  # the planted step waits in the second block
     with pytest.raises(InvariantViolation, match=f"^{want.value}$"):
         tracker(events[7])
     unchecked = CoeffTracker(ds, m, check=False)

@@ -12,7 +12,8 @@ from helpers import (
     model_gradient,
     random_instance,
 )
-from samdyn.network import NetConfig, init_weights, load_weights, loss, loss_grad, save_weights
+from samdyn.network import (NetConfig, init_weights, load_weights, loss, loss_grad,
+                            model_grad_coeffs, model_preacts, save_weights)
 
 
 def _gradient(w, ds):
@@ -123,12 +124,14 @@ def test_gradient_zero_weights_hand_case():
     xi = np.array([0.5, -1.0, 2.0])
     ds = manual_dataset(mu, xi, y=1, y_hat=1, signal_pos=0, P=2)
     w = np.zeros((2, 1, 3))
-    g, terms = _gradient(w, ds)
+    g, _ = _gradient(w, ds)
     expected_plus = -0.5 * (xi + mu)
     assert np.allclose(g[0, 0], expected_plus, rtol=1e-14, atol=0)
     assert np.allclose(g[1, 0], -expected_plus, rtol=1e-14, atol=0)
-    # both the signal and the noise patch sit on the kink and count as active
-    assert np.all(terms.sig_act == 1) and np.all(terms.noise_act == 1)
+    # both the signal and the noise patch sit on the kink and count as active:
+    # each gets the whole coefficient j l'(0) y / (B m) = -j/2
+    coeffs, _ = model_grad_coeffs(*model_preacts(w, mu, xi[None]), ds.y, ds.y_hat, 2)
+    assert np.array_equal(coeffs, np.array([[-0.5, -0.5], [0.5, 0.5]]))
 
 
 def test_gradient_matches_signal_noise_form():

@@ -226,13 +226,17 @@ def test_train_phase_switch_stops_perturbing():
 def test_train_hooks_see_step_quantities():
     ds, net = _toy_setup(n=8)
     events = []
-    train(ds, net, TrainConfig(eta=0.1, B=4, epochs=2, seed=0), hooks=(events.append,))
+    traj = train(ds, net, TrainConfig(eta=0.1, B=4, epochs=2, seed=0), hooks=(events.append,))
     assert len(events) == 4
     ev = events[0]
-    assert ev.used.ell.shape == (4,)
-    assert ev.used.sig_act.shape == (2, 6, 4)
-    assert np.all((ev.used.sig_act == 0) | (ev.used.sig_act == 1))
+    assert ev.used.margins.shape == (4,)
+    assert ev.used.mu_pre.shape == (2, 6) and ev.used.noise_pre.shape == (2, 6, 4)
     assert ev.used is ev.at_w  # SGD: no perturbation
+    # each event's C is the state after its step: the batch's columns moved
+    assert ev.c.shape == (12, 9) and not traj.records[0].c.any()
+    assert np.flatnonzero(ev.c.any(axis=0)).tolist() == [0] + sorted(ev.batch + 1)
+    assert np.array_equal(events[1].c, traj.records[1].c)  # (1, 0), after two steps
+    assert np.array_equal(events[-1].c, traj.records[-1].c)
 
 
 def test_training_never_builds_patch_tensor(monkeypatch):
