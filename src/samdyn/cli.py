@@ -3,7 +3,11 @@
 Subcommands: gen-data, train, grid, check, decompose.  Every run writes a
 manifest.json into its output directory before any work starts, holding
 the resolved config, tool version and base seed; runs are bit-reproducible
-from it.  No subcommand writes outside its --out target.
+from it.  A refused run (a bad config or seed, a checkpoint that does not
+fit its dataset) exits 2 before it writes anything.  train and check share
+one run (_train_run); check adds a SamDeactivationRecorder and writes the
+checkers' report in place of the run's tables.  No subcommand writes
+outside its --out target.
 """
 
 import argparse
@@ -71,30 +75,33 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _derive_run_seeds(base_seed: int) -> tuple:
-    ss = np.random.SeedSequence((0x5D, base_seed))
-    data_ss, train_ss = ss.spawn(2)
-    return data_ss, int(train_ss.generate_state(1)[0])
+def _train_run(args, outputs, check: bool = False):
+    """The run train and check share: load the config, write the manifest,
+    derive the data and training seeds from the run's seed, build the
+    dataset and train it with a CoeffTracker, and for check also a
+    SamDeactivationRecorder.  Returns the output directory, the setup, the
+    dataset, the trajectory and the hooks."""
+    setup = load_train_setup(args.config, seed_override=args.seed)
+    out = Path(args.out)
+    write_manifest(out, args.command, setup.raw, setup.train.seed, outputs)
+    data_ss, train_ss = np.random.SeedSequence((0x5D, setup.train.seed)).spawn(2)
+    cfg = dataclasses.replace(setup.train, seed=int(train_ss.generate_state(1)[0]))
+    mu = make_signal(setup.params.d, setup.params.mu_norm)
+    ds = gen_dataset(setup.params, mu, setup.n, seed=data_ss)
+    hooks = (CoeffTracker(ds, setup.net.m),) + ((SamDeactivationRecorder(ds.y),) if check else ())
+    return out, setup, ds, train(ds, setup.net, cfg, hooks=hooks), hooks
 
 
 def _cmd_train(args) -> int:
-    setup = load_train_setup(args.config, seed_override=args.seed)
-    out = Path(args.out)
-    write_manifest(out, "train", setup.raw, setup.train.seed,
-                   ["metrics.csv", "dataset.npz", "w0.npz", "w_final.npz", "coeffs.csv"])
-    data_ss, train_seed = _derive_run_seeds(setup.train.seed)
-    cfg = dataclasses.replace(setup.train, seed=train_seed)
-    mu = make_signal(setup.params.d, setup.params.mu_norm)
-    ds = gen_dataset(setup.params, mu, setup.n, seed=data_ss)
-    tracker = CoeffTracker(ds, setup.net.m)
-    traj = train(ds, setup.net, cfg, hooks=(tracker,))
+    out, setup, ds, traj, (tracker,) = _train_run(
+        args, ["metrics.csv", "dataset.npz", "w0.npz", "w_final.npz", "coeffs.csv"])
     save_dataset(out / "dataset.npz", ds)
     write_metrics_csv(out / "metrics.csv", traj)
     save_weights(out / "w0.npz", traj.w0)
     save_weights(out / "w_final.npz", traj.w_final)
     write_coeff_csv(out / "coeffs.csv", tracker.history)
     print(
-        f"trained {cfg.algo} for {cfg.epochs} epochs: "
+        f"trained {setup.train.algo} for {setup.train.epochs} epochs: "
         f"final loss {traj.records[-1].train_loss:.6f} -> {out}"
     )
     return 0
@@ -114,27 +121,17 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    setup = load_train_setup(args.config, seed_override=args.seed)
-    out = Path(args.out)
-    write_manifest(out, "check", setup.raw, setup.train.seed, ["report.csv"])
-    data_ss, train_seed = _derive_run_seeds(setup.train.seed)
-    cfg = dataclasses.replace(setup.train, seed=train_seed)
-    mu = make_signal(setup.params.d, setup.params.mu_norm)
-    ds = gen_dataset(setup.params, mu, setup.n, seed=data_ss)
-    tracker = CoeffTracker(ds, setup.net.m)
-    deact = SamDeactivationRecorder(ds.y)
-    traj = train(ds, setup.net, cfg, hooks=(tracker, deact))
-
+    out, setup, ds, traj, (tracker, deact) = _train_run(args, ["report.csv"], check=True)
     thr = activation_threshold(effective_sigma0(setup.net), setup.params.sigma_p, setup.params.d)
     consts = TheoryConstants.from_run(
         traj.w0, ds.mu, ds.xi, setup.params.P, setup.params.sigma_p,
-        t_star=max(cfg.epochs, 3),
+        t_star=max(setup.train.epochs, 3),
     )
     reports = [
         check_set_monotonicity(traj, ds.y, thr),
         check_logit_ratio(traj, consts.c1_logit),
         *check_coeff_bounds(tracker.history, consts, setup.params.d),
-        check_good_batches(traj.schedules, ds.y, ds.y_hat, cfg.B),
+        check_good_batches(traj.schedules, ds.y, ds.y_hat, setup.train.B),
         check_sam_deactivation(deact),
     ]
     write_report_csv(out / "report.csv", reports)
@@ -148,8 +145,12 @@ def _cmd_decompose(args) -> int:
     ds = load_dataset(args.data)
     w = load_weights(args.weights)
     w0 = load_weights(args.weights0)
+    if not (w.shape == w0.shape and w.ndim == 3 and w.shape[::2] == (2, ds.params.d)):
+        raise ValueError(f"checkpoints {args.weights} {w.shape} and {args.weights0} {w0.shape} "
+                         f"must share one shape (2, m, d) with d = {ds.params.d} of {args.data}")
+    basis = basis_from_dataset(ds)
+    basis.checked_cond  # refuses a degenerate basis before any output
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_manifest(
         out,
         "decompose",
@@ -157,7 +158,6 @@ def _cmd_decompose(args) -> int:
         None,
         ["decomposition.csv", "rho.npz"],
     )
-    basis = basis_from_dataset(ds)
     sol = oracle_solve(w, w0, basis)
     zeta = np.where(sol.rho >= 0, sol.rho, 0.0)
     omega = np.where(sol.rho <= 0, sol.rho, 0.0)
@@ -187,26 +187,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output .npz path")
     g.set_defaults(func=_cmd_gen_data)
 
-    t = sub.add_parser("train", help="run one training run from a config file")
-    t.add_argument("--config", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=None, help="override the config seed")
-    t.set_defaults(func=_cmd_train)
+    def config_command(name, func, help, seed_help="override the config seed"):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
+        p.set_defaults(func=func)
+        return p
 
-    r = sub.add_parser("grid", help="run a phase-transition grid")
-    r.add_argument("--config", required=True)
-    r.add_argument("--out", required=True)
-    r.add_argument("--seed", type=int, default=None, help="override base_seed")
+    config_command("train", _cmd_train, "run one training run from a config file")
+    r = config_command("grid", _cmd_grid, "run a phase-transition grid", "override base_seed")
     r.add_argument("--jobs", type=int, default=available_cpus(),
                    help="worker processes (default: the CPUs this process may run on)")
     r.add_argument("--resume", action="store_true")
-    r.set_defaults(func=_cmd_grid)
-
-    c = sub.add_parser("check", help="train and run the structural checkers")
-    c.add_argument("--config", required=True)
-    c.add_argument("--out", required=True)
-    c.add_argument("--seed", type=int, default=None)
-    c.set_defaults(func=_cmd_check)
+    config_command("check", _cmd_check, "train and run the structural checkers")
 
     d = sub.add_parser("decompose", help="least-squares decomposition of a checkpoint")
     d.add_argument("--data", required=True, help="dataset .npz (gen-data or train output)")

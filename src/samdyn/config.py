@@ -1,4 +1,4 @@
-"""Key = value run configuration shared by all CLI subcommands.
+"""Key = value run configuration of the train, check and grid subcommands.
 
 Format: one `key = value` pair per line, `#` comments, blank lines
 ignored.  Unknown keys are errors (typos in sweep configs must not pass
@@ -6,8 +6,12 @@ silently).  Environment variables with the SAMDYN_ prefix override file
 values, e.g. SAMDYN_ETA=0.1 overrides `eta`; unknown prefixed variables
 are errors too.
 
-Lists are comma separated (`d_values = 1000, 5000, 20000`).  Optional
-integer keys accept an empty value to mean "unset".
+TRAIN_SCHEMA and GRID_SCHEMA are the one table of keys: each maps a key to
+its parser and its default (REQUIRED for none).  Lists are comma separated
+(`d_values = 1000, 5000, 20000`); optional keys read an empty value as
+None (tables.optional).  The loaders build each dataclass from the keys
+that share its field names, so a new setting is a dataclass field and its
+schema line.
 """
 
 import dataclasses
@@ -22,6 +26,7 @@ from .data import DataParams
 from .experiments import GridSpec, openblas_environment, phase_train_variants
 from .network import NetConfig
 from .optim import TrainConfig
+from .tables import optional
 
 ENV_PREFIX = "SAMDYN_"
 
@@ -61,88 +66,90 @@ def apply_env_overrides(raw: dict[str, str], schema: dict, environ=None) -> dict
     return out
 
 
-# schema: key -> (kind, required, default)
+REQUIRED = object()  # the default of a key every config must set
+
+
+def list_of(parse):
+    """Parser of a comma-separated, nonempty list of parse's values."""
+    def parse_list(value: str) -> tuple:
+        items = tuple(parse(v.strip()) for v in value.split(",") if v.strip())
+        if not items:
+            raise ValueError("empty list")
+        return items
+    return parse_list
+
+
+# key -> (parser, default); a key names the field it sets, in DataParams,
+# NetConfig, TrainConfig or GridSpec, or a parameter of phase_train_variants
 TRAIN_SCHEMA: dict[str, tuple] = {
-    "d": ("int", True, None),
-    "P": ("int", False, 2),
-    "n": ("int", True, None),
-    "sigma_p": ("float", False, 1.0),
-    "p": ("float", False, 0.0),
-    "mu_norm": ("float", True, None),
-    "m": ("int", True, None),
-    "init": ("str", False, "uniform_fan_in"),
-    "sigma_0": ("float", False, 0.01),
-    "algo": ("str", False, "sgd"),
-    "eta": ("float", True, None),
-    "B": ("int", True, None),
-    "epochs": ("int", True, None),
-    "tau": ("float", False, 0.0),
-    "seed": ("int", False, 0),
-    "record_every": ("opt_int", False, None),
-    "sam_phase_iters": ("opt_int", False, None),
+    "d": (int, REQUIRED),
+    "P": (int, 2),
+    "n": (int, REQUIRED),
+    "sigma_p": (float, 1.0),
+    "p": (float, 0.0),
+    "mu_norm": (float, REQUIRED),
+    "m": (int, REQUIRED),
+    "init": (str, "uniform_fan_in"),
+    "sigma_0": (float, 0.01),
+    "algo": (str, "sgd"),
+    "eta": (float, REQUIRED),
+    "B": (int, REQUIRED),
+    "epochs": (int, REQUIRED),
+    "tau": (float, 0.0),
+    "seed": (int, 0),
+    "record_every": (optional(int), None),
+    "sam_phase_iters": (optional(int), None),
 }
 
 GRID_SCHEMA: dict[str, tuple] = {
-    "d_values": ("int_list", True, None),
-    "mu_values": ("float_list", True, None),
-    "seeds": ("int_list", True, None),
-    "n": ("int", True, None),
-    "P": ("int", False, 2),
-    "sigma_p": ("float", False, 1.0),
-    "p": ("float", False, 0.0),
-    "m": ("int", True, None),
-    "init": ("str", False, "uniform_fan_in"),
-    "sigma_0": ("opt_float", False, None),
-    "algos": ("str_list", False, ["sgd", "sam"]),
-    "eta": ("float", True, None),
-    "B": ("int", True, None),
-    "epochs": ("int", True, None),
-    "tau": ("float", False, 0.03),
-    "n_test": ("int", True, None),
-    "loss_target": ("float", False, 0.05),
-    "base_seed": ("int", False, 0),
+    "d_values": (list_of(int), REQUIRED),
+    "mu_values": (list_of(float), REQUIRED),
+    "seeds": (list_of(int), REQUIRED),
+    "n": (int, REQUIRED),
+    "P": (int, 2),
+    "sigma_p": (float, 1.0),
+    "p": (float, 0.0),
+    "m": (int, REQUIRED),
+    "init": (str, "uniform_fan_in"),
+    "sigma_0": (optional(float), None),
+    "algos": (list_of(str), ("sgd", "sam")),
+    "eta": (float, REQUIRED),
+    "B": (int, REQUIRED),
+    "epochs": (int, REQUIRED),
+    "tau": (float, 0.03),
+    "n_test": (int, REQUIRED),
+    "loss_target": (float, 0.05),
+    "base_seed": (int, 0),
 }
 
 
-def typed_config(raw: dict[str, str], schema: dict) -> dict:
+def _load(path, schema: dict, seed_key: str, seed_override, environ) -> dict:
+    """The typed values of every schema key: the file's, then the SAMDYN_
+    overrides, parsed, then the defaults, then seed_override for seed_key."""
+    raw = apply_env_overrides(parse_config_file(path), schema, environ)
     for key in raw:
         if key not in schema:
             raise ConfigError(f"unknown config key {key!r}")
-    out = {}
-    for key, (kind, required, default) in schema.items():
+    cfg = {}
+    for key, (parse, default) in schema.items():
         if key in raw:
-            out[key] = _convert_value(key, raw[key], kind)
-        elif required:
+            try:
+                cfg[key] = parse(raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: cannot parse {raw[key]!r}: {exc}") from None
+        elif default is REQUIRED:
             raise ConfigError(f"missing required config key {key!r}")
         else:
-            out[key] = default
-    return out
+            cfg[key] = default
+    if seed_override is not None:
+        cfg[seed_key] = seed_override
+    return cfg
 
 
-def _convert_value(key: str, value: str, kind: str):
-    scalar = {
-        "int": int,
-        "float": float,
-        "str": str,
-    }
-    try:
-        if kind in scalar:
-            return scalar[kind](value)
-        if kind == "opt_int":
-            return None if value == "" else int(value)
-        if kind == "opt_float":
-            return None if value == "" else float(value)
-        if kind.endswith("_list"):
-            parts = [p.strip() for p in value.split(",") if p.strip() != ""]
-            if not parts:
-                raise ConfigError(f"{key}: empty list")
-            elem = {"int_list": int, "float_list": float, "str_list": str}[kind]
-            return [elem(p) for p in parts]
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {value!r} as {kind}") from None
-    raise ConfigError(f"internal: unknown kind {kind} for key {key}")
+def _by_name(cls, cfg: dict, **given):
+    """cls built from given and the values of cfg's keys that name its fields."""
+    names = {f.name for f in dataclasses.fields(cls)} - given.keys()
+    return cls(**given, **{k: v for k, v in cfg.items() if k in names})
 
 
 @dataclasses.dataclass
@@ -155,62 +162,26 @@ class TrainSetup:
 
 
 def load_train_setup(path, seed_override: int | None = None, environ=None) -> TrainSetup:
-    raw = apply_env_overrides(parse_config_file(path), TRAIN_SCHEMA, environ)
-    cfg = typed_config(raw, TRAIN_SCHEMA)
-    if seed_override is not None:
-        cfg["seed"] = seed_override
+    cfg = _load(path, TRAIN_SCHEMA, "seed", seed_override, environ)
     try:
-        params = DataParams(
-            d=cfg["d"], P=cfg["P"], sigma_p=cfg["sigma_p"], p=cfg["p"], mu_norm=cfg["mu_norm"]
-        )
-        net = NetConfig(m=cfg["m"], d=cfg["d"], init=cfg["init"], sigma_0=cfg["sigma_0"])
-        train = TrainConfig(
-            eta=cfg["eta"],
-            B=cfg["B"],
-            epochs=cfg["epochs"],
-            algo=cfg["algo"],
-            tau=cfg["tau"],
-            seed=cfg["seed"],
-            record_every=cfg["record_every"],
-            sam_phase_iters=cfg["sam_phase_iters"],
-        )
+        setup = _by_name(TrainSetup, cfg, params=_by_name(DataParams, cfg),
+                         net=_by_name(NetConfig, cfg), train=_by_name(TrainConfig, cfg), raw=cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg["n"] % cfg["B"] != 0:
-        raise ConfigError(f"B={cfg['B']} does not divide n={cfg['n']}")
-    return TrainSetup(params=params, n=cfg["n"], net=net, train=train, raw=cfg)
+    if setup.n % setup.train.B != 0:
+        raise ConfigError(f"B={setup.train.B} does not divide n={setup.n}")
+    return setup
 
 
 def load_grid_spec(path, seed_override: int | None = None, environ=None) -> tuple[GridSpec, dict]:
-    raw = apply_env_overrides(parse_config_file(path), GRID_SCHEMA, environ)
-    cfg = typed_config(raw, GRID_SCHEMA)
-    if seed_override is not None:
-        cfg["base_seed"] = seed_override
-    for algo in cfg["algos"]:
-        if algo not in ("sgd", "sam"):
-            raise ConfigError(f"algos: unknown algorithm {algo!r}")
-    variants = phase_train_variants(cfg["algos"], eta=cfg["eta"], epochs=cfg["epochs"],
-                                    B=cfg["B"], tau=cfg["tau"])
+    cfg = _load(path, GRID_SCHEMA, "base_seed", seed_override, environ)
+    # the keys that name no GridSpec field are the training variants' parameters
+    fields = {f.name for f in dataclasses.fields(GridSpec)}
     try:
-        spec = GridSpec(
-            d_values=tuple(cfg["d_values"]),
-            mu_values=tuple(cfg["mu_values"]),
-            seeds=tuple(cfg["seeds"]),
-            n=cfg["n"],
-            P=cfg["P"],
-            sigma_p=cfg["sigma_p"],
-            p=cfg["p"],
-            m=cfg["m"],
-            train=variants,
-            n_test=cfg["n_test"],
-            init=cfg["init"],
-            sigma_0=cfg["sigma_0"],
-            loss_target=cfg["loss_target"],
-            base_seed=cfg["base_seed"],
-        )
+        variants = phase_train_variants(**{k: v for k, v in cfg.items() if k not in fields})
+        return _by_name(GridSpec, cfg, train=variants), cfg
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return spec, cfg
 
 
 def write_manifest(out_dir, command: str, config: dict, base_seed, outputs) -> Path:

@@ -132,17 +132,18 @@ class Basis:
     @cached_property
     def checked_cond(self) -> float:
         """Condition number of gram, checked on the oracle's first call.  Raises
-        DegenerateBasisError naming the most collinear pair when it exceeds
-        _COND_LIMIT (duplicated xi, zero mu, n >= d)."""
+        DegenerateBasisError naming a vector of zero or non-finite norm, or
+        else the most collinear pair, when it exceeds _COND_LIMIT
+        (duplicated xi, zero mu, n >= d, an inf or nan entry)."""
         gram = self.gram
         diag = np.diag(gram)
         cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
         if not np.isfinite(cond) or cond > _COND_LIMIT:
-            zero = np.flatnonzero(diag == 0)
-            if zero.size:
-                raise DegenerateBasisError(
-                    f"basis vector {_name_basis_vector(int(zero[0]))} has zero norm"
-                )
+            bad = np.flatnonzero((diag == 0) | ~np.isfinite(diag))
+            if bad.size:
+                k = int(bad[0])
+                norm = "zero" if diag[k] == 0 else "non-finite"
+                raise DegenerateBasisError(f"basis vector {_name_basis_vector(k)} has {norm} norm")
             corr = gram / np.sqrt(np.outer(diag, diag))
             np.fill_diagonal(corr, 0.0)
             a, b = np.unravel_index(np.argmax(np.abs(corr)), corr.shape)

@@ -61,7 +61,7 @@ from .data import DataParams, gen_dataset, make_signal
 from .decomposition import InvariantViolation, span_view
 from .network import NetConfig, model_margins
 from .optim import TrainConfig, TrainingDivergedError, train
-from .tables import write_csv
+from .tables import optional, write_csv
 
 _SEED_TAG = 88261599  # fixed domain tag for trial seed derivation
 _TEST_CHUNK = 256  # test samples per chunk of y_hat, flips and noise; part of the test-draw stream
@@ -93,6 +93,10 @@ class GridSpec:
             raise ValueError("d_values, mu_values and seeds must be nonempty")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seeds!r}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         if not math.isfinite(self.loss_target):
@@ -532,14 +536,10 @@ def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> li
     return results
 
 
-def _opt_int(value: str) -> int | None:
-    return None if value == "" else int(value)
-
-
 # results.csv columns, in order, each with the reader of its TrialResult field
 _CSV_READERS = {
     "algo": str, "d": int, "mu_norm": float, "seed": int, "train_loss": float,
-    "test_error": float, "test_stderr": float, "convergence_epoch": _opt_int,
+    "test_error": float, "test_stderr": float, "convergence_epoch": optional(int),
     "max_gamma": float, "max_sum_zeta": float, "invariant_violations": int,
     "failed": lambda value: bool(int(value)), "error": str,
 }
@@ -650,6 +650,9 @@ def phase_train_variants(algos=("sgd", "sam"), eta: float = 0.2, epochs: int = 1
     perturbation of radius 0.03.  The batch loss here is a size-B mean, so
     eta=0.2 equals a step of 0.01 under the per-sample-sum convention at
     n=20; the perturbation radius is normalization-invariant."""
+    for algo in algos:
+        if algo not in ("sgd", "sam"):
+            raise ValueError(f"algos: unknown algorithm {algo!r}")
     variants = {}
     if "sgd" in algos:
         variants["sgd"] = TrainConfig(eta=eta, B=B, epochs=epochs, algo="sgd")

@@ -162,4 +162,6 @@ def load_weights(path) -> np.ndarray:
         shape = tuple(int(v) for v in z["shape"])
     if w.shape != shape:
         raise ValueError(f"corrupt checkpoint: header {shape} vs array {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{path}: weights hold a non-finite value")
     return w

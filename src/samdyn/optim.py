@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError(f"algo must be sgd or sam, got {self.algo!r}")
         if not (math.isfinite(self.tau) and self.tau >= 0):
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.record_every is not None and self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if self.sam_phase_iters is not None and self.sam_phase_iters < 0:

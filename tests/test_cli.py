@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,14 +11,17 @@ import pytest
 
 from samdyn.cli import build_parser, main
 from samdyn.config import (
+    GRID_SCHEMA,
+    TRAIN_SCHEMA,
     ConfigError,
     load_grid_spec,
     load_train_setup,
     parse_config_file,
 )
-from samdyn.data import load_dataset
+from samdyn.data import DataParams, gen_dataset, load_dataset, make_signal, save_dataset
 from samdyn.experiments import _openblas_thread_controls, phase_grid_spec
 from samdyn.network import save_weights
+from samdyn.optim import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -135,24 +139,171 @@ def test_snapshot_weights_is_not_a_train_key(tmp_path):
             load_train_setup(cfg)
 
 
-def test_negative_sam_phase_iters_refused_before_manifest(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TINY_TRAIN + "algo = sam\ntau = 0.1\nsam_phase_iters = -3\n")
-    out = tmp_path / "x"
-    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "sam_phase_iters" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
-
-
-def test_sgd_with_tau_refused_before_manifest(tmp_path, capsys):
-    """A train config whose SGD run would ignore tau is refused; a grid
-    config's tau, which only the SAM variant reads, stays accepted."""
-    cfg = write_cfg(tmp_path, TINY_TRAIN + "algo = sgd\ntau = 0.4\n")
-    out = tmp_path / "x"
-    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "tau" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+def test_grid_tau_is_accepted_and_read_by_sam_only(tmp_path):
+    """A grid config's tau, which only the SAM variant reads, is accepted
+    where a train config with algo = sgd refuses it."""
     spec, _ = load_grid_spec(write_cfg(tmp_path, TINY_GRID + "tau = 0.4\n", "grid.cfg"))
     assert spec.train["sgd"].tau == 0.0
+
+
+# every config key and a valid value other than the base config's, with the
+# settings of the loaded TrainSetup or GridSpec that value must change
+_TRAIN_BASE = {"d": "50", "n": "8", "mu_norm": "3.0", "m": "3", "algo": "sam", "eta": "0.3",
+               "B": "4", "epochs": "4"}
+_TRAIN_KEYS = {
+    "d": ("60", {"params.d", "net.d"}),
+    "P": ("3", {"params.P"}),
+    "n": ("12", {"n"}),
+    "sigma_p": ("2.0", {"params.sigma_p"}),
+    "p": ("0.1", {"params.p"}),
+    "mu_norm": ("4.0", {"params.mu_norm"}),
+    "m": ("4", {"net.m"}),
+    "init": ("gaussian", {"net.init"}),
+    "sigma_0": ("0.02", {"net.sigma_0"}),
+    "algo": ("sgd", {"train.algo"}),
+    "eta": ("0.5", {"train.eta"}),
+    "B": ("2", {"train.B"}),
+    "epochs": ("5", {"train.epochs"}),
+    "tau": ("0.1", {"train.tau"}),
+    "seed": ("7", {"train.seed"}),
+    "record_every": ("2", {"train.record_every"}),
+    "sam_phase_iters": ("3", {"train.sam_phase_iters"}),
+}
+_GRID_BASE = {"d_values": "50", "mu_values": "2.0", "seeds": "0", "n": "8", "m": "3",
+              "eta": "0.3", "B": "8", "epochs": "4", "n_test": "100"}
+_BOTH_VARIANTS = {"train.sgd", "train.sam"}
+_GRID_KEYS = {
+    "d_values": ("50, 60", {"d_values"}),
+    "mu_values": ("2.0, 3.0", {"mu_values"}),
+    "seeds": ("0, 1", {"seeds"}),
+    "n": ("16", {"n"}),
+    "P": ("3", {"P"}),
+    "sigma_p": ("2.0", {"sigma_p"}),
+    "p": ("0.1", {"p"}),
+    "m": ("4", {"m"}),
+    "init": ("gaussian", {"init"}),
+    "sigma_0": ("0.05", {"sigma_0"}),
+    "algos": ("sam", {f"train.sgd.{f.name}" for f in dataclasses.fields(TrainConfig)}),
+    "eta": ("0.5", {f"{v}.eta" for v in _BOTH_VARIANTS}),
+    "B": ("4", {f"{v}.B" for v in _BOTH_VARIANTS}),
+    "epochs": ("5", {f"{v}.epochs" for v in _BOTH_VARIANTS}),
+    "tau": ("0.1", {"train.sam.tau"}),
+    "n_test": ("50", {"n_test"}),
+    "loss_target": ("0.1", {"loss_target"}),
+    "base_seed": ("3", {"base_seed"}),
+}
+
+
+def _settings(obj, path=""):
+    """Every leaf setting of a loaded TrainSetup or GridSpec by dotted path;
+    the manifest's dict, raw, is not a setting."""
+    if dataclasses.is_dataclass(obj):
+        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name != "raw"]
+    elif isinstance(obj, dict):
+        items = obj.items()
+    else:
+        return {path: obj}
+    out = {}
+    for name, value in items:
+        out.update(_settings(value, f"{path}.{name}" if path else name))
+    return out
+
+
+def _load_with_raw(kind, path):
+    if kind == "train":
+        setup = load_train_setup(path)
+        return setup, setup.raw
+    return load_grid_spec(path)
+
+
+_SCHEMA_KEYS = [("train", k) for k in TRAIN_SCHEMA] + [("grid", k) for k in GRID_SCHEMA]
+
+
+@pytest.mark.parametrize("kind, key", _SCHEMA_KEYS, ids=["-".join(c) for c in _SCHEMA_KEYS])
+def test_each_config_key_sets_exactly_its_setting(tmp_path, kind, key):
+    """A key whose name matches no field would be parsed and then dropped;
+    a value that lands in another setting would pass unnoticed."""
+    base, keys = (_TRAIN_BASE, _TRAIN_KEYS) if kind == "train" else (_GRID_BASE, _GRID_KEYS)
+    value, changed = keys[key]
+    loaded = []
+    for settings in (base, {**base, key: value}):
+        text = "".join(f"{k} = {v}\n" for k, v in settings.items())
+        obj, raw = _load_with_raw(kind, write_cfg(tmp_path, text))
+        loaded.append((_settings(obj), raw))
+    (before, raw_before), (after, raw_after) = loaded
+    absent = object()
+    assert {p for p in before.keys() | after.keys()
+            if before.get(p, absent) != after.get(p, absent)} == changed
+    assert {k for k in raw_before if raw_before[k] != raw_after[k]} == {key}
+
+
+_W = np.random.default_rng(0).normal(size=(2, 2, 30))  # a checkpoint of the decompose rows
+
+
+def _with_first(a, value):
+    a = a.copy()
+    a.flat[0] = value
+    return a
+
+
+def _config_run(command, text, *flags):
+    """A refusal row's argv before --out: command on a config file of text."""
+    return lambda tmp_path: [command, "--config", str(write_cfg(tmp_path, text)), *flags]
+
+
+def _decompose_run(w=_W, w0=_W, xi_first=None):
+    """A refusal row's argv before --out: decompose checkpoints w and w0
+    against a d=30 dataset, whose first xi entry is xi_first if given."""
+    def run(tmp_path):
+        ds = gen_dataset(DataParams(d=30, mu_norm=2.0), make_signal(30, 2.0), 4, seed=0)
+        if xi_first is not None:
+            ds = dataclasses.replace(ds, xi=_with_first(ds.xi, xi_first))
+        save_dataset(tmp_path / "ds.npz", ds)
+        save_weights(tmp_path / "w.npz", w)
+        save_weights(tmp_path / "w0.npz", w0)
+        return ["decompose", "--data", str(tmp_path / "ds.npz"),
+                "--weights", str(tmp_path / "w.npz"), "--weights0", str(tmp_path / "w0.npz")]
+    return run
+
+
+# row id -> (the run's argv before --out, the text its error must hold)
+_REFUSALS = {
+    "negative-sam-phase-iters": (_config_run(
+        "train", TINY_TRAIN + "algo = sam\ntau = 0.1\nsam_phase_iters = -3\n"), "sam_phase_iters"),
+    "sgd-with-tau": (_config_run("train", TINY_TRAIN + "algo = sgd\ntau = 0.4\n"), "tau"),
+    "batch-does-not-divide-n": (_config_run("train", TINY_TRAIN.replace("B = 4", "B = 3")),
+                                "B=3 does not divide n=8"),
+    "train-negative-seed-flag": (_config_run("train", TINY_TRAIN, "--seed", "-1"),
+                                 "seed must be >= 0, got -1"),
+    "check-negative-seed": (_config_run("check", TINY_TRAIN.replace("seed = 1", "seed = -5")),
+                            "seed must be >= 0, got -5"),
+    "grid-nan-sigma-p": (_config_run("grid", TINY_GRID + "sigma_p = nan\n"), "sigma_p"),
+    "grid-repeated-seed": (_config_run("grid", TINY_GRID.replace("seeds = 0", "seeds = 0, 0")),
+                           "seeds repeats"),
+    "grid-negative-seeds": (_config_run("grid", TINY_GRID.replace("seeds = 0", "seeds = -1, 0")),
+                            "seeds must be >= 0"),
+    "grid-negative-base-seed": (_config_run("grid", TINY_GRID + "base_seed = -1\n"),
+                                "base_seed must be >= 0, got -1"),
+    "grid-negative-seed-flag": (_config_run("grid", TINY_GRID, "--seed", "-1"),
+                                "base_seed must be >= 0, got -1"),
+    "decompose-nan-weight": (_decompose_run(w=_with_first(_W, np.nan)),
+                             "w.npz: weights hold a non-finite value"),
+    "decompose-other-d": (_decompose_run(w=_W[:, :, :20], w0=_W[:, :, :20]), "d = 30 of "),
+    "decompose-other-m": (_decompose_run(w0=_W[:, :1]), "w0.npz (2, 1, 30)"),
+    "decompose-inf-xi": (_decompose_run(xi_first=np.inf), "basis vector xi_0 has non-finite norm"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("run, needle", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_cli_refuses_before_writing(tmp_path, capsys, run, needle):
+    """A refused run exits 2, names the field or the file on stderr, and
+    writes nothing: no manifest.json, no trials/."""
+    out = tmp_path / "out"
+    assert main([*run(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err, err
+    assert not out.exists()
 
 
 def test_manifest_records_numpy_and_openblas(tmp_path):
@@ -165,13 +316,6 @@ def test_manifest_records_numpy_and_openblas(tmp_path):
     assert manifest["openblas"] == expected
     for lib in manifest["openblas"]:
         assert lib["config"].startswith("OpenBLAS") and lib["threads"] >= 1
-
-
-def test_batch_must_divide_n(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TINY_TRAIN.replace("B = 4", "B = 3"))
-    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "divide" in capsys.readouterr().err
 
 
 def test_env_override(tmp_path, monkeypatch):
@@ -243,22 +387,6 @@ def test_grid_cli_jobs_default_and_validation(tmp_path, monkeypatch, capsys):
     out = tmp_path / "grid"
     assert main(["grid", "--config", str(cfg), "--out", str(out), "--jobs", "0"]) == 2
     assert "jobs" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_grid_cli_rejects_nan_before_any_trial(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TINY_GRID + "sigma_p = nan\n")
-    out = tmp_path / "grid"
-    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "sigma_p" in capsys.readouterr().err
-    assert not (out / "trials").exists()
-
-
-def test_grid_cli_rejects_repeated_seed_before_any_trial(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TINY_GRID.replace("seeds = 0", "seeds = 0, 0"))
-    out = tmp_path / "grid"
-    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "seeds repeats" in capsys.readouterr().err
     assert not out.exists()
 
 
