@@ -5,7 +5,9 @@ probability under the theory's scaling conditions, so checkers count and
 expose violations instead of asserting (the only hard assertions in the
 package are the definitional coefficient patterns in decomposition.py).
 Checkers are pure functions of recorded trajectories and re-running one on
-the same trajectory reproduces the same report.
+the same trajectory reproduces the same report.  The coefficient ranges
+are read off the tracked states' C's a block of states at a time, since no
+state stores its gamma, zeta and omega.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .data import DataParams, gen_dataset, make_signal
-from .decomposition import REPLAY_BLOCK_BYTES
+from .decomposition import REPLAY_BLOCK_BYTES, coeff_blocks
 from .network import NetConfig, loss_grad, model_preacts
 from .optim import TrainConfig, Trajectory, train
 from .tables import write_csv
@@ -172,7 +174,9 @@ def check_coeff_bounds(
     d: int,
     delta: float = 0.05,
 ) -> list[CheckReport]:
-    """Ranges of the tracked coefficients over a run.
+    """Ranges of the tracked coefficients over a run: history is a
+    CoeffTracker's, one C per state, and is read off a block of states at a
+    time (decomposition.coeff_blocks).  An empty history is refused.
 
     zeta must stay in [0, alpha]; omega above
     -(beta + 10 sqrt(log(6 n^2/delta)/d) n alpha); gamma above -1/12.  The
@@ -180,21 +184,20 @@ def check_coeff_bounds(
     gamma/(gamma_hat * alpha) is reported so the hidden constant can be
     read off.
     """
-    n = history[0].coeffs.zeta.shape[2]
+    if not history:
+        raise ValueError("check_coeff_bounds: the coefficient history is empty "
+                         "(a CoeffTracker with keep_history=False keeps none)")
+    n = history[0].ds.n
     alpha = consts.alpha
     omega_floor = -(consts.beta + 10 * math.sqrt(math.log(6 * n**2 / delta) / d) * n * alpha)
-    # one min or max per state and array, over stacked blocks of states; a
-    # NaN makes its state's value NaN, which fails its check and which the
-    # worst values (fmax/fmin from 0.0) skip
+    # one min or max per state and array, over blocks of states read off
+    # their stacked C's; a NaN makes its state's value NaN, which fails its
+    # check and which the worst values (fmax/fmin from 0.0) skip
     states = len(history)
-    keys = ("zeta", "omega", "gamma")
-    per_block = max(1, REPLAY_BLOCK_BYTES // sum(getattr(history[0].coeffs, k).nbytes
-                                                  for k in keys))
     parts = []
-    for first in range(0, states, per_block):
-        block = history[first:first + per_block]
-        zeta, omega, gamma = (np.stack([getattr(st.coeffs, k) for st in block])
-                              .reshape(len(block), -1) for k in keys)
+    for block, coeffs in coeff_blocks(history):
+        zeta, omega, gamma = (a.reshape(len(block), -1)
+                              for a in (coeffs.zeta, coeffs.omega, coeffs.gamma))
         parts.append((zeta.min(axis=1), zeta.max(axis=1), omega.min(axis=1),
                       gamma.min(axis=1), gamma.max(axis=1)))
     z_lo, z_hi, o_lo, g_lo, g_hi = map(np.concatenate, zip(*parts))

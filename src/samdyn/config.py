@@ -3,8 +3,9 @@
 Format: one `key = value` pair per line, `#` comments, blank lines
 ignored.  Unknown keys are errors (typos in sweep configs must not pass
 silently).  Environment variables with the SAMDYN_ prefix override file
-values, e.g. SAMDYN_ETA=0.1 overrides `eta`; unknown prefixed variables
-are errors too.
+values, e.g. SAMDYN_ETA=0.1 overrides `eta`; a prefixed variable that
+names a key of neither the train nor the grid schema is an error too, and
+one that names only the other schema's key is ignored.
 
 TRAIN_SCHEMA and GRID_SCHEMA are the one table of keys: each maps a key to
 its parser and its default (REQUIRED for none).  Lists are comma separated
@@ -53,16 +54,22 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def apply_env_overrides(raw: dict[str, str], schema: dict, environ=None) -> dict[str, str]:
+    """raw with the SAMDYN_ overrides of schema's keys applied.  An override
+    of the other schema's key (a grid key when loading a train config, or
+    the reverse) is ignored, so one environment can hold both; a name that
+    matches no key of either schema is refused."""
     env = os.environ if environ is None else environ
     by_lower = {k.lower(): k for k in schema}
+    known = {k.lower() for k in (*TRAIN_SCHEMA, *GRID_SCHEMA)}
     out = dict(raw)
     for name, value in env.items():
         if not name.startswith(ENV_PREFIX):
             continue
-        key = by_lower.get(name[len(ENV_PREFIX):].lower())
-        if key is None:
+        field = name[len(ENV_PREFIX):].lower()
+        if field in by_lower:
+            out[by_lower[field]] = value
+        elif field not in known:
             raise ConfigError(f"environment override {name} does not match any config key")
-        out[key] = value
     return out
 
 

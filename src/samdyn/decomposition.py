@@ -10,10 +10,13 @@ with rho split by sign into zeta = rho * 1(rho >= 0) (noise aligned with
 the filter's own class) and omega = rho * 1(rho <= 0).  Training keeps the
 weights as w0 + C [mu; xi] (see optim); span_coeffs reads the coefficients
 off C and span_view splits rho by label.  The grid reads each record's C
-this way, and so does CoeffTracker, from the C of every step, with every
-state's patterns checked.  A least-squares oracle derives them
-independently: it solves the (n+1)-dimensional Gram system for the drift
-of each filter on every call.  Its Basis holds views of mu, xi and
+this way.  CoeffTracker keeps the C of every step as a CoeffState, whose
+coefficients are read off on demand and never stored, so a state costs
+(2m, n+1) floats and not the 2m (2n+1) of gamma, zeta and omega; whole
+histories are read a block of states at a time (coeff_blocks), with every
+state's patterns checked.  A least-squares oracle derives the
+coefficients independently: it solves the (n+1)-dimensional Gram system
+for the drift of each filter on every call.  Its Basis holds views of mu, xi and
 Dataset.gram, never copies, and checks their conditioning once.
 
 The update rules make the sign split structural: for y_i = j every rho
@@ -48,14 +51,6 @@ class Coeffs:
     gamma: np.ndarray  # (2, m)
     zeta: np.ndarray   # (2, m, n), >= 0, zero unless y_i == j
     omega: np.ndarray  # (2, m, n), <= 0, zero unless y_i == -j
-
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "Coeffs":
-        return cls(
-            gamma=np.zeros((2, m)),
-            zeta=np.zeros((2, m, n)),
-            omega=np.zeros((2, m, n)),
-        )
 
     @property
     def rho(self) -> np.ndarray:
@@ -193,49 +188,79 @@ def oracle_solve(w: np.ndarray, w0: np.ndarray, basis: Basis) -> OracleCoeffs:
 
 @dataclass
 class CoeffState:
+    """One state of a run: (t, b), the number of batch steps applied and the
+    coefficient matrix C of its drift, w = w0 + C [mu; xi].  coeffs reads
+    gamma, zeta and omega off C (span_view) on every access; a state stores
+    no coefficient array of its own."""
+
     t: int
     b: int
-    step: int  # state index: number of batch steps applied
-    coeffs: Coeffs
+    step: int      # state index: number of batch steps applied
+    c: np.ndarray  # (2m, n+1)
+    ds: Dataset    # the run's dataset: labels, P and Gram of the read-off
+
+    @property
+    def coeffs(self) -> Coeffs:
+        return span_view(self.c, self.ds.gram, self.ds.y, self.ds.params.P)
 
 
-# bytes of coefficient states (CoeffTracker) or buffered pre-activations
-# (checks.SamDeactivationRecorder) one block holds
+# bytes of coefficient states (a block read off C's) or buffered
+# pre-activations (checks.SamDeactivationRecorder) one block holds
 REPLAY_BLOCK_BYTES = 512 << 10
+
+
+def _states_per_block(m: int, n: int) -> int:
+    """States of m filters per class and n samples whose gamma, zeta and
+    omega fill REPLAY_BLOCK_BYTES, and at least one."""
+    return max(1, REPLAY_BLOCK_BYTES // (8 * 2 * m * (1 + 2 * n)))
+
+
+def coeff_blocks(states: list[CoeffState]):
+    """(block, coeffs) over consecutive blocks of states that share the first
+    one's dataset.  coeffs holds the stacked (k, 2, m) gamma and
+    (k, 2, m, n) zeta and omega of the block's k states, read off their C's
+    by one span_view; a block holds the states that fill
+    REPLAY_BLOCK_BYTES.  The read-off is elementwise, so a state's values
+    are bitwise its own coeffs."""
+    if not states:
+        return
+    ds = states[0].ds
+    per_block = _states_per_block(len(states[0].c) // 2, ds.n)
+    for first in range(0, len(states), per_block):
+        block = states[first:first + per_block]
+        yield block, span_view(np.stack([st.c for st in block]), ds.gram, ds.y, ds.params.P)
 
 
 class CoeffTracker:
     """Training hook that keeps the coefficients of every state of a run.
 
-    Each call buffers the coefficient matrix C that a StepEvent carries:
-    the weights after that step are w0 + C [mu; xi].  A block of buffered
-    C's is read off at once by span_view, which gives the block's stacked
-    (k, 2, m) gamma and (k, 2, m, n) zeta and omega.  A block is read when
-    its states reach REPLAY_BLOCK_BYTES and whenever history, coeffs or
-    state_at is read.  With check, the sign/zero patterns of every state
-    are hard-asserted when its block is read, so a failure raises at that
-    read, not at its own step.  With keep_history, history holds one entry
-    per trajectory state, views into the block arrays.
+    Each call keeps the StepEvent's coefficient matrix C, the array itself
+    (training never writes to it), as a CoeffState: a state costs one
+    (2m, n+1) C, and its gamma, zeta and omega are read off C when its
+    coeffs is read.  With check, the sign/zero patterns of the buffered
+    states are hard-asserted a block at a time (coeff_blocks) when they
+    reach REPLAY_BLOCK_BYTES of coefficients and whenever history, coeffs
+    or state_at is read, so a failure raises at that read, not at its own
+    step.  With keep_history, history holds every state, the zero state
+    first; without it only the last state is kept.
     """
 
     def __init__(self, ds: Dataset, m: int, keep_history: bool = True, check: bool = True):
-        self.y = ds.y
-        self.gram = ds.gram
-        self.P = ds.params.P
-        self.n = ds.n
+        self.ds = ds
         self.check = check
-        self._coeffs = Coeffs.zeros(m, self.n)
+        self._keep = keep_history
+        self._last = CoeffState(0, 0, 0, np.zeros((2 * m, ds.n + 1)), ds)
         self._history: list[CoeffState] = []
         self._by_state: dict[tuple[int, int], CoeffState] = {}
-        self._keep = keep_history
-        self._pending: list[tuple] = []
-        state_bytes = 8 * 2 * m * (1 + 2 * self.n)
-        self._block_steps = max(1, REPLAY_BLOCK_BYTES // state_bytes)
+        self._pending: list[CoeffState] = []
+        self._block_steps = _states_per_block(m, ds.n)
         if keep_history:
-            self._keep_state(CoeffState(0, 0, 0, self._coeffs))
+            self._keep_state(self._last)
 
     def __call__(self, event) -> None:
-        self._pending.append((event.t, event.b, event.step, len(event.batch), event.c))
+        H = self.ds.n // len(event.batch)
+        t, b = (event.t + 1, 0) if event.b + 1 == H else (event.t, event.b + 1)
+        self._pending.append(CoeffState(t, b, event.step + 1, event.c, self.ds))
         if len(self._pending) >= self._block_steps:
             self._read_pending()
 
@@ -243,7 +268,7 @@ class CoeffTracker:
     def coeffs(self) -> Coeffs:
         """The coefficients after the last step."""
         self._read_pending()
-        return self._coeffs
+        return self._last.coeffs
 
     @property
     def history(self) -> list[CoeffState]:
@@ -251,23 +276,17 @@ class CoeffTracker:
         return self._history
 
     def _read_pending(self) -> None:
-        """Read the buffered steps' coefficients off their stacked C's."""
+        """Check the buffered states' patterns, if asked, and keep them."""
         if not self._pending:
             return
-        ts, bs, steps, sizes, cs = zip(*self._pending)
-        self._pending = []
-        states = span_view(np.stack(cs), self.gram, self.y, self.P)
+        states, self._pending = self._pending, []
         if self.check:
-            states.check_patterns(self.y)
+            for _, coeffs in coeff_blocks(states):
+                coeffs.check_patterns(self.ds.y)
         if self._keep:
-            H = self.n // sizes[0]  # one run, one batch size
-            for s in range(len(cs)):
-                t, b = (ts[s] + 1, 0) if bs[s] + 1 == H else (ts[s], bs[s] + 1)
-                self._keep_state(CoeffState(t, b, steps[s] + 1, Coeffs(
-                    states.gamma[s], states.zeta[s], states.omega[s])))
-            self._coeffs = self._history[-1].coeffs
-        else:  # a copy, so the block is freed
-            self._coeffs = Coeffs(states.gamma[-1], states.zeta[-1], states.omega[-1]).copy()
+            for st in states:
+                self._keep_state(st)
+        self._last = states[-1]
 
     def _keep_state(self, st: CoeffState) -> None:
         self._history.append(st)
@@ -295,9 +314,11 @@ def coeff_rows(gamma: np.ndarray, zeta: np.ndarray, omega: np.ndarray) -> list[t
 
 
 def write_coeff_csv(path, history: list[CoeffState]) -> None:
-    """Coefficient time series: (t, b) and the COEFF_COLUMNS of each state."""
+    """Coefficient time series: (t, b) and the COEFF_COLUMNS of each state,
+    read off the states' C's a block at a time."""
     write_csv(path, ("t", "b") + COEFF_COLUMNS, [
         (st.t, st.b) + row
-        for st in history
-        for row in coeff_rows(st.coeffs.gamma, st.coeffs.zeta, st.coeffs.omega)
+        for block, coeffs in coeff_blocks(history)
+        for st, gamma, zeta, omega in zip(block, coeffs.gamma, coeffs.zeta, coeffs.omega)
+        for row in coeff_rows(gamma, zeta, omega)
     ])

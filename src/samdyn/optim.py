@@ -18,11 +18,13 @@ onto [mu; xi] are computed once per run; after that every pre-activation a
 step or record needs is <w0, v_k> + C G_k, the gradient is a coefficient
 matrix (network.model_grad_coeffs), the SAM norm is ||g||_F^2 = sum (g G) * g
 and the SAM perturbation shifts C on the batch columns.  A step therefore
-costs O(m n B) whatever d is; d-vectors are formed only for the weight
-snapshots and, on first access, Trajectory.w_final.  G is multiplied,
-never inverted, so mu = 0 or n >= d needs no special case.  Every record
-keeps its C, from which decomposition.span_view reads the signal/noise
-coefficients.
+costs O(m n B) whatever d is; d-vectors are formed only when a record's
+weights are read (snapshot_weights) and, on first access,
+Trajectory.w_final.  G is multiplied, never inverted, so mu = 0 or n >= d
+needs no special case.  Every record keeps its C and no d-space array:
+decomposition.span_view reads the signal/noise coefficients off C, and
+under snapshot_weights a record's weights are w0 + C [mu; xi], formed on
+each read.
 
 Hooks are called once per batch step with a StepEvent carrying the batch
 terms at the weights and at the point the descent gradient was taken (for
@@ -107,7 +109,13 @@ class TrajectoryRecord:
     mu_pre: np.ndarray     # (2, m) <w_{j,r}, mu>
     noise_pre: np.ndarray  # (2, m, n) <w_{j,r}, xi_i>
     c: np.ndarray          # (2m, n+1) coefficients: w = w0 + C [mu; xi]
-    weights: np.ndarray | None = None
+    span: "_Span | None" = None  # the run's span, under snapshot_weights
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        """The (2, m, d) weights w0 + C [mu; xi] under snapshot_weights,
+        formed on every read and not kept; None without snapshot_weights."""
+        return None if self.span is None else self.span.weights(self.c)
 
 
 def epoch_schedule(n: int, B: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -237,7 +245,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
                 mu_pre=mu_pre,
                 noise_pre=noise_pre,
                 c=c,
-                weights=span.weights(c) if cfg.snapshot_weights else None,
+                span=span if cfg.snapshot_weights else None,
             )
         )
 

@@ -10,10 +10,12 @@ applies to every step of a run.  samdyn's CoeffTracker reads the same
 coefficients off each step's C instead; the tests compare the two.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
-from samdyn.decomposition import Coeffs, CoeffState, DegenerateBasisError
+from samdyn.decomposition import Coeffs, DegenerateBasisError
 from samdyn.experiments import estimate_test_error
 from samdyn.network import (J_SIGNS, init_weights, loss, loss_grad, model_grad_coeffs,
                             model_margins, model_preacts, span_vectors)
@@ -70,6 +72,11 @@ def reconstruct(coeffs, basis, w0):
     return w + gdir * basis.mu[None, None, :]
 
 
+def zero_coeffs(m, n):
+    """The Coeffs of m filters per class and n samples at initialization."""
+    return Coeffs(gamma=np.zeros((2, m)), zeta=np.zeros((2, m, n)), omega=np.zeros((2, m, n)))
+
+
 def track_step(coeffs, *, batch, terms, y, y_hat, eta, P, mu_norm_sq, xi_norm_sq):
     """Advance the coefficients by one batch step.
 
@@ -105,6 +112,15 @@ def track_step(coeffs, *, batch, terms, y, y_hat, eta, P, mu_norm_sq, xi_norm_sq
     return Coeffs(gamma=gamma, zeta=zeta, omega=omega)
 
 
+class RecurrenceState(NamedTuple):
+    """A state of RecurrenceTracker: the Coeffs the recurrence reached."""
+
+    t: int
+    b: int
+    step: int
+    coeffs: Coeffs
+
+
 class RecurrenceTracker:
     """Training hook that applies track_step to every step of a run of
     step size eta, from zero: the coefficient recurrence as the reference
@@ -115,14 +131,14 @@ class RecurrenceTracker:
         self.kw = dict(y=ds.y, y_hat=ds.y_hat, eta=eta, P=ds.params.P,
                        mu_norm_sq=float(ds.gram[0, 0]), xi_norm_sq=np.diag(ds.gram)[1:])
         self.n = ds.n
-        self.history = [CoeffState(0, 0, 0, Coeffs.zeros(m, ds.n))]
+        self.history = [RecurrenceState(0, 0, 0, zero_coeffs(m, ds.n))]
 
     def __call__(self, event):
         H = self.n // len(event.batch)
         t, b = (event.t + 1, 0) if event.b + 1 == H else (event.t, event.b + 1)
         coeffs = track_step(self.history[-1].coeffs, batch=event.batch, terms=event.used,
                             **self.kw)
-        self.history.append(CoeffState(t, b, event.step + 1, coeffs))
+        self.history.append(RecurrenceState(t, b, event.step + 1, coeffs))
 
     @property
     def coeffs(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from samdyn import checks
+from samdyn import checks, decomposition
 from samdyn.checks import (
     CheckReport,
     RegimeThresholds,
@@ -25,10 +25,12 @@ from samdyn.checks import (
     scaled_tau,
     write_report_csv,
 )
-from samdyn.data import DataParams, gen_dataset, make_signal
-from samdyn.decomposition import Coeffs, CoeffState, CoeffTracker
+from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
+from samdyn.decomposition import (COEFF_COLUMNS, CoeffState, CoeffTracker, coeff_rows,
+                                  write_coeff_csv)
 from samdyn.network import NetConfig
 from samdyn.optim import TrainConfig, epoch_schedule, train
+from samdyn.tables import write_csv
 
 
 def _run(d=400, n=12, m=5, B=4, epochs=6, p=0.1, mu_norm=4.0, eta=0.05, seed=0,
@@ -160,42 +162,88 @@ def _coeff_bounds_one_state_at_a_time(history, consts, d, delta=0.05):
     ]
 
 
-@pytest.mark.parametrize("block_states", [None, 3])
-def test_coeff_bounds_block_reduction_matches_the_per_state_loop(monkeypatch, block_states):
-    """On a tracked history with one planted out-of-range state, the block
-    reduction gives the per-state loop's reports: counts, worst values and
-    details, with the default block and with blocks of three states."""
+def _coeff_csv_one_state_at_a_time(path, history):
+    """write_coeff_csv as a loop over the states' own coeffs: the reference
+    for its block read."""
+    write_csv(path, ("t", "b") + COEFF_COLUMNS, [
+        (st.t, st.b) + row for st in history
+        for row in coeff_rows(st.coeffs.gamma, st.coeffs.zeta, st.coeffs.omega)])
+
+
+def _planted_history(ds, tracker, consts):
+    """The tracker's history with planted C's: state 17 out of range in
+    zeta, omega and gamma, state 5 with NaN entries and state 9 all -0.0."""
+    history = list(tracker.history)
+    m = len(history[0].c) // 2
+    own = np.flatnonzero(ds.y == 1)[0]  # zeta in row j = +1, omega in row j = -1
+    scale = (ds.params.P - 1) * ds.gram[own + 1, own + 1]
+    planted = history[17].c.copy()
+    rows = planted.reshape(2, m, -1)
+    rows[0, 1, own + 1] = 2 * consts.alpha / scale
+    rows[1, 0, own + 1] = -1e6 / scale
+    rows[1, 2, 0] = 0.5 / ds.gram[0, 0]  # gamma = -0.5 in the j = -1 row
+    nan = history[5].c.copy()
+    nan.reshape(2, m, -1)[0, 0, [0, own + 1]] = math.nan
+    for s, c in ((17, planted), (5, nan), (9, np.full_like(planted, -0.0))):
+        st = history[s]
+        history[s] = CoeffState(st.t, st.b, st.step, c, st.ds)
+    return history
+
+
+@pytest.mark.parametrize("block_states", [None, 1, 3])
+def test_coeff_bounds_block_reduction_matches_the_per_state_loop(
+        monkeypatch, tmp_path, block_states):
+    """On a tracked history with a planted out-of-range state, a NaN state
+    and an all -0.0 state, the block reads give the per-state loops'
+    reports (counts, worst values and details) and coeffs.csv bytes, with
+    the default block and with blocks of one and three states."""
     ds, net, traj, tracker, _ = _run(epochs=40, eta=0.05)
     consts = TheoryConstants.from_run(traj.w0, ds.mu, ds.xi, 2, 1.0, t_star=10)
-    history = list(tracker.history)
-    planted = history[17].coeffs.copy()
-    planted.zeta[0, 1, np.flatnonzero(ds.y == 1)[0]] = 2 * consts.alpha
-    planted.omega[1, 0, np.flatnonzero(ds.y == 1)[0]] = -1e6
-    planted.gamma[1, 2] = -0.5
-    history[17] = CoeffState(history[17].t, history[17].b, history[17].step, planted)
+    history = _planted_history(ds, tracker, consts)
+    planted = history[17].coeffs
     if block_states:
         state = planted.gamma.nbytes + planted.zeta.nbytes + planted.omega.nbytes
-        monkeypatch.setattr(checks, "REPLAY_BLOCK_BYTES", block_states * state)
+        monkeypatch.setattr(decomposition, "REPLAY_BLOCK_BYTES", block_states * state)
     got = check_coeff_bounds(history, consts, d=400)
     assert got == _coeff_bounds_one_state_at_a_time(history, consts, d=400)
-    assert [r.violations for r in got] == [1, 1, 1]
+    assert [r.violations for r in got] == [2, 1, 2]  # the NaN state fails zeta and gamma
+    own = np.flatnonzero(ds.y == 1)[0]
     assert (got[0].worst_case_value, got[1].worst_case_value, got[2].worst_case_value) \
-        == (2 * consts.alpha, -1e6, -0.5)
+        == (planted.zeta[0, 1, own], planted.omega[1, 0, own], planted.gamma[1, 2])
+    assert planted.gamma[1, 2] == pytest.approx(-0.5)
+    write_coeff_csv(tmp_path / "block.csv", history)
+    _coeff_csv_one_state_at_a_time(tmp_path / "loop.csv", history)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def _identity_gram_dataset(y):
+    """A dataset whose mu and xi_i are the unit vectors e_0..e_n, so its
+    Gram is the identity and, with P = 2, C reads off as gamma = j C[:, 0]
+    and rho = C[:, 1:]."""
+    n = len(y)
+    eye = np.eye(n + 1)
+    return Dataset(mu=eye[0], xi=eye[1:], y=np.asarray(y, dtype=float),
+                   y_hat=np.asarray(y, dtype=float), signal_pos=np.zeros(n, dtype=np.int64),
+                   params=DataParams(d=n + 1, P=2, mu_norm=1.0))
 
 
 def test_coeff_bounds_counts_each_violating_state():
     """A state violates a range when any entry leaves it; the bounds
     themselves are inside, and a NaN entry is outside."""
     consts = TheoryConstants(t_star=10, alpha=1.0, beta=0.5, snr=0.1, gamma_hat=1.0)
+    ds = _identity_gram_dataset([1, -1, -1])  # zeta[1, 0, 2] and omega[0, 1, 1] are live
 
     def state(zeta=0.0, omega=0.0, gamma=0.0):
-        c = Coeffs.zeros(2, 3)
-        c.zeta[1, 0, 2], c.omega[0, 1, 1], c.gamma[1, 1] = zeta, omega, gamma
-        return CoeffState(0, 0, 0, c)
+        c = np.zeros((4, 4))
+        rows = c.reshape(2, 2, 4)
+        rows[1, 0, 3], rows[0, 1, 2], rows[1, 1, 0] = zeta, omega, -gamma
+        return CoeffState(0, 0, 0, c, ds)
 
     history = [state(), state(zeta=1.0, omega=-0.5, gamma=-1.0 / 12.0), state(zeta=1.5),
                state(zeta=-1e-300), state(zeta=math.nan), state(omega=-10.0),
                state(gamma=-0.1), state(gamma=math.nan)]
+    assert (history[1].coeffs.zeta[1, 0, 2], history[1].coeffs.omega[0, 1, 1],
+            history[1].coeffs.gamma[1, 1]) == (1.0, -0.5, -1.0 / 12.0)
     reports = {r.check: r for r in check_coeff_bounds(history, consts, d=10**12)}
     assert [reports[k].violations for k in ("zeta_range", "omega_range", "gamma_range")] \
         == [3, 1, 2]
@@ -203,6 +251,18 @@ def test_coeff_bounds_counts_each_violating_state():
     assert reports["zeta_range"].worst_case_value == 1.5
     assert reports["omega_range"].worst_case_value == -10.0
     assert reports["gamma_range"].worst_case_value == -0.1
+
+
+def test_coeff_bounds_refuses_an_empty_history():
+    """The history of a tracker without keep_history is empty; the check
+    says so rather than failing on its first state."""
+    ds = gen_dataset(DataParams(d=40, P=2, mu_norm=2.0), make_signal(40, 2.0), 4, seed=0)
+    net = NetConfig(m=2, d=40, init="gaussian", sigma_0=0.05)
+    tracker = CoeffTracker(ds, 2, keep_history=False)
+    traj = train(ds, net, TrainConfig(eta=0.1, B=2, epochs=2), hooks=(tracker,))
+    consts = TheoryConstants.from_run(traj.w0, ds.mu, ds.xi, 2, 1.0, t_star=2)
+    with pytest.raises(ValueError, match="history is empty"):
+        check_coeff_bounds(tracker.history, consts, d=40)
 
 
 def test_good_batches_full_batch_counts():

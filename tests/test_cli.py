@@ -334,6 +334,45 @@ def test_env_override_unknown_key(tmp_path, monkeypatch):
         load_train_setup(cfg)
 
 
+def test_env_override_of_a_grid_key_leaves_train_unchanged(tmp_path, monkeypatch):
+    """A grid key's override (SAMDYN_N_TEST) is ignored by train: the run
+    succeeds and writes the bytes it writes without it."""
+    cfg = write_cfg(tmp_path, TINY_TRAIN)
+    outputs = ("metrics.csv", "coeffs.csv", "dataset.npz", "w0.npz", "w_final.npz")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setenv("SAMDYN_N_TEST", "10")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "env")]) == 0
+    for name in outputs:
+        assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command,text", [("train", TINY_TRAIN), ("grid", TINY_GRID)],
+                         ids=["train", "grid"])
+def test_env_override_matching_no_key_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                         command, text):
+    """A name that matches a key of neither schema exits 2, names the
+    variable and writes nothing."""
+    cfg = write_cfg(tmp_path, text)
+    monkeypatch.setenv("SAMDYN_N_TESTS", "10")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "SAMDYN_N_TESTS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_env_override_of_a_grid_key_applies_to_grid(tmp_path, monkeypatch):
+    """SAMDYN_N_TEST sets the grid's n_test, and a train-only key's
+    override (SAMDYN_SEED) is ignored by the grid."""
+    cfg = write_cfg(tmp_path, TINY_GRID)
+    monkeypatch.setenv("SAMDYN_N_TEST", "40")
+    monkeypatch.setenv("SAMDYN_SEED", "5")
+    spec, raw = load_grid_spec(cfg)
+    assert spec.n_test == 40 and "seed" not in raw
+    out = tmp_path / "grid"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["n_test"] == 40
+
+
 def test_parse_rejects_garbage(tmp_path):
     cfg = write_cfg(tmp_path, "this is not a config\n")
     with pytest.raises(ConfigError, match="key = value"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RecurrenceTracker, reconstruct, track_step
+from helpers import RecurrenceTracker, reconstruct, track_step, zero_coeffs
 from samdyn import decomposition
 from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.decomposition import (
@@ -37,9 +37,13 @@ def _small_run(algo="sgd", tau=0.0, d=120, n=6, m=3, B=3, epochs=4, seed=0, p=0.
 
 
 def test_initial_coeffs_zero():
-    c = Coeffs.zeros(3, 5)
+    """Before any step a tracker reads zero coefficients of its shapes,
+    which pass the patterns."""
+    ds = gen_dataset(DataParams(d=40, P=2, mu_norm=2.0), make_signal(40, 2.0), 5, seed=0)
+    c = CoeffTracker(ds, 3).coeffs
+    assert (c.gamma.shape, c.zeta.shape, c.omega.shape) == ((2, 3), (2, 3, 5), (2, 3, 5))
     assert not c.gamma.any() and not c.zeta.any() and not c.omega.any()
-    c.check_patterns(np.array([1.0, -1.0, 1.0, 1.0, -1.0]))
+    c.check_patterns(ds.y)
 
 
 def test_tracker_monotone_zeta_omega():
@@ -132,7 +136,7 @@ def test_reconstruct_zero_coeffs_returns_w0():
     ds = gen_dataset(params, make_signal(25, 1.0), 3, seed=2)
     basis = basis_from_dataset(ds)
     w0 = np.random.default_rng(1).normal(size=(2, 3, 25))
-    out = reconstruct(Coeffs.zeros(3, 3), basis, w0)
+    out = reconstruct(zero_coeffs(3, 3), basis, w0)
     assert np.allclose(out, w0, rtol=0, atol=0)
 
 
@@ -251,8 +255,7 @@ def test_zero_c_reads_positive_zero_coefficients(tmp_path):
     for c in (np.zeros((4, 5)), np.zeros((3, 4, 5))):
         gamma, rho = span_coeffs(c, ds.gram, 3)
         assert not gamma.any() and not np.signbit(gamma).any() and not np.signbit(rho).any()
-    view = span_view(np.zeros((4, 5)), ds.gram, ds.y, 3)
-    write_coeff_csv(tmp_path / "coeffs.csv", [CoeffState(0, 0, 0, view)])
+    write_coeff_csv(tmp_path / "coeffs.csv", [CoeffState(0, 0, 0, np.zeros((4, 5)), ds)])
     assert "-0.0" not in (tmp_path / "coeffs.csv").read_text()
 
 
@@ -414,15 +417,15 @@ def test_stacked_patterns_name_the_first_failing_state():
 
 def test_pattern_violations_raise():
     y = np.array([1.0, -1.0])
-    c = Coeffs.zeros(2, 2)
+    c = zero_coeffs(2, 2)
     c.zeta[0, 0, 0] = -0.5
     with pytest.raises(InvariantViolation, match="negative"):
         c.check_patterns(y)
-    c = Coeffs.zeros(2, 2)
+    c = zero_coeffs(2, 2)
     c.zeta[0, 0, 1] = 0.5  # y_1 = -1 but j=+1 row
     with pytest.raises(InvariantViolation, match="zeta"):
         c.check_patterns(y)
-    c = Coeffs.zeros(2, 2)
+    c = zero_coeffs(2, 2)
     c.omega[0, 0, 0] = -0.5  # y_0 = +1: omega must be zero on the j=+1 row
     with pytest.raises(InvariantViolation, match="omega"):
         c.check_patterns(y)
@@ -444,6 +447,66 @@ def test_gamma_alignment_identity():
         assert np.all(gap <= bound + 1e-10)
         exact = np.einsum("jmn,n->jm", st.coeffs.rho, cross) / (P - 1)
         assert np.allclose(drift_mu, signed_gamma + exact, atol=1e-10)
+
+
+def _arrays_held(obj, skip=(), seen=None) -> list[np.ndarray]:
+    """Every array reachable from obj through attributes, lists, tuples and
+    dicts, each once, without entering the objects of the types in skip."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, skip):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    else:
+        items = getattr(obj, "__dict__", {}).values()
+    return [a for item in items for a in _arrays_held(item, skip, seen)]
+
+
+def test_tracker_stores_one_c_per_state():
+    """After a tracked minibatch SAM run the tracker holds one (2m, n+1) C
+    per state and no other array: no gamma, zeta or omega of any state."""
+    m, n = 3, 6
+    ds, traj, tracker = _small_run(algo="sam", tau=0.08, m=m, n=n, B=3, epochs=8)
+    states = len(tracker.history)
+    assert states == 8 * 2 + 1
+    held = _arrays_held(tracker, skip=(type(ds),))
+    assert {a.shape for a in held} == {(2 * m, n + 1)}
+    assert all(a.base is None for a in held)  # no view into a larger block
+    assert sum(a.nbytes for a in held) == states * 2 * m * (n + 1) * 8
+
+
+def test_records_hold_no_d_space_array():
+    """No record attribute is a (2, m, d) array, even with snapshot_weights:
+    every record shares the run's one span (w0, dataset) and forms its
+    weights from it on read."""
+    d, m = 120, 3
+    ds, traj, _ = _small_run(d=d, m=m, epochs=3)
+    assert len(traj.records) > 2
+    for rec in traj.records:
+        shapes = [a.shape for a in vars(rec).values() if isinstance(a, np.ndarray)]
+        assert all(d not in shape for shape in shapes)
+        assert rec.span is traj.span and rec.weights.shape == (2, m, d)
+
+
+def test_read_offs_keep_their_bits():
+    """Every state's coeffs is bitwise its slice of one span_view of the
+    stacked C's, tracker.coeffs is the last state's, and every record's
+    weights are bitwise traj.span.weights(rec.c) on every read."""
+    ds, traj, tracker = _small_run(algo="sam", tau=0.08, B=3, epochs=10)
+    history = tracker.history
+    stacked = span_view(np.stack([st.c for st in history]), ds.gram, ds.y, ds.params.P)
+    for s, st in enumerate(history):
+        for name in ("gamma", "zeta", "omega"):
+            assert getattr(st.coeffs, name).tobytes() == getattr(stacked, name)[s].tobytes()
+    for name in ("gamma", "zeta", "omega"):
+        assert getattr(tracker.coeffs, name).tobytes() == getattr(stacked, name)[-1].tobytes()
+    for rec in traj.records:
+        assert rec.weights.tobytes() == traj.span.weights(rec.c).tobytes() == rec.weights.tobytes()
 
 
 def test_coeff_csv(tmp_path):
