@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataParams
-from .experiments import GridSpec, openblas_environment, phase_train_variants
+from .experiments import GridSpec, openblas_environment, train_variants
 from .network import NetConfig
 from .optim import TrainConfig
 from .tables import optional
@@ -57,7 +57,8 @@ def apply_env_overrides(raw: dict[str, str], schema: dict, environ=None) -> dict
     """raw with the SAMDYN_ overrides of schema's keys applied.  An override
     of the other schema's key (a grid key when loading a train config, or
     the reverse) is ignored, so one environment can hold both; a name that
-    matches no key of either schema is refused."""
+    matches no key of either schema is refused.  A name matches its key
+    exactly, else case-insensitively (SAMDYN_P sets P, SAMDYN_p sets p)."""
     env = os.environ if environ is None else environ
     by_lower = {k.lower(): k for k in schema}
     known = {k.lower() for k in (*TRAIN_SCHEMA, *GRID_SCHEMA)}
@@ -65,10 +66,11 @@ def apply_env_overrides(raw: dict[str, str], schema: dict, environ=None) -> dict
     for name, value in env.items():
         if not name.startswith(ENV_PREFIX):
             continue
-        field = name[len(ENV_PREFIX):].lower()
-        if field in by_lower:
-            out[by_lower[field]] = value
-        elif field not in known:
+        field = name[len(ENV_PREFIX):]
+        key = field if field in schema else by_lower.get(field.lower())
+        if key is not None:
+            out[key] = value
+        elif field.lower() not in known:
             raise ConfigError(f"environment override {name} does not match any config key")
     return out
 
@@ -87,7 +89,7 @@ def list_of(parse):
 
 
 # key -> (parser, default); a key names the field it sets, in DataParams,
-# NetConfig, TrainConfig or GridSpec, or a parameter of phase_train_variants
+# NetConfig, TrainConfig or GridSpec, or a parameter of train_variants
 TRAIN_SCHEMA: dict[str, tuple] = {
     "d": (int, REQUIRED),
     "P": (int, 2),
@@ -119,11 +121,11 @@ GRID_SCHEMA: dict[str, tuple] = {
     "m": (int, REQUIRED),
     "init": (str, "uniform_fan_in"),
     "sigma_0": (optional(float), None),
-    "algos": (list_of(str), ("sgd", "sam")),
-    "eta": (float, REQUIRED),
-    "B": (int, REQUIRED),
-    "epochs": (int, REQUIRED),
-    "tau": (float, 0.03),
+    "algo": (list_of(str), ("sgd", "sam")),
+    "eta": (list_of(float), REQUIRED),
+    "B": (list_of(int), REQUIRED),
+    "epochs": (list_of(int), REQUIRED),
+    "tau": (list_of(float), (0.03,)),
     "n_test": (int, REQUIRED),
     "loss_target": (float, 0.05),
     "base_seed": (int, 0),
@@ -185,7 +187,7 @@ def load_grid_spec(path, seed_override: int | None = None, environ=None) -> tupl
     # the keys that name no GridSpec field are the training variants' parameters
     fields = {f.name for f in dataclasses.fields(GridSpec)}
     try:
-        variants = phase_train_variants(**{k: v for k, v in cfg.items() if k not in fields})
+        variants = train_variants(**{k: v for k, v in cfg.items() if k not in fields})
         return _by_name(GridSpec, cfg, train=variants), cfg
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

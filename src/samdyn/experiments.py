@@ -1,9 +1,10 @@
 """Phase-transition grid experiments and Monte Carlo test-error estimation.
 
-A GridSpec describes a (d, ||mu||) grid, a list of seeds, and one training
-variant per algorithm; run_grid executes all trials (optionally in a
-process pool), persists each trial atomically so interrupted grids resume,
-and exports per-cell aggregates as CSV plus a portable-graymap render.
+A GridSpec describes a (d, ||mu||) grid, a list of seeds, and its training
+variants (train_variants: one per combination of the listed algorithms and
+settings); run_grid executes all trials (optionally in a process pool),
+persists each trial atomically so interrupted grids resume, and exports
+per-cell aggregates as CSV plus a portable-graymap render.
 The wall time of every cell it ran goes to timings.csv, never into
 results.csv.
 
@@ -46,6 +47,7 @@ results.csv does not depend on jobs.
 import csv
 import ctypes
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -643,28 +645,33 @@ def export_heatmap(results: list[TrialResult], out_dir) -> list[Path]:
     return written
 
 
-def phase_train_variants(algos=("sgd", "sam"), eta: float = 0.2, epochs: int = 100,
-                         B: int = 20, tau: float = 0.03) -> dict:
-    """Training variants of the synthetic phase-transition experiment:
-    full-batch descent for 100 epochs, and the same with an ascent
-    perturbation of radius 0.03.  The batch loss here is a size-B mean, so
-    eta=0.2 equals a step of 0.01 under the per-sample-sum convention at
-    n=20; the perturbation radius is normalization-invariant."""
-    for algo in algos:
-        if algo not in ("sgd", "sam"):
-            raise ValueError(f"algos: unknown algorithm {algo!r}")
+def train_variants(algo, eta, B, epochs, tau) -> dict:
+    """One TrainConfig per combination of the listed values, each a tuple,
+    by variant name: the algorithm plus _<key><value:g> for each of eta, B,
+    epochs and tau that lists more than one value.  tau is read by sam
+    only, so sgd variants run at tau = 0 and their names omit it.  Two
+    variants of one name are refused, naming it."""
     variants = {}
-    if "sgd" in algos:
-        variants["sgd"] = TrainConfig(eta=eta, B=B, epochs=epochs, algo="sgd")
-    if "sam" in algos:
-        variants["sam"] = TrainConfig(eta=eta, B=B, epochs=epochs, algo="sam", tau=tau)
+    for a in algo:
+        axes = {"eta": eta, "B": B, "epochs": epochs, "tau": tau if a == "sam" else (0.0,)}
+        for values in itertools.product(*axes.values()):
+            setting = dict(zip(axes, values))
+            name = a + "".join(f"_{k}{v:g}" for k, v in setting.items() if len(axes[k]) > 1)
+            if name in variants:
+                raise ValueError(f"two training variants are named {name!r}")
+            variants[name] = TrainConfig(algo=a, **setting)
     return variants
 
 
-def phase_grid_spec(reduced: bool = False, algos=("sgd", "sam")) -> GridSpec:
+def phase_grid_spec(reduced: bool = False) -> GridSpec:
     """The synthetic heatmap experiment: n=20 clean samples, sigma_p=1,
     m=10 filters, d from 1000 to 21000 by mu from 0 to 10, 10 seeds,
-    1000 test points.  reduced=True gives the 3x4x3-seed acceptance grid.
+    1000 test points, trained by full-batch descent for 100 epochs and by
+    the same with an ascent perturbation of radius 0.03.  The batch loss
+    is a size-B mean, so eta=0.2 equals a step of 0.01 under the
+    per-sample-sum convention at n=20; the perturbation radius is
+    normalization-invariant.  reduced=True gives the 3x4x3-seed
+    acceptance grid.
     """
     if reduced:
         d_values = (1000, 5000, 20000)
@@ -683,19 +690,7 @@ def phase_grid_spec(reduced: bool = False, algos=("sgd", "sam")) -> GridSpec:
         sigma_p=1.0,
         p=0.0,
         m=10,
-        train=phase_train_variants(algos),
+        train=train_variants(("sgd", "sam"), (0.2,), (20,), (100,), (0.03,)),
         n_test=1000,
     )
 
-
-def lr_ablation_spec(etas=(0.02, 0.2, 2.0, 20.0), B: int = 10, reduced: bool = True) -> GridSpec:
-    """Step-size ablation with minibatches of 10: one SGD variant per eta,
-    expressed purely through the grid spec.  The eta list is the
-    {0.001, 0.01, 0.1, 1} sweep in per-sample-sum units rescaled to the
-    mean-reduction convention (times n=20)."""
-    base = phase_grid_spec(reduced=reduced, algos=("sgd",))
-    train = {
-        f"sgd_eta{eta:g}": TrainConfig(eta=eta, B=B, epochs=100, algo="sgd")
-        for eta in etas
-    }
-    return dataclasses.replace(base, train=train)

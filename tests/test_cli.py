@@ -14,13 +14,14 @@ from samdyn.config import (
     GRID_SCHEMA,
     TRAIN_SCHEMA,
     ConfigError,
+    TrainSetup,
     load_grid_spec,
     load_train_setup,
     parse_config_file,
 )
 from samdyn.data import DataParams, gen_dataset, load_dataset, make_signal, save_dataset
 from samdyn.experiments import _openblas_thread_controls, phase_grid_spec
-from samdyn.network import save_weights
+from samdyn.network import NetConfig, save_weights
 from samdyn.optim import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,7 +51,7 @@ mu_values = 2.0
 seeds = 0
 n = 8
 m = 3
-algos = sgd
+algo = sgd
 eta = 0.3
 B = 8
 epochs = 4
@@ -124,10 +125,16 @@ def test_malformed_config_names_field(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, TINY_TRAIN + "\nsigma_q = 1.0\n")
-    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "sigma_q" in capsys.readouterr().err
+    """A misspelt train key, and a grid config's old algos key (now algo),
+    exit 2 naming the key."""
+    for command, text, key in (("train", TINY_TRAIN + "\nsigma_q = 1.0\n", "sigma_q"),
+                               ("grid", TINY_GRID.replace("algo =", "algos ="), "algos")):
+        cfg = write_cfg(tmp_path, text)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="unknown config key 'algos'"):
+        load_grid_spec(cfg)
 
 
 def test_snapshot_weights_is_not_a_train_key(tmp_path):
@@ -140,10 +147,18 @@ def test_snapshot_weights_is_not_a_train_key(tmp_path):
 
 
 def test_grid_tau_is_accepted_and_read_by_sam_only(tmp_path):
-    """A grid config's tau, which only the SAM variant reads, is accepted
-    where a train config with algo = sgd refuses it."""
+    """A grid config's tau, which only the SAM variants read, is accepted
+    where a train config with algo = sgd refuses it; a list on a train key
+    makes one variant per value, named by the keys that list several."""
     spec, _ = load_grid_spec(write_cfg(tmp_path, TINY_GRID + "tau = 0.4\n", "grid.cfg"))
     assert spec.train["sgd"].tau == 0.0
+    text = (TINY_GRID.replace("algo = sgd", "algo = sgd, sam")
+            .replace("eta = 0.3", "eta = 0.1, 0.3") + "tau = 0.4, 2\n")
+    spec, _ = load_grid_spec(write_cfg(tmp_path, text, "grid.cfg"))
+    assert {name: (cfg.algo, cfg.eta, cfg.tau) for name, cfg in spec.train.items()} == {
+        "sgd_eta0.1": ("sgd", 0.1, 0.0), "sgd_eta0.3": ("sgd", 0.3, 0.0),
+        "sam_eta0.1_tau0.4": ("sam", 0.1, 0.4), "sam_eta0.1_tau2": ("sam", 0.1, 2.0),
+        "sam_eta0.3_tau0.4": ("sam", 0.3, 0.4), "sam_eta0.3_tau2": ("sam", 0.3, 2.0)}
 
 
 # every config key and a valid value other than the base config's, with the
@@ -183,7 +198,7 @@ _GRID_KEYS = {
     "m": ("4", {"m"}),
     "init": ("gaussian", {"init"}),
     "sigma_0": ("0.05", {"sigma_0"}),
-    "algos": ("sam", {f"train.sgd.{f.name}" for f in dataclasses.fields(TrainConfig)}),
+    "algo": ("sam", {f"train.sgd.{f.name}" for f in dataclasses.fields(TrainConfig)}),
     "eta": ("0.5", {f"{v}.eta" for v in _BOTH_VARIANTS}),
     "B": ("4", {f"{v}.B" for v in _BOTH_VARIANTS}),
     "epochs": ("5", {f"{v}.epochs" for v in _BOTH_VARIANTS}),
@@ -327,6 +342,18 @@ def test_env_override(tmp_path, monkeypatch):
     assert setup.train.B == 2
 
 
+@pytest.mark.parametrize("kind", ["train", "grid"])
+def test_env_override_of_P_and_p_sets_each_its_own_key(tmp_path, monkeypatch, kind):
+    """P and p differ only in case: SAMDYN_P sets the patch count and
+    SAMDYN_p the label-flip probability, under either loader."""
+    cfg = write_cfg(tmp_path, TINY_TRAIN if kind == "train" else TINY_GRID)
+    monkeypatch.setenv("SAMDYN_P", "3")
+    monkeypatch.setenv("SAMDYN_p", "0.1")
+    obj, _ = _load_with_raw(kind, cfg)
+    params = obj.params if kind == "train" else obj
+    assert (params.P, params.p) == (3, 0.1)
+
+
 def test_env_override_unknown_key(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, TINY_TRAIN)
     monkeypatch.setenv("SAMDYN_EPOCHZ", "2")
@@ -399,7 +426,7 @@ def test_grid_cli_end_to_end(tmp_path):
 
 def test_grid_cli_jobs_one_and_two_give_identical_results(tmp_path):
     cfg = write_cfg(tmp_path, TINY_GRID.replace("d_values = 50", "d_values = 50, 20000")
-                    .replace("seeds = 0", "seeds = 0, 1").replace("algos = sgd", "algos = sgd, sam"))
+                    .replace("seeds = 0", "seeds = 0, 1").replace("algo = sgd", "algo = sgd, sam"))
     for jobs in ("1", "2"):
         assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / jobs),
                      "--jobs", jobs]) == 0
@@ -513,10 +540,20 @@ def test_demo_coefficient_csvs_hold_numbers(tmp_path):
                 (int if column in _CSV_INTS else float)(value)
 
 
-def test_grid_config_names_an_unknown_algorithm(tmp_path):
-    cfg = write_cfg(tmp_path, TINY_GRID.replace("algos = sgd", "algos = sgd, adam"))
-    with pytest.raises(ConfigError, match="adam"):
-        load_grid_spec(cfg)
+def test_grid_config_names_an_unknown_algorithm(tmp_path, capsys):
+    """An unknown algorithm, and two training variants of one name (a
+    repeated algorithm, or two step sizes that format alike), exit 2 under
+    samdyn grid before it writes anything, naming the culprit."""
+    for old, new, needle in (("algo = sgd", "algo = sgd, adam", "'adam'"),
+                             ("algo = sgd", "algo = sgd, sgd", "'sgd'"),
+                             ("eta = 0.3", "eta = 0.1, 0.1000001", "'sgd_eta0.1'")):
+        cfg = write_cfg(tmp_path, TINY_GRID.replace(old, new))
+        with pytest.raises(ConfigError, match=needle):
+            load_grid_spec(cfg)
+        out = tmp_path / "out"
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_decompose_cli_zero_mu_names_the_degenerate_basis(tmp_path, capsys):
@@ -532,18 +569,37 @@ def test_decompose_cli_zero_mu_names_the_degenerate_basis(tmp_path, capsys):
     assert "mu has zero norm" in capsys.readouterr().err
 
 
-def test_checked_in_reduced_config_matches_preset():
-    spec, _ = load_grid_spec(CONFIGS / "phase_reduced.cfg")
-    assert spec == phase_grid_spec(reduced=True)
+# what each shipped config loads as (a TrainSetup without its raw dict)
+_SHIPPED = {
+    "phase_reduced.cfg": phase_grid_spec(reduced=True),
+    "phase_full.cfg": phase_grid_spec(),
+    "lr_ablation.cfg": dataclasses.replace(phase_grid_spec(reduced=True), train={
+        "sgd_eta0.02": TrainConfig(eta=0.02, B=10, epochs=100, algo="sgd"),
+        "sgd_eta0.2": TrainConfig(eta=0.2, B=10, epochs=100, algo="sgd"),
+        "sgd_eta2": TrainConfig(eta=2.0, B=10, epochs=100, algo="sgd"),
+        "sgd_eta20": TrainConfig(eta=20.0, B=10, epochs=100, algo="sgd"),
+    }),
+    "train_demo.cfg": TrainSetup(
+        params=DataParams(d=1000, P=2, sigma_p=1.0, p=0.0, mu_norm=10.0), n=20,
+        net=NetConfig(m=10, d=1000, init="uniform_fan_in", sigma_0=0.01),
+        train=TrainConfig(eta=0.2, B=20, epochs=100, algo="sgd", seed=0), raw=None),
+    "check_demo.cfg": TrainSetup(
+        params=DataParams(d=3000, P=2, sigma_p=1.0, p=0.0, mu_norm=3.0), n=16,
+        net=NetConfig(m=8, d=3000, init="gaussian", sigma_0=0.00913),
+        train=TrainConfig(eta=0.0002, B=8, epochs=40, algo="sam", tau=0.41, seed=0), raw=None),
+}
 
 
-def test_checked_in_full_configs_parse():
-    spec, _ = load_grid_spec(CONFIGS / "phase_full.cfg")
-    assert spec == phase_grid_spec()
-    demo_train = load_train_setup(CONFIGS / "train_demo.cfg")
-    assert demo_train.train.epochs == 100
-    demo_check = load_train_setup(CONFIGS / "check_demo.cfg")
-    assert demo_check.train.algo == "sam"
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.name)
+def test_checked_in_config_loads(path):
+    """Every shipped config loads, by the loader whose schema holds its
+    keys, to its row of _SHIPPED, so a renamed key or a changed preset
+    cannot leave one broken; a config with no row fails."""
+    assert path.name in _SHIPPED, f"{path.name} has no row in _SHIPPED"
+    if parse_config_file(path).keys() <= GRID_SCHEMA.keys():
+        assert load_grid_spec(path)[0] == _SHIPPED[path.name]
+    else:
+        assert dataclasses.replace(load_train_setup(path), raw=None) == _SHIPPED[path.name]
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),

@@ -16,7 +16,6 @@ from samdyn.experiments import (
     aggregate,
     estimate_test_error,
     export_heatmap,
-    lr_ablation_spec,
     load_results_csv,
     run_cell,
     run_grid,
@@ -790,10 +789,3 @@ def test_grid_spec_rejects_repeated_axis_values(overrides, match):
     with pytest.raises(ValueError, match=match):
         tiny_spec(**overrides)
 
-
-def test_lr_ablation_expressible_as_grid():
-    spec = lr_ablation_spec()
-    assert len(spec.train) == 4
-    assert all(cfg.B == 10 for cfg in spec.train.values())
-    etas = sorted(cfg.eta for cfg in spec.train.values())
-    assert etas == [0.02, 0.2, 2.0, 20.0]
