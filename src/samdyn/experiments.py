@@ -19,11 +19,16 @@ comparisons of the algorithms alone.
 The unit of work is therefore the (d, mu, seed) cell, not the trial:
 run_cell generates the cell's dataset, and with it the Gram matrix, once,
 trains each pending variant on it without hooks and keeps each final
-record's C and <w, mu>.  It then draws the cell's test set once and
-projects its noise onto F = [w0's 2m filters; mu; xi_1..xi_n], a
-(2m+1+n)-row matrix T.  Every variant's weights are w0 + C [mu; xi], so
-its test pre-activations are T[:2m] + C T[2m:] (span_test_error): one
-projection scores every variant, and no d-space final weights are formed.
+record's C and <w, mu>, but no trajectory and so no w0.  It then fills
+F = [w0's 2m filters; mu; xi_1..xi_n] in place: mu and xi are copied in,
+the dataset is dropped, and only then is w0 drawn again
+(optim.initial_weights) into the first 2m rows, so the cell holds each
+d-space array once and peaks at about F plus one w0 (1.5 times F's bytes
+on the phase grid).  It draws the cell's test set once and projects its
+noise onto F, a (2m+1+n)-row matrix T.  Every variant's weights are
+w0 + C [mu; xi], so its test pre-activations are T[:2m] + C T[2m:]
+(span_test_error): one projection scores every variant, and no d-space
+final weights are formed.
 Each variant would have drawn that same set from the same stream, so
 scoring it once is exact: every trial's numbers are those of a run of the
 variant alone.  run_grid hands the pool one run_cell task per cell with
@@ -44,6 +49,7 @@ every product sum in the same order whatever the worker count, so
 results.csv does not depend on jobs.
 """
 
+import concurrent.futures
 import csv
 import ctypes
 import dataclasses
@@ -53,7 +59,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,7 +67,7 @@ import numpy as np
 from .data import DataParams, gen_dataset, make_signal
 from .decomposition import InvariantViolation, span_view
 from .network import NetConfig, model_margins
-from .optim import TrainConfig, TrainingDivergedError, train
+from .optim import TrainConfig, TrainingDivergedError, initial_weights, train
 from .tables import optional, write_csv
 
 _SEED_TAG = 88261599  # fixed domain tag for trial seed derivation
@@ -283,7 +288,9 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
 
     Coefficients are read off the records' stacked C's (span_view): sign
     patterns are checked at every record, a block of records per pass, and
-    max_gamma and max_sum_zeta use the last.
+    max_gamma and max_sum_zeta use the last.  Each variant keeps only its
+    final C and <w, mu>, and the test draw projects onto F = [w0; mu; xi]
+    filled in place, so no d-space array is held twice.
     Failures are captured in the results, so a grid never aborts on one
     bad cell: an error building the cell fails every variant, a variant
     that diverges or breaks an invariant fails alone, and an error in the
@@ -320,16 +327,21 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
             result.max_gamma = float(coeffs.gamma[-1].max())
             result.max_sum_zeta = float(coeffs.zeta[-1].sum(axis=2).max())
             finals.append((result, rec.c, rec.mu_pre))
-            w0 = traj.w0  # every variant trains from this w0
         except _TRIAL_ERRORS as exc:
             _fail(result, exc)
-        traj = block = coeffs = None  # keep no trajectory through the next variant or the draw
+        traj = block = coeffs = None  # no trajectory, and so no w0, outlives its variant
     t2 = time.perf_counter()
 
     if finals:
         try:
-            filters = np.concatenate([w0.reshape(-1, d), ds.mu[None, :], ds.xi])
-            draw = estimate_test_error(filters, ds.params, spec.n_test,
+            # F = [w0's 2m filters; mu; xi], filled in place: the dataset goes
+            # before w0 is drawn again, so no two d-space copies coexist
+            two_m = 2 * net.m
+            filters = np.empty((two_m + 1 + spec.n, d))
+            filters[two_m], filters[two_m + 1:] = ds.mu, ds.xi
+            params, ds = ds.params, None
+            filters[:two_m] = initial_weights(net, train_seed).reshape(two_m, d)
+            draw = estimate_test_error(filters, params, spec.n_test,
                                        np.random.default_rng(test_ss))
         except _TRIAL_ERRORS as exc:
             for result, _, _ in finals:
@@ -520,8 +532,9 @@ def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> li
 
     if jobs > 1 and len(order) > 1:
         # a fork pool starts every worker at once: start no more than there are cells
-        with ProcessPoolExecutor(max_workers=min(jobs, len(order)),
-                                 initializer=_pin_blas_threads) as pool:
+        # the executor's module, and with it multiprocessing, loads on first use
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(order)),
+                                                    initializer=_pin_blas_threads) as pool:
             persist(pool.map(run_cell, *columns))
     else:
         caller_threads = _pin_blas_threads()

@@ -209,6 +209,13 @@ def _state_stats(span: _Span, c: np.ndarray):
     return mu_pre, noise_pre, margins, train_loss
 
 
+def initial_weights(net: NetConfig, seed: int) -> np.ndarray:
+    """The (2, m, d) weights w0 that train starts a run of seed from:
+    init_weights on the first stream SeedSequence(seed) spawns (the second
+    shuffles the batches)."""
+    return init_weights(net, np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]))
+
+
 def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory:
     """Run epochs x batches of SGD or SAM over the dataset.
 
@@ -220,9 +227,8 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
         raise ValueError(f"B={cfg.B} does not divide n={n}")
     H = n // cfg.B
 
-    init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    span = _Span(init_weights(net, np.random.default_rng(init_ss)), ds)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
+    span = _Span(initial_weights(net, cfg.seed), ds)
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
     c = np.zeros_like(span.base)
 
     traj = Trajectory(span)

@@ -611,3 +611,14 @@ def test_script_help_exits_zero(script):
     proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """import samdyn.cli does not load multiprocessing: only a pooled grid
+    needs it, and it loads with the process pool."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, samdyn.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import itertools
@@ -194,6 +195,23 @@ def test_projection_part_projects_onto_the_trained_w0(monkeypatch, init):
     assert np.array_equal(filters, np.concatenate([w0.reshape(6, 60), ds.mu[None, :], ds.xi]))
 
 
+def test_cell_holds_each_d_space_array_once():
+    """A d=20000 cell of the reduced grid peaks below 1.6x the bytes of
+    its filter matrix F: F is filled in place and the dataset is dropped
+    before w0 is drawn again, so no two copies of w0, mu or xi coexist."""
+    spec = phase_grid_spec(reduced=True)
+    d = 20000
+    filter_bytes = (2 * spec.m + 1 + spec.n) * d * 8
+    tracemalloc.start()
+    try:
+        results, _ = run_cell(spec, d, 6.0, 0, ("sam", "sgd"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(r.failed for r in results)
+    assert peak < 1.6 * filter_bytes, peak / filter_bytes
+
+
 def test_trial_seed_sequence_is_coordinate_hash():
     a = trial_seed_sequence(0, 100, 2.0, 1)
     b = trial_seed_sequence(0, 100, 2.0, 1)
@@ -378,7 +396,7 @@ def test_run_grid_pool_size_and_order(tmp_path, monkeypatch):
     one run_cell task per cell, largest d first."""
     seen = []
 
-    class RecordingPool(experiments.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             seen.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
@@ -388,7 +406,7 @@ def test_run_grid_pool_size_and_order(tmp_path, monkeypatch):
             seen.append((fn, columns[1], columns[4]))
             return super().map(fn, *columns)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     spec = tiny_spec(d_values=(60, 120, 90), mu_values=(2.0,), seeds=(0,))
     run_grid(spec, tmp_path, jobs=8)
     assert seen == [3, (run_cell, [120, 90, 60], [("sam", "sgd")] * 3)]

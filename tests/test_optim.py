@@ -16,6 +16,7 @@ from samdyn.optim import (
     _split,
     _step,
     epoch_schedule,
+    initial_weights,
     train,
     write_metrics_csv,
 )
@@ -171,6 +172,18 @@ def test_train_zero_epochs_only_initial_state():
     assert len(traj.records) == 1
     assert (traj.records[0].t, traj.records[0].b) == (0, 0)
     assert np.array_equal(traj.w0, traj.w_final)
+
+
+@pytest.mark.parametrize("init", ["gaussian", "uniform_fan_in"])
+def test_train_starts_from_initial_weights(init):
+    """train's w0 is initial_weights(net, seed) bit for bit, so a caller
+    can draw a run's w0 again without training."""
+    ds, _ = _toy_setup()
+    net = NetConfig(m=3, d=ds.params.d, init=init, sigma_0=0.05)
+    cfg = TrainConfig(eta=0.2, B=4, epochs=2, seed=11)
+    w0 = train(ds, net, cfg).w0
+    assert w0.tobytes() == initial_weights(net, cfg.seed).tobytes()
+    assert w0.tobytes() != initial_weights(net, cfg.seed + 1).tobytes()
 
 
 def test_train_deterministic():
