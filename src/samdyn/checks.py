@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .data import DataParams, gen_dataset, make_signal
-from .decomposition import REPLAY_BLOCK_BYTES, coeff_blocks
+from .decomposition import BLOCK_BYTES, coeff_blocks
 from .network import NetConfig, loss_grad, model_preacts
 from .optim import TrainConfig, Trajectory, train
 from .tables import write_csv
@@ -195,7 +195,7 @@ def check_coeff_bounds(
     # check and which the worst values (fmax/fmin from 0.0) skip
     states = len(history)
     parts = []
-    for block, coeffs in coeff_blocks(history):
+    for block, coeffs in coeff_blocks(history, history[0].ds):
         zeta, omega, gamma = (a.reshape(len(block), -1)
                               for a in (coeffs.zeta, coeffs.omega, coeffs.gamma))
         parts.append((zeta.min(axis=1), zeta.max(axis=1), omega.min(axis=1),
@@ -235,8 +235,9 @@ class SamDeactivationRecorder:
     failed to deactivate the filter).  Only steps inside the first-stage
     window are counted when t1_epochs is given.  Each counted step's
     pre-activations are buffered and counted a block at a time, when the
-    block reaches REPLAY_BLOCK_BYTES and whenever events or violations is
-    read, so both are sums over blocks of steps.
+    block reaches the coefficient reader's budget
+    (decomposition.BLOCK_BYTES) and whenever events or violations is read,
+    so both are sums over blocks of steps.
     """
 
     def __init__(self, y: np.ndarray, t1_epochs: float | None = None):
@@ -256,7 +257,7 @@ class SamDeactivationRecorder:
             return
         self.perturbed_steps += 1
         self._pending.append((event.batch, event.at_w.noise_pre, event.used.noise_pre))
-        if len(self._pending) * 2 * event.used.noise_pre.nbytes >= REPLAY_BLOCK_BYTES:
+        if len(self._pending) * 2 * event.used.noise_pre.nbytes >= BLOCK_BYTES:
             self._count()
 
     @property

@@ -27,6 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .tables import read_npz
+
 
 @dataclass(frozen=True)
 class DataParams:
@@ -348,14 +350,15 @@ def save_dataset(path, ds: Dataset) -> None:
 def load_dataset(path) -> Dataset:
     """Read a save_dataset container, checking its arrays against the header.
 
-    Raises ValueError when an array's shape disagrees with the header's
-    (d, n), a label is not +-1, or a signal position is outside [0, P).
+    Raises ValueError when the archive lacks one of its keys, an array's
+    shape disagrees with the header's (d, n), a label is not +-1, or a
+    signal position is outside [0, P).
     """
-    with np.load(path) as z:
-        d, P, n, seed_flag, seed = (int(v) for v in z["header_int"])
-        sigma_p, p, mu_norm = (float(v) for v in z["header_float"])
-        params = DataParams(d=d, P=P, sigma_p=sigma_p, p=p, mu_norm=mu_norm)
-        arrays = {k: z[k] for k in ("mu", "xi", "y", "y_hat", "signal_pos")}
+    arrays = read_npz(path, ("header_int", "header_float", "mu", "xi", "y", "y_hat",
+                             "signal_pos"))
+    d, P, n, seed_flag, seed = (int(v) for v in arrays["header_int"])
+    sigma_p, p, mu_norm = (float(v) for v in arrays["header_float"])
+    params = DataParams(d=d, P=P, sigma_p=sigma_p, p=p, mu_norm=mu_norm)
     shapes = {"mu": (d,), "xi": (n, d), "y": (n,), "y_hat": (n,), "signal_pos": (n,)}
     for key, shape in shapes.items():
         if arrays[key].shape != shape:

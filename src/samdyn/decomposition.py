@@ -9,15 +9,16 @@ the drift from initialization has a unique expansion
 with rho split by sign into zeta = rho * 1(rho >= 0) (noise aligned with
 the filter's own class) and omega = rho * 1(rho <= 0).  Training keeps the
 weights as w0 + C [mu; xi] (see optim); span_coeffs reads the coefficients
-off C and span_view splits rho by label.  The grid reads each record's C
-this way.  CoeffTracker keeps the C of every step as a CoeffState, whose
-coefficients are read off on demand and never stored, so a state costs
-(2m, n+1) floats and not the 2m (2n+1) of gamma, zeta and omega; whole
-histories are read a block of states at a time (coeff_blocks), with every
-state's patterns checked.  A least-squares oracle derives the
-coefficients independently: it solves the (n+1)-dimensional Gram system
-for the drift of each filter on every call.  Its Basis holds views of mu, xi and
-Dataset.gram, never copies, and checks their conditioning once.
+off C and span_view splits rho by label.  CoeffTracker keeps the C of
+every step as a CoeffState, whose coefficients are read off on demand and
+never stored, so a state costs (2m, n+1) floats and not the 2m (2n+1) of
+gamma, zeta and omega.  coeff_blocks is the one reader of a run's stacked
+C's, of tracked states and of the grid's training records alike, a block
+of BLOCK_BYTES of coefficients at a time.  A least-squares oracle derives
+the coefficients independently: it solves the (n+1)-dimensional Gram
+system for the drift of each filter on every call.  Its Basis holds views
+of mu, xi and Dataset.gram, never copies, and checks their conditioning
+once.
 
 The update rules make the sign split structural: for y_i = j every rho
 increment is >= 0 (zeta never decreases), for y_i = -j every increment is
@@ -204,27 +205,29 @@ class CoeffState:
         return span_view(self.c, self.ds.gram, self.ds.y, self.ds.params.P)
 
 
-# bytes of coefficient states (a block read off C's) or buffered
-# pre-activations (checks.SamDeactivationRecorder) one block holds
-REPLAY_BLOCK_BYTES = 512 << 10
+# bytes one block holds: of gamma, zeta and omega read off stacked C's
+# (coeff_blocks), or of buffered pre-activations (checks.SamDeactivationRecorder).
+# 19 records of a phase-grid run; four times this left the grid's peak RSS
+# 0.8 MB higher
+BLOCK_BYTES = 128 << 10
 
 
 def _states_per_block(m: int, n: int) -> int:
     """States of m filters per class and n samples whose gamma, zeta and
-    omega fill REPLAY_BLOCK_BYTES, and at least one."""
-    return max(1, REPLAY_BLOCK_BYTES // (8 * 2 * m * (1 + 2 * n)))
+    omega fill BLOCK_BYTES, and at least one."""
+    return max(1, BLOCK_BYTES // (8 * 2 * m * (1 + 2 * n)))
 
 
-def coeff_blocks(states: list[CoeffState]):
-    """(block, coeffs) over consecutive blocks of states that share the first
-    one's dataset.  coeffs holds the stacked (k, 2, m) gamma and
-    (k, 2, m, n) zeta and omega of the block's k states, read off their C's
-    by one span_view; a block holds the states that fill
-    REPLAY_BLOCK_BYTES.  The read-off is elementwise, so a state's values
-    are bitwise its own coeffs."""
+def coeff_blocks(states, ds: Dataset):
+    """(block, coeffs) over consecutive blocks of states of a run on ds:
+    anything whose .c is a (2m, n+1) C, CoeffStates or training records.
+    coeffs holds the stacked (k, 2, m) gamma and (k, 2, m, n) zeta and
+    omega of the block's k states, read off their C's by one span_view; a
+    block holds the states that fill BLOCK_BYTES.  The read-off is
+    elementwise, so a state's values are bitwise its own coeffs whatever
+    the block size."""
     if not states:
         return
-    ds = states[0].ds
     per_block = _states_per_block(len(states[0].c) // 2, ds.n)
     for first in range(0, len(states), per_block):
         block = states[first:first + per_block]
@@ -234,70 +237,65 @@ def coeff_blocks(states: list[CoeffState]):
 class CoeffTracker:
     """Training hook that keeps the coefficients of every state of a run.
 
-    Each call keeps the StepEvent's coefficient matrix C, the array itself
-    (training never writes to it), as a CoeffState: a state costs one
-    (2m, n+1) C, and its gamma, zeta and omega are read off C when its
-    coeffs is read.  With check, the sign/zero patterns of the buffered
-    states are hard-asserted a block at a time (coeff_blocks) when they
-    reach REPLAY_BLOCK_BYTES of coefficients and whenever history, coeffs
-    or state_at is read, so a failure raises at that read, not at its own
-    step.  With keep_history, history holds every state, the zero state
-    first; without it only the last state is kept.
+    Each call keeps the StepEvent's C, the array itself (training never
+    writes to it), as a CoeffState labelled (t, b) = divmod(step, H), in one
+    list indexed by step; a state's gamma, zeta and omega are read off its C
+    when its coeffs is read.  With check, the patterns of the states added
+    since the last check are hard-asserted (coeff_blocks) once they fill a
+    block and whenever history, coeffs or state_at is read, so a failure
+    raises at that read, not at its own step.  Without keep_history each
+    check drops all but the last state, and history is empty.
     """
 
     def __init__(self, ds: Dataset, m: int, keep_history: bool = True, check: bool = True):
         self.ds = ds
         self.check = check
         self._keep = keep_history
-        self._last = CoeffState(0, 0, 0, np.zeros((2 * m, ds.n + 1)), ds)
-        self._history: list[CoeffState] = []
-        self._by_state: dict[tuple[int, int], CoeffState] = {}
-        self._pending: list[CoeffState] = []
-        self._block_steps = _states_per_block(m, ds.n)
-        if keep_history:
-            self._keep_state(self._last)
+        self._states = [CoeffState(0, 0, 0, np.zeros((2 * m, ds.n + 1)), ds)]
+        self._checked = 1  # leading states already checked; the zero state passes
+        self._block = _states_per_block(m, ds.n)
 
     def __call__(self, event) -> None:
-        H = self.ds.n // len(event.batch)
-        t, b = (event.t + 1, 0) if event.b + 1 == H else (event.t, event.b + 1)
-        self._pending.append(CoeffState(t, b, event.step + 1, event.c, self.ds))
-        if len(self._pending) >= self._block_steps:
-            self._read_pending()
+        step = event.step + 1
+        t, b = divmod(step, self.ds.n // len(event.batch))
+        self._states.append(CoeffState(t, b, step, event.c, self.ds))
+        if len(self._states) - self._checked >= self._block:
+            self._check_new()
 
     @property
     def coeffs(self) -> Coeffs:
         """The coefficients after the last step."""
-        self._read_pending()
-        return self._last.coeffs
+        self._check_new()
+        return self._states[-1].coeffs
 
     @property
     def history(self) -> list[CoeffState]:
-        self._read_pending()
-        return self._history
+        self._check_new()
+        return self._states if self._keep else []
 
-    def _read_pending(self) -> None:
-        """Check the buffered states' patterns, if asked, and keep them."""
-        if not self._pending:
+    def _check_new(self) -> None:
+        """Check the patterns of the states added since the last check, if
+        asked, and without keep_history drop all but the last state."""
+        if self._checked == len(self._states):
             return
-        states, self._pending = self._pending, []
         if self.check:
-            for _, coeffs in coeff_blocks(states):
+            for _, coeffs in coeff_blocks(self._states[self._checked:], self.ds):
                 coeffs.check_patterns(self.ds.y)
-        if self._keep:
-            for st in states:
-                self._keep_state(st)
-        self._last = states[-1]
-
-    def _keep_state(self, st: CoeffState) -> None:
-        self._history.append(st)
-        self._by_state.setdefault((st.t, st.b), st)
+        if not self._keep:
+            del self._states[:-1]
+        self._checked = len(self._states)
 
     def state_at(self, t: int, b: int) -> CoeffState:
-        self._read_pending()
-        st = self._by_state.get((t, b))
-        if st is None:
-            raise KeyError(f"no tracked coefficients at state ({t}, {b})")
-        return st
+        """The state (t, b), at index t H + b.  H, the steps of an epoch, is
+        read off the last state's label; before the first epoch ends every
+        state is (0, b) and H is taken as the number of states."""
+        states = self.history
+        if states:
+            last = states[-1]
+            H = (last.step - last.b) // last.t if last.t else len(states)
+            if 0 <= b < H and 0 <= t * H + b < len(states):
+                return states[t * H + b]
+        raise KeyError(f"no tracked coefficients at state ({t}, {b})")
 
 
 COEFF_COLUMNS = ("j", "r", "gamma", "sum_zeta", "min_omega", "max_zeta")
@@ -318,7 +316,7 @@ def write_coeff_csv(path, history: list[CoeffState]) -> None:
     read off the states' C's a block at a time."""
     write_csv(path, ("t", "b") + COEFF_COLUMNS, [
         (st.t, st.b) + row
-        for block, coeffs in coeff_blocks(history)
+        for block, coeffs in (coeff_blocks(history, history[0].ds) if history else ())
         for st, gamma, zeta, omega in zip(block, coeffs.gamma, coeffs.zeta, coeffs.omega)
         for row in coeff_rows(gamma, zeta, omega)
     ])

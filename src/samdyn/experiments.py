@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataParams, gen_dataset, make_signal
-from .decomposition import InvariantViolation, span_view
+from .decomposition import InvariantViolation, coeff_blocks
 from .network import NetConfig, model_margins
 from .optim import TrainConfig, TrainingDivergedError, initial_weights, train
 from .tables import optional, write_csv
@@ -73,9 +73,6 @@ from .tables import optional, write_csv
 _SEED_TAG = 88261599  # fixed domain tag for trial seed derivation
 _TEST_CHUNK = 256  # test samples per chunk of y_hat, flips and noise; part of the test-draw stream
 _TEST_BLOCK_BYTES = 2 << 20  # noise buffer of the test scorer; not part of the stream
-# records' C's one pattern check stacks: a whole run's (340 KB on the phase
-# grid) left the grid's peak RSS 1.2 MB higher, this size leaves it unchanged
-_CHECK_BLOCK_BYTES = 64 << 10
 
 
 @dataclass(frozen=True)
@@ -286,11 +283,11 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
     times (data_s, train_s, test_s): building the dataset and its Gram,
     training with the record checks, and the test draw with the scoring.
 
-    Coefficients are read off the records' stacked C's (span_view): sign
-    patterns are checked at every record, a block of records per pass, and
-    max_gamma and max_sum_zeta use the last.  Each variant keeps only its
-    final C and <w, mu>, and the test draw projects onto F = [w0; mu; xi]
-    filled in place, so no d-space array is held twice.
+    Coefficients are read off the records' stacked C's a block at a time
+    (decomposition.coeff_blocks): sign patterns are checked at every
+    record, and max_gamma and max_sum_zeta use the last.  Each variant
+    keeps only its final C and <w, mu>, and the test draw projects onto
+    F = [w0; mu; xi] filled in place, so no d-space array is held twice.
     Failures are captured in the results, so a grid never aborts on one
     bad cell: an error building the cell fails every variant, a variant
     that diverges or breaks an invariant fails alone, and an error in the
@@ -313,10 +310,7 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
         try:
             cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
             traj = train(ds, net, cfg)
-            per = max(1, _CHECK_BLOCK_BYTES // traj.records[0].c.nbytes)
-            for lo in range(0, len(traj.records), per):
-                block = np.array([r.c for r in traj.records[lo:lo + per]])
-                coeffs = span_view(block, ds.gram, ds.y, spec.P)
+            for _, coeffs in coeff_blocks(traj.records, ds):
                 coeffs.check_patterns(ds.y)
             rec = traj.records[-1]
             result.train_loss = rec.train_loss
@@ -329,7 +323,7 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
             finals.append((result, rec.c, rec.mu_pre))
         except _TRIAL_ERRORS as exc:
             _fail(result, exc)
-        traj = block = coeffs = None  # no trajectory, and so no w0, outlives its variant
+        traj = coeffs = None  # no trajectory, and so no w0, outlives its variant
     t2 = time.perf_counter()
 
     if finals:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tables import read_npz
+
 # weight row 0 <-> class +1, row 1 <-> class -1
 J_SIGNS = np.array([1.0, -1.0])
 
@@ -157,9 +159,8 @@ def save_weights(path, w: np.ndarray) -> None:
 
 
 def load_weights(path) -> np.ndarray:
-    with np.load(path) as z:
-        w = z["w"]
-        shape = tuple(int(v) for v in z["shape"])
+    arrays = read_npz(path, ("w", "shape"))
+    w, shape = arrays["w"], tuple(int(v) for v in arrays["shape"])
     if w.shape != shape:
         raise ValueError(f"corrupt checkpoint: header {shape} vs array {w.shape}")
     if not np.all(np.isfinite(w)):

@@ -1,4 +1,5 @@
-"""The one CSV format of every table samdyn writes.
+"""The one CSV format of every table samdyn writes, and the read of its
+.npz archives.
 
 Fields go through the csv module, which quotes a field only when it holds
 a comma, a quote or a line break.  Floats, Python or numpy, are written as
@@ -33,3 +34,17 @@ def optional(parse):
     def parse_optional(field: str):
         return None if field == "" else parse(field)
     return parse_optional
+
+
+def read_npz(path, keys) -> dict:
+    """The arrays of the .npz archive at path under keys.  Raises
+    ValueError naming the file when it holds a lone array (.npy) and not
+    an archive, or naming the first key it lacks."""
+    z = np.load(path)
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an .npz archive")
+    with z:
+        for key in keys:
+            if key not in z.files:
+                raise ValueError(f"{path}: the archive holds no array {key!r}")
+        return {key: z[key] for key in keys}

@@ -203,7 +203,7 @@ def test_coeff_bounds_block_reduction_matches_the_per_state_loop(
     planted = history[17].coeffs
     if block_states:
         state = planted.gamma.nbytes + planted.zeta.nbytes + planted.omega.nbytes
-        monkeypatch.setattr(decomposition, "REPLAY_BLOCK_BYTES", block_states * state)
+        monkeypatch.setattr(decomposition, "BLOCK_BYTES", block_states * state)
     got = check_coeff_bounds(history, consts, d=400)
     assert got == _coeff_bounds_one_state_at_a_time(history, consts, d=400)
     assert [r.violations for r in got] == [2, 1, 2]  # the NaN state fails zeta and gamma
@@ -347,7 +347,7 @@ def test_deactivation_counts_are_the_per_step_counts(monkeypatch, B, t1):
     """Counted in blocks of 5 steps, with reads between blocks, the
     recorder's counts equal a count one step at a time."""
     d, n, m = 300, 12, 4
-    monkeypatch.setattr(checks, "REPLAY_BLOCK_BYTES", 5 * 2 * (2 * m * B * 8))
+    monkeypatch.setattr(checks, "BLOCK_BYTES", 5 * 2 * (2 * m * B * 8))
     params = DataParams(d=d, P=2, sigma_p=1.0, p=0.2, mu_norm=2.0)
     ds = gen_dataset(params, make_signal(d, 2.0), n, seed=3)
     net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)

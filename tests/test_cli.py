@@ -266,9 +266,11 @@ def _config_run(command, text, *flags):
     return lambda tmp_path: [command, "--config", str(write_cfg(tmp_path, text)), *flags]
 
 
-def _decompose_run(w=_W, w0=_W, xi_first=None):
+def _decompose_run(w=_W, w0=_W, xi_first=None, replace=None):
     """A refusal row's argv before --out: decompose checkpoints w and w0
-    against a d=30 dataset, whose first xi entry is xi_first if given."""
+    against a d=30 dataset, whose first xi entry is xi_first if given;
+    replace maps a file name (ds.npz, w.npz, w0.npz) to what is written in
+    its place: the arrays of a dict as an archive, an array alone as .npy."""
     def run(tmp_path):
         ds = gen_dataset(DataParams(d=30, mu_norm=2.0), make_signal(30, 2.0), 4, seed=0)
         if xi_first is not None:
@@ -276,6 +278,12 @@ def _decompose_run(w=_W, w0=_W, xi_first=None):
         save_dataset(tmp_path / "ds.npz", ds)
         save_weights(tmp_path / "w.npz", w)
         save_weights(tmp_path / "w0.npz", w0)
+        for name, content in (replace or {}).items():
+            with open(tmp_path / name, "wb") as fh:  # a path would gain a suffix
+                if isinstance(content, dict):
+                    np.savez(fh, **content)
+                else:
+                    np.save(fh, content)
         return ["decompose", "--data", str(tmp_path / "ds.npz"),
                 "--weights", str(tmp_path / "w.npz"), "--weights0", str(tmp_path / "w0.npz")]
     return run
@@ -306,6 +314,12 @@ _REFUSALS = {
     "decompose-other-d": (_decompose_run(w=_W[:, :, :20], w0=_W[:, :, :20]), "d = 30 of "),
     "decompose-other-m": (_decompose_run(w0=_W[:, :1]), "w0.npz (2, 1, 30)"),
     "decompose-inf-xi": (_decompose_run(xi_first=np.inf), "basis vector xi_0 has non-finite norm"),
+    "decompose-dataset-missing-key": (_decompose_run(replace={"ds.npz": {"mu": _W[0, 0]}}),
+                                      "ds.npz: the archive holds no array 'header_int'"),
+    "decompose-weights-missing-key": (_decompose_run(replace={"w.npz": {"weights": _W}}),
+                                      "w.npz: the archive holds no array 'w'"),
+    "decompose-weights-not-an-archive": (_decompose_run(replace={"w0.npz": _W}),
+                                         "w0.npz: not an .npz archive"),
 }
 
 

@@ -317,7 +317,7 @@ def test_track_step_equals_the_per_row_update():
 
 def _small_blocks(monkeypatch, steps, m, n):
     """Make CoeffTracker read blocks of the given number of steps."""
-    monkeypatch.setattr(decomposition, "REPLAY_BLOCK_BYTES", steps * 8 * 2 * m * (1 + 2 * n))
+    monkeypatch.setattr(decomposition, "BLOCK_BYTES", steps * 8 * 2 * m * (1 + 2 * n))
 
 
 def _close(a: Coeffs, b: Coeffs) -> bool:
@@ -364,6 +364,38 @@ def test_tracker_history_matches_the_recurrence(monkeypatch, algo, tau, B):
     assert last_only.history == []
     if algo == "sam":
         assert any(ev.used is not ev.at_w for ev in events)
+
+
+def test_state_at_returns_each_held_state_and_refuses_the_rest():
+    """After 0, 1, H-1, H, H+1 and all steps of a run, state_at(t, b) is
+    the held state labelled (t, b) = divmod(step, H), the object itself;
+    it raises KeyError naming (t, b) for b >= H, for a state past the last
+    and for any state of a keep_history=False tracker."""
+    d, n, m, B = 60, 6, 2, 2
+    H = n // B
+    ds = gen_dataset(DataParams(d=d, P=2, mu_norm=2.0), make_signal(d, 2.0), n, seed=1)
+    net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)
+    events = []
+    train(ds, net, TrainConfig(eta=0.05, B=B, epochs=3, seed=0), hooks=(events.append,))
+    for steps in (0, 1, H - 1, H, H + 1, len(events)):
+        tracker = CoeffTracker(ds, m)
+        last_only = CoeffTracker(ds, m, keep_history=False)
+        for ev in events[:steps]:
+            tracker(ev)
+            last_only(ev)
+        history = tracker.history
+        assert [(st.t, st.b) for st in history] == [divmod(s, H) for s in range(steps + 1)]
+        for st in history:
+            assert tracker.state_at(st.t, st.b) is st
+        end_t, end_b = divmod(steps, H)
+        past_end = [divmod(steps + 1, H), (end_t + 1, end_b), (end_t + 5, 0)]
+        b_too_large = [(0, H), (0, H + 1), (end_t, H), (-1, H + end_b)]
+        for t, b in past_end + b_too_large + [(-1, 0), (0, -1)]:
+            with pytest.raises(KeyError, match=rf"state \({t}, {b}\)"):
+                tracker.state_at(t, b)
+        for t, b in [(0, 0), (end_t, end_b)]:
+            with pytest.raises(KeyError, match=rf"state \({t}, {b}\)"):
+                last_only.state_at(t, b)
 
 
 def _negated_noise(ev: StepEvent) -> StepEvent:
