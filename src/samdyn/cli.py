@@ -41,8 +41,7 @@ from .data import (
     make_signal,
     save_dataset,
 )
-from .decomposition import (COEFF_COLUMNS, CoeffTracker, basis_from_dataset, coeff_rows,
-                            oracle_solve, write_coeff_csv)
+from .decomposition import COEFF_COLUMNS, CoeffTracker, coeff_rows, oracle_solve, write_coeff_csv
 from .experiments import check_grid_run, run_grid
 from .network import load_weights, save_weights
 from .optim import train, write_metrics_csv
@@ -148,8 +147,7 @@ def _cmd_decompose(args) -> int:
     if not (w.shape == w0.shape and w.ndim == 3 and w.shape[::2] == (2, ds.params.d)):
         raise ValueError(f"checkpoints {args.weights} {w.shape} and {args.weights0} {w0.shape} "
                          f"must share one shape (2, m, d) with d = {ds.params.d} of {args.data}")
-    basis = basis_from_dataset(ds)
-    basis.checked_cond  # refuses a degenerate basis before any output
+    ds.checked_cond  # refuses a degenerate basis before any output
     out = Path(args.out)
     write_manifest(
         out,
@@ -158,7 +156,7 @@ def _cmd_decompose(args) -> int:
         None,
         ["decomposition.csv", "rho.npz"],
     )
-    sol = oracle_solve(w, w0, basis)
+    sol = oracle_solve(w, w0, ds)
     zeta = np.where(sol.rho >= 0, sol.rho, 0.0)
     omega = np.where(sol.rho <= 0, sol.rho, 0.0)
     write_csv(out / "decomposition.csv", COEFF_COLUMNS, coeff_rows(sol.gamma, zeta, omega))

@@ -12,7 +12,8 @@ Conventions
   float64 +1/-1; Dataset.patches builds the (n, P, d) input tensor from
   them, as the input of the reference patch network; training never does
 - Dataset.gram, the (n+1)^2 Gram matrix of [mu; xi], is formed once; all
-  of samdyn reads the span's geometry from it
+  of samdyn reads the span's geometry from it, and Dataset.checked_cond
+  refuses a numerically dependent span once, for the least-squares oracle
 - a Dataset is reproducible from (params, seed): per-sample generators are
   spawned from one SeedSequence, so generation order never matters;
   gen_dataset draws a large dataset's rows (_POOL_MIN_BYTES of noise in
@@ -52,6 +53,13 @@ class DataParams:
             raise ValueError(f"p must be in [0, 0.5), got {self.p}")
         if not (math.isfinite(self.mu_norm) and self.mu_norm >= 0):
             raise ValueError(f"mu_norm must be finite and >= 0, got {self.mu_norm}")
+
+
+class DegenerateBasisError(ValueError):
+    """The {mu, xi_i} system is numerically dependent."""
+
+
+_COND_LIMIT = 1e12  # Gram condition number above which the oracle refuses the basis
 
 
 @dataclass
@@ -112,6 +120,31 @@ class Dataset:
         return gram
 
     @cached_property
+    def checked_cond(self) -> float:
+        """Condition number of gram, checked once per dataset.  Raises
+        DegenerateBasisError naming a vector of zero or non-finite norm, or
+        else the most collinear pair, when it exceeds _COND_LIMIT
+        (duplicated xi, zero mu, n >= d, an inf or nan entry)."""
+        gram = self.gram
+        diag = np.diag(gram)
+        cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            bad = np.flatnonzero((diag == 0) | ~np.isfinite(diag))
+            if bad.size:
+                k = int(bad[0])
+                norm = "zero" if diag[k] == 0 else "non-finite"
+                raise DegenerateBasisError(f"basis vector {_name_basis_vector(k)} has {norm} norm")
+            corr = gram / np.sqrt(np.outer(diag, diag))
+            np.fill_diagonal(corr, 0.0)
+            a, b = np.unravel_index(np.argmax(np.abs(corr)), corr.shape)
+            raise DegenerateBasisError(
+                f"Gram condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}; "
+                f"nearest dependence between {_name_basis_vector(int(a))} and "
+                f"{_name_basis_vector(int(b))} (|cos| = {abs(corr[a, b]):.6f})"
+            )
+        return cond
+
+    @cached_property
     def samples(self) -> tuple[Sample, ...]:
         """Per-sample row views, built once; samdyn itself reads the arrays."""
         return tuple(
@@ -121,6 +154,10 @@ class Dataset:
                                self.signal_pos[i:i + 1], self.params, self.seed))
             for i in range(self.n)
         )
+
+
+def _name_basis_vector(k: int) -> str:
+    return "mu" if k == 0 else f"xi_{k - 1}"
 
 
 def make_signal(d: int, mu_norm: float) -> np.ndarray:
@@ -350,15 +387,22 @@ def save_dataset(path, ds: Dataset) -> None:
 def load_dataset(path) -> Dataset:
     """Read a save_dataset container, checking its arrays against the header.
 
-    Raises ValueError when the archive lacks one of its keys, an array's
-    shape disagrees with the header's (d, n), a label is not +-1, or a
-    signal position is outside [0, P).
+    Raises ValueError, naming the file, when the archive lacks one of its
+    keys, a header has the wrong length or a value DataParams refuses, an
+    array's shape disagrees with the header's (d, n), a label is not +-1,
+    or a signal position is outside [0, P).
     """
     arrays = read_npz(path, ("header_int", "header_float", "mu", "xi", "y", "y_hat",
                              "signal_pos"))
+    for key, size in (("header_int", 5), ("header_float", 3)):
+        if arrays[key].shape != (size,):
+            raise ValueError(f"{path}: {key} has shape {arrays[key].shape}, expected ({size},)")
     d, P, n, seed_flag, seed = (int(v) for v in arrays["header_int"])
     sigma_p, p, mu_norm = (float(v) for v in arrays["header_float"])
-    params = DataParams(d=d, P=P, sigma_p=sigma_p, p=p, mu_norm=mu_norm)
+    try:
+        params = DataParams(d=d, P=P, sigma_p=sigma_p, p=p, mu_norm=mu_norm)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     shapes = {"mu": (d,), "xi": (n, d), "y": (n,), "y_hat": (n,), "signal_pos": (n,)}
     for key, shape in shapes.items():
         if arrays[key].shape != shape:

@@ -16,9 +16,9 @@ gamma, zeta and omega.  coeff_blocks is the one reader of a run's stacked
 C's, of tracked states and of the grid's training records alike, a block
 of BLOCK_BYTES of coefficients at a time.  A least-squares oracle derives
 the coefficients independently: it solves the (n+1)-dimensional Gram
-system for the drift of each filter on every call.  Its Basis holds views
-of mu, xi and Dataset.gram, never copies, and checks their conditioning
-once.
+system for the drift of each filter on every call.  Every reader of the
+span takes the Dataset and reads mu, xi, y, P and Dataset.gram off it;
+Dataset.checked_cond refuses a degenerate span once per dataset.
 
 The update rules make the sign split structural: for y_i = j every rho
 increment is >= 0 (zeta never decreases), for y_i = -j every increment is
@@ -30,7 +30,6 @@ and reconstruct in tests/helpers.py).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,10 +40,6 @@ from .tables import write_csv
 
 class InvariantViolation(AssertionError):
     """A structural coefficient invariant failed (hard error)."""
-
-
-class DegenerateBasisError(ValueError):
-    """The {mu, xi_i} system is numerically dependent."""
 
 
 @dataclass
@@ -87,27 +82,25 @@ class Coeffs:
                 raise InvariantViolation(f"omega nonzero for y_i == {int(j)} in row {row}")
 
 
-_COND_LIMIT = 1e12  # Gram condition number above which the oracle refuses the basis
-
-
-def span_coeffs(c: np.ndarray, gram: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
+def span_coeffs(c: np.ndarray, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """gamma (..., 2, m) and rho (..., 2, m, n) of the drift C [mu; xi], C
     (..., 2m, n+1): the mu weight times j ||mu||^2 gives gamma, the xi_i
     weight times (P-1) ||xi_i||^2 gives rho_i, the norms read from the Gram
-    diagonal.  Leading axes are a stack of C's."""
+    diagonal of ds.  Leading axes are a stack of C's."""
     lead, m = c.shape[:-2], c.shape[-2] // 2
+    gram = ds.gram
     # + 0.0 turns the -0.0 of a zero mu weight in a j = -1 row into 0.0
     gamma = (c[..., 0] * gram[0, 0]).reshape(lead + (2, m)) * J_SIGNS[:, None] + 0.0
-    rho = (c[..., 1:] * (P - 1) * np.diag(gram)[None, 1:]).reshape(lead + (2, m, -1))
+    rho = (c[..., 1:] * (ds.params.P - 1) * np.diag(gram)[None, 1:]).reshape(lead + (2, m, -1))
     return gamma, rho
 
 
-def span_view(c: np.ndarray, gram: np.ndarray, y: np.ndarray, P: int) -> Coeffs:
+def span_view(c: np.ndarray, ds: Dataset) -> Coeffs:
     """The Coeffs of the drift C [mu; xi] with rho split by label (zeta where
-    y_i = j): the coefficients of a training record or of a step.
+    y_i = j): the coefficients of a training record or of a step on ds.
     A stack of C's gives the stacked Coeffs of every one."""
-    gamma, rho = span_coeffs(c, gram, P)
-    own = _own_label(y)
+    gamma, rho = span_coeffs(c, ds)
+    own = _own_label(ds.y)
     return Coeffs(gamma=gamma, zeta=np.where(own, rho, 0.0), omega=np.where(own, 0.0, rho))
 
 
@@ -116,47 +109,9 @@ def _own_label(y: np.ndarray) -> np.ndarray:
     return (y == J_SIGNS[:, None])[:, None, :]
 
 
-@dataclass(frozen=True, eq=False)
-class Basis:
-    """span{mu, xi_1..xi_n} of one dataset: views of its vectors and Gram."""
-
-    mu: np.ndarray    # (d,)
-    xis: np.ndarray   # (n, d)
-    gram: np.ndarray  # (n+1, n+1)
-    P: int
-
-    @cached_property
-    def checked_cond(self) -> float:
-        """Condition number of gram, checked on the oracle's first call.  Raises
-        DegenerateBasisError naming a vector of zero or non-finite norm, or
-        else the most collinear pair, when it exceeds _COND_LIMIT
-        (duplicated xi, zero mu, n >= d, an inf or nan entry)."""
-        gram = self.gram
-        diag = np.diag(gram)
-        cond = float(np.linalg.cond(gram)) if np.all(np.isfinite(gram)) else np.inf
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            bad = np.flatnonzero((diag == 0) | ~np.isfinite(diag))
-            if bad.size:
-                k = int(bad[0])
-                norm = "zero" if diag[k] == 0 else "non-finite"
-                raise DegenerateBasisError(f"basis vector {_name_basis_vector(k)} has {norm} norm")
-            corr = gram / np.sqrt(np.outer(diag, diag))
-            np.fill_diagonal(corr, 0.0)
-            a, b = np.unravel_index(np.argmax(np.abs(corr)), corr.shape)
-            raise DegenerateBasisError(
-                f"Gram condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}; "
-                f"nearest dependence between {_name_basis_vector(int(a))} and "
-                f"{_name_basis_vector(int(b))} (|cos| = {abs(corr[a, b]):.6f})"
-            )
-        return cond
-
-
-def _name_basis_vector(k: int) -> str:
-    return "mu" if k == 0 else f"xi_{k - 1}"
-
-
-def basis_from_dataset(ds: Dataset) -> Basis:
-    return Basis(mu=ds.mu, xis=ds.xi, gram=ds.gram, P=ds.params.P)
+def basis_from_dataset(ds: Dataset) -> Dataset:
+    """ds itself: the oracle and the read-offs take the dataset."""
+    return ds
 
 
 @dataclass
@@ -166,24 +121,25 @@ class OracleCoeffs:
     residual: float    # ||drift - projection||_F / ||drift||_F
 
 
-def oracle_solve(w: np.ndarray, w0: np.ndarray, basis: Basis) -> OracleCoeffs:
+def oracle_solve(w: np.ndarray, w0: np.ndarray, ds: Dataset) -> OracleCoeffs:
     """Least-squares read-off of the decomposition coefficients.
 
-    Solves the Gram normal equations for all 2m filters' drifts on every
-    call and reads the basis weights off with span_coeffs; the basis's
-    conditioning guard runs on its first call only.
+    Solves the Gram normal equations of span{mu, xi} of ds for all 2m
+    filters' drifts on every call and reads the basis weights off with
+    span_coeffs; the dataset's conditioning guard (Dataset.checked_cond)
+    runs once per dataset.
     """
     if w.shape != w0.shape:
         raise ValueError(f"weight shapes differ: {w.shape} vs {w0.shape}")
     two, m, d = w.shape
     drift = (w - w0).reshape(2 * m, d)
-    rhs = np.hstack([(drift @ basis.mu)[:, None], drift @ basis.xis.T])
-    basis.checked_cond  # refuses a degenerate basis, once per basis
-    c = np.linalg.solve(basis.gram, rhs.T).T  # (2m, n+1)
-    recon = span_vectors(c, basis.mu, basis.xis).reshape(2 * m, d)
+    rhs = np.hstack([(drift @ ds.mu)[:, None], drift @ ds.xi.T])
+    ds.checked_cond  # refuses a degenerate basis, once per dataset
+    c = np.linalg.solve(ds.gram, rhs.T).T  # (2m, n+1)
+    recon = span_vectors(c, ds.mu, ds.xi).reshape(2 * m, d)
     drift_norm = float(np.linalg.norm(drift))
     residual = 0.0 if drift_norm == 0 else float(np.linalg.norm(drift - recon)) / drift_norm
-    gamma, rho = span_coeffs(c, basis.gram, basis.P)
+    gamma, rho = span_coeffs(c, ds)
     return OracleCoeffs(gamma=gamma, rho=rho, residual=residual)
 
 
@@ -202,7 +158,7 @@ class CoeffState:
 
     @property
     def coeffs(self) -> Coeffs:
-        return span_view(self.c, self.ds.gram, self.ds.y, self.ds.params.P)
+        return span_view(self.c, self.ds)
 
 
 # bytes one block holds: of gamma, zeta and omega read off stacked C's
@@ -231,7 +187,7 @@ def coeff_blocks(states, ds: Dataset):
     per_block = _states_per_block(len(states[0].c) // 2, ds.n)
     for first in range(0, len(states), per_block):
         block = states[first:first + per_block]
-        yield block, span_view(np.stack([st.c for st in block]), ds.gram, ds.y, ds.params.P)
+        yield block, span_view(np.stack([st.c for st in block]), ds)
 
 
 class CoeffTracker:

@@ -568,8 +568,14 @@ def load_results_csv(path) -> list[TrialResult]:
         header = next(reader, None)
         if header != list(_CSV_COLUMNS):
             raise ValueError(f"{path}: unexpected results header: {header}")
-        return [TrialResult(**{c: _CSV_READERS[c](v) for c, v in zip(_CSV_COLUMNS, vals)})
-                for vals in reader]
+        results = []
+        for vals in reader:
+            if len(vals) != len(_CSV_COLUMNS):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(vals)} fields, "
+                                 f"the header {len(_CSV_COLUMNS)}")
+            results.append(TrialResult(**{c: _CSV_READERS[c](v)
+                                          for c, v in zip(_CSV_COLUMNS, vals)}))
+        return results
 
 
 @dataclass

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
-from samdyn.decomposition import Coeffs, DegenerateBasisError
+from samdyn.data import DataParams, Dataset, DegenerateBasisError, gen_dataset, make_signal
+from samdyn.decomposition import Coeffs
 from samdyn.experiments import estimate_test_error
 from samdyn.network import (J_SIGNS, init_weights, loss, loss_grad, model_grad_coeffs,
                             model_margins, model_preacts, span_vectors)
@@ -57,19 +57,19 @@ def model_gradient(w, mu, xi, y, y_hat, P):
     return span_vectors(coeffs, mu, xi), terms
 
 
-def reconstruct(coeffs, basis, w0):
-    """Rebuild weights from decomposition coefficients: the inverse of the
-    read-off."""
-    mu_norm_sq, xi_norm_sq = basis.gram[0, 0], np.diag(basis.gram)[1:]
+def reconstruct(coeffs, ds, w0):
+    """Rebuild weights from decomposition coefficients on the span of ds:
+    the inverse of the read-off."""
+    mu_norm_sq, xi_norm_sq = ds.gram[0, 0], np.diag(ds.gram)[1:]
     w = w0 + np.einsum(
-        "jmn,nd->jmd", coeffs.rho / xi_norm_sq[None, None, :], basis.xis
-    ) / (basis.P - 1)
+        "jmn,nd->jmd", coeffs.rho / xi_norm_sq[None, None, :], ds.xi
+    ) / (ds.params.P - 1)
     if mu_norm_sq == 0:
         if np.any(coeffs.gamma != 0):
             raise DegenerateBasisError("nonzero gamma with zero-norm mu")
         return w
     gdir = (J_SIGNS[:, None] * coeffs.gamma / mu_norm_sq)[:, :, None]
-    return w + gdir * basis.mu[None, None, :]
+    return w + gdir * ds.mu[None, None, :]
 
 
 def zero_coeffs(m, n):

@@ -21,7 +21,7 @@ from samdyn.checks import (
     scaled_tau,
 )
 from samdyn.data import DataParams, gen_dataset, make_signal
-from samdyn.decomposition import basis_from_dataset, oracle_solve
+from samdyn.decomposition import oracle_solve
 from samdyn.experiments import aggregate, run_grid, phase_grid_spec
 from samdyn.network import NetConfig
 from samdyn.optim import TrainConfig, train
@@ -72,15 +72,15 @@ def test_criterion_2_decomposition_exactness(decomposition_runs):
     worst_recon = 0.0
     states = 0
     for run in decomposition_runs["runs"]:
-        basis = basis_from_dataset(run["ds"])
+        ds = run["ds"]
         w0 = run["traj"].w0
         for rec in run["traj"].records:
             st = run["tracker"].state_at(rec.t, rec.b)
-            sol = oracle_solve(rec.weights, w0, basis)
+            sol = oracle_solve(rec.weights, w0, ds)
             dg = float(np.max(np.abs(sol.gamma - st.coeffs.gamma)))
             dr = float(np.max(np.abs(sol.rho - st.coeffs.rho)))
             worst_coeff = max(worst_coeff, dg, dr)
-            rebuilt = reconstruct(st.coeffs, basis, w0)
+            rebuilt = reconstruct(st.coeffs, ds, w0)
             rel = float(
                 np.linalg.norm(rebuilt - rec.weights) / np.linalg.norm(rec.weights)
             )

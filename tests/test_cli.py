@@ -266,11 +266,12 @@ def _config_run(command, text, *flags):
     return lambda tmp_path: [command, "--config", str(write_cfg(tmp_path, text)), *flags]
 
 
-def _decompose_run(w=_W, w0=_W, xi_first=None, replace=None):
+def _decompose_run(w=_W, w0=_W, xi_first=None, replace=None, header_int=None):
     """A refusal row's argv before --out: decompose checkpoints w and w0
-    against a d=30 dataset, whose first xi entry is xi_first if given;
-    replace maps a file name (ds.npz, w.npz, w0.npz) to what is written in
-    its place: the arrays of a dict as an archive, an array alone as .npy."""
+    against a d=30 dataset, whose first xi entry is xi_first and whose
+    saved header_int is header_int, if given; replace maps a file name
+    (ds.npz, w.npz, w0.npz) to what is written in its place: the arrays of
+    a dict as an archive, an array alone as .npy."""
     def run(tmp_path):
         ds = gen_dataset(DataParams(d=30, mu_norm=2.0), make_signal(30, 2.0), 4, seed=0)
         if xi_first is not None:
@@ -278,7 +279,11 @@ def _decompose_run(w=_W, w0=_W, xi_first=None, replace=None):
         save_dataset(tmp_path / "ds.npz", ds)
         save_weights(tmp_path / "w.npz", w)
         save_weights(tmp_path / "w0.npz", w0)
-        for name, content in (replace or {}).items():
+        files = dict(replace or {})
+        if header_int is not None:
+            with np.load(tmp_path / "ds.npz") as saved:
+                files["ds.npz"] = {**saved, "header_int": np.array(header_int)}
+        for name, content in files.items():
             with open(tmp_path / name, "wb") as fh:  # a path would gain a suffix
                 if isinstance(content, dict):
                     np.savez(fh, **content)
@@ -316,6 +321,10 @@ _REFUSALS = {
     "decompose-inf-xi": (_decompose_run(xi_first=np.inf), "basis vector xi_0 has non-finite norm"),
     "decompose-dataset-missing-key": (_decompose_run(replace={"ds.npz": {"mu": _W[0, 0]}}),
                                       "ds.npz: the archive holds no array 'header_int'"),
+    "decompose-dataset-short-header": (_decompose_run(header_int=[30, 2, 4, 1]),
+                                       "ds.npz: header_int has shape (4,), expected (5,)"),
+    "decompose-dataset-bad-header-value": (_decompose_run(header_int=[0, 2, 4, 1, 0]),
+                                           "ds.npz: d must be >= 1, got 0"),
     "decompose-weights-missing-key": (_decompose_run(replace={"w.npz": {"weights": _W}}),
                                       "w.npz: the archive holds no array 'w'"),
     "decompose-weights-not-an-archive": (_decompose_run(replace={"w0.npz": _W}),

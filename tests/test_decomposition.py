@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from helpers import RecurrenceTracker, reconstruct, track_step, zero_coeffs
 from samdyn import decomposition
-from samdyn.data import DataParams, gen_dataset, make_signal
+from samdyn.data import DataParams, DegenerateBasisError, gen_dataset, make_signal
 from samdyn.decomposition import (
     Coeffs,
     CoeffState,
     CoeffTracker,
-    DegenerateBasisError,
     InvariantViolation,
     basis_from_dataset,
     oracle_solve,
@@ -58,20 +57,18 @@ def test_tracker_monotone_zeta_omega():
 
 def test_tracked_matches_oracle_after_one_step():
     ds, traj, tracker = _small_run(n=2, B=2, epochs=1, d=40)
-    basis = basis_from_dataset(ds)
     state = tracker.history[1]
     rec = traj.records[-1]
-    sol = oracle_solve(rec.weights, traj.w0, basis)
+    sol = oracle_solve(rec.weights, traj.w0, ds)
     assert np.max(np.abs(sol.gamma - state.coeffs.gamma)) <= 1e-10
     assert np.max(np.abs(sol.rho - state.coeffs.rho)) <= 1e-10
 
 
 def test_sam_tracker_matches_oracle():
     ds, traj, tracker = _small_run(algo="sam", tau=0.08, epochs=10)
-    basis = basis_from_dataset(ds)
     for rec in traj.records:
         state = tracker.state_at(rec.t, rec.b)
-        sol = oracle_solve(rec.weights, traj.w0, basis)
+        sol = oracle_solve(rec.weights, traj.w0, ds)
         assert np.max(np.abs(sol.gamma - state.coeffs.gamma)) <= 1e-8
         assert np.max(np.abs(sol.rho - state.coeffs.rho)) <= 1e-8
 
@@ -79,9 +76,8 @@ def test_sam_tracker_matches_oracle():
 def test_oracle_zero_drift():
     params = DataParams(d=50, P=2, mu_norm=1.0)
     ds = gen_dataset(params, make_signal(50, 1.0), 4, seed=0)
-    basis = basis_from_dataset(ds)
     w0 = np.random.default_rng(0).normal(size=(2, 2, 50))
-    sol = oracle_solve(w0, w0, basis)
+    sol = oracle_solve(w0, w0, ds)
     assert np.max(np.abs(sol.gamma)) == 0
     assert np.max(np.abs(sol.rho)) == 0
     assert sol.residual == 0
@@ -90,11 +86,10 @@ def test_oracle_zero_drift():
 def test_oracle_basis_readoff():
     params = DataParams(d=30, P=2, mu_norm=2.0)
     ds = gen_dataset(params, make_signal(30, 2.0), 3, seed=1)
-    basis = basis_from_dataset(ds)
     w0 = np.zeros((2, 2, 30))
     w = w0.copy()
-    w[0, 0] += basis.mu / basis.gram[0, 0]  # j=+1 drift of exactly gamma=1
-    sol = oracle_solve(w, w0, basis)
+    w[0, 0] += ds.mu / ds.gram[0, 0]  # j=+1 drift of exactly gamma=1
+    sol = oracle_solve(w, w0, ds)
     assert sol.gamma[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(sol.rho)) <= 1e-12
     assert abs(sol.gamma[1, 0]) <= 1e-14
@@ -102,9 +97,8 @@ def test_oracle_basis_readoff():
 
 def test_oracle_residual_on_training_run():
     ds, traj, _ = _small_run(d=500, n=8, m=4, B=4, epochs=15, eta=0.02)
-    basis = basis_from_dataset(ds)
     final = traj.records[-1]
-    sol = oracle_solve(final.weights, traj.w0, basis)
+    sol = oracle_solve(final.weights, traj.w0, ds)
     assert sol.residual <= 1e-9
 
 
@@ -115,7 +109,6 @@ def test_oracle_recovers_planted_coefficients(seed):
     d, n, m, P = 60, 4, 2, 3
     params = DataParams(d=d, P=P, mu_norm=1.5)
     ds = gen_dataset(params, make_signal(d, 1.5), n, seed=int(rng.integers(2**31)))
-    basis = basis_from_dataset(ds)
     w0 = rng.normal(size=(2, m, d))
     gamma = rng.normal(size=(2, m))
     rho = rng.normal(size=(2, m, n))
@@ -124,8 +117,8 @@ def test_oracle_recovers_planted_coefficients(seed):
         zeta=np.where(rho >= 0, rho, 0.0),
         omega=np.where(rho < 0, rho, 0.0),
     )
-    w = reconstruct(planted, basis, w0)
-    sol = oracle_solve(w, w0, basis)
+    w = reconstruct(planted, ds, w0)
+    sol = oracle_solve(w, w0, ds)
     assert np.max(np.abs(sol.gamma - gamma)) <= 1e-9
     assert np.max(np.abs(sol.rho - rho)) <= 1e-9
     assert sol.residual <= 1e-9
@@ -134,17 +127,15 @@ def test_oracle_recovers_planted_coefficients(seed):
 def test_reconstruct_zero_coeffs_returns_w0():
     params = DataParams(d=25, P=2, mu_norm=1.0)
     ds = gen_dataset(params, make_signal(25, 1.0), 3, seed=2)
-    basis = basis_from_dataset(ds)
     w0 = np.random.default_rng(1).normal(size=(2, 3, 25))
-    out = reconstruct(zero_coeffs(3, 3), basis, w0)
+    out = reconstruct(zero_coeffs(3, 3), ds, w0)
     assert np.allclose(out, w0, rtol=0, atol=0)
 
 
 def test_full_run_reconstruction():
     ds, traj, tracker = _small_run(epochs=8)
-    basis = basis_from_dataset(ds)
     final_state = tracker.history[-1]
-    rebuilt = reconstruct(final_state.coeffs, basis, traj.w0)
+    rebuilt = reconstruct(final_state.coeffs, ds, traj.w0)
     rel = np.linalg.norm(rebuilt - traj.w_final) / np.linalg.norm(traj.w_final)
     assert rel <= 1e-8
 
@@ -170,7 +161,7 @@ def test_degenerate_basis_zero_mu():
 
 
 def test_degenerate_basis_messages_unchanged():
-    """A degenerate dataset builds a Basis; the oracle names the problem."""
+    """A degenerate dataset loads; the oracle names the problem."""
     params = DataParams(d=20, P=2, mu_norm=0.0)
     ds = gen_dataset(params, make_signal(20, 0.0), 3, seed=4)
     w0 = np.zeros((2, 2, 20))
@@ -191,9 +182,8 @@ def test_oracle_matches_an_independent_lstsq(d, n, B, min_cond):
     """The per-call Gram solve agrees with a least-squares fit of the drift
     on [mu; xi]^T, with norms taken from the vectors, not the Gram."""
     ds, traj, _ = _small_run(algo="sam", tau=0.05, d=d, n=n, B=B, epochs=2)
-    basis = basis_from_dataset(ds)
-    sol = oracle_solve(traj.w_final, traj.w0, basis)
-    assert min_cond < basis.checked_cond <= 1e12
+    sol = oracle_solve(traj.w_final, traj.w0, ds)
+    assert min_cond < ds.checked_cond <= 1e12
     m = traj.w0.shape[1]
     drift = (traj.w_final - traj.w0).reshape(2 * m, d)
     coef = np.linalg.lstsq(np.vstack([ds.mu, ds.xi]).T, drift.T, rcond=None)[0].T
@@ -205,6 +195,8 @@ def test_oracle_matches_an_independent_lstsq(d, n, B, min_cond):
 
 
 def test_conditioning_guard_runs_once_per_basis(monkeypatch):
+    """The guard is a property of the dataset: one np.linalg.cond call
+    however many oracle solves, and basis_from_dataset makes no second."""
     ds, traj, _ = _small_run(n=6, epochs=2)
     calls = []
     cond = np.linalg.cond
@@ -214,21 +206,15 @@ def test_conditioning_guard_runs_once_per_basis(monkeypatch):
         return cond(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cond", spy)
-    basis = basis_from_dataset(ds)
-    sols = [oracle_solve(r.weights, traj.w0, basis) for r in traj.records]
-    assert len(sols) > 2 and calls == [(7, 7)]
-    oracle_solve(traj.w_final, traj.w0, basis_from_dataset(ds))
-    assert calls == [(7, 7)] * 2
+    bases = (basis_from_dataset(ds), basis_from_dataset(ds))
+    sols = [oracle_solve(r.weights, traj.w0, basis) for r in traj.records for basis in bases]
+    assert len(sols) > 4 and calls == [(7, 7)]
 
 
 def test_basis_shares_the_dataset_span():
     params = DataParams(d=40, P=3, mu_norm=2.0)
     ds = gen_dataset(params, make_signal(40, 2.0), 5, seed=6)
-    basis = basis_from_dataset(ds)
-    assert basis.gram is ds.gram
-    assert np.shares_memory(basis.xis, ds.xi)
-    assert np.shares_memory(basis.mu, ds.mu)
-    assert basis.P == 3
+    assert basis_from_dataset(ds) is ds
 
 
 def test_span_coeffs_is_the_oracle_readoff():
@@ -236,14 +222,13 @@ def test_span_coeffs_is_the_oracle_readoff():
     rng = np.random.default_rng(3)
     params = DataParams(d=50, P=3, mu_norm=1.5)
     ds = gen_dataset(params, make_signal(50, 1.5), 4, seed=8)
-    basis = basis_from_dataset(ds)
     c = rng.normal(size=(2 * 2, 5))
     w0 = rng.normal(size=(2, 2, 50))
     w = w0 + (c[:, :1] * ds.mu + c[:, 1:] @ ds.xi).reshape(2, 2, 50)
-    gamma, rho = span_coeffs(c, ds.gram, 3)
+    gamma, rho = span_coeffs(c, ds)
     assert np.array_equal(gamma[:, 0], np.array([1.0, -1.0]) * c[[0, 2], 0] * ds.gram[0, 0])
     assert np.array_equal(rho[1, 1], c[3, 1:] * 2 * np.diag(ds.gram)[1:])
-    sol = oracle_solve(w, w0, basis)
+    sol = oracle_solve(w, w0, ds)
     assert np.allclose(sol.gamma, gamma, rtol=1e-9, atol=1e-12)
     assert np.allclose(sol.rho, rho, rtol=1e-9, atol=1e-12)
 
@@ -253,7 +238,7 @@ def test_zero_c_reads_positive_zero_coefficients(tmp_path):
     C and for a stack, so coeffs.csv never prints -0.0."""
     ds = gen_dataset(DataParams(d=30, P=3, mu_norm=1.5), make_signal(30, 1.5), 4, seed=8)
     for c in (np.zeros((4, 5)), np.zeros((3, 4, 5))):
-        gamma, rho = span_coeffs(c, ds.gram, 3)
+        gamma, rho = span_coeffs(c, ds)
         assert not gamma.any() and not np.signbit(gamma).any() and not np.signbit(rho).any()
     write_coeff_csv(tmp_path / "coeffs.csv", [CoeffState(0, 0, 0, np.zeros((4, 5)), ds)])
     assert "-0.0" not in (tmp_path / "coeffs.csv").read_text()
@@ -280,7 +265,7 @@ def test_span_view_matches_tracker_at_every_record(case):
     traj = train(ds, net, cfg, hooks=(tracker,))
     assert len(traj.records) > 2
     for rec in traj.records:
-        view = span_view(rec.c, ds.gram, ds.y, ds.params.P)
+        view = span_view(rec.c, ds)
         view.check_patterns(ds.y)
         tracked = tracker.state_at(rec.t, rec.b).coeffs
         for name in ("gamma", "zeta", "omega"):
@@ -417,7 +402,7 @@ def test_tracker_raises_on_a_planted_sign_flip_at_the_next_replay(monkeypatch):
     train(ds, net, TrainConfig(eta=0.1, B=4, epochs=6, seed=0), hooks=(events.append,))
     events[5] = _negated_noise(events[5])
     with pytest.raises(InvariantViolation) as want:
-        span_view(events[5].c, ds.gram, ds.y, ds.params.P).check_patterns(ds.y)
+        span_view(events[5].c, ds).check_patterns(ds.y)
     assert str(want.value) == "zeta has a negative entry"
     _small_blocks(monkeypatch, 4, m, n)
     tracker = CoeffTracker(ds, m)
@@ -531,7 +516,7 @@ def test_read_offs_keep_their_bits():
     weights are bitwise traj.span.weights(rec.c) on every read."""
     ds, traj, tracker = _small_run(algo="sam", tau=0.08, B=3, epochs=10)
     history = tracker.history
-    stacked = span_view(np.stack([st.c for st in history]), ds.gram, ds.y, ds.params.P)
+    stacked = span_view(np.stack([st.c for st in history]), ds)
     for s, st in enumerate(history):
         for name in ("gamma", "zeta", "omega"):
             assert getattr(st.coeffs, name).tobytes() == getattr(stacked, name)[s].tobytes()

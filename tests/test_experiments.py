@@ -711,6 +711,18 @@ def test_results_csv_rejects_unknown_header(tmp_path):
         load_results_csv(path)
 
 
+def test_results_csv_rejects_a_row_of_another_length(tmp_path):
+    """A row cut short (an interrupted write) or with an extra field is
+    refused, naming the file and the line, not read with defaults."""
+    path = tmp_path / "r.csv"
+    write_results_csv(path, [TrialResult(d=1000, mu_norm=1.0, algo="sgd", seed=0)])
+    good = path.read_text()
+    for row, fields in (("sgd,1000,1.0,0,0.01", 5), (good.splitlines()[1] + ",0", 14)):
+        path.write_text(good + row + "\n")
+        with pytest.raises(ValueError, match=rf"r\.csv: line 3 has {fields} fields, the header 13$"):
+            load_results_csv(path)
+
+
 def test_export_heatmap_writes_a_table_for_a_variant_with_no_survivor(tmp_path):
     """Every variant in the results gets its CSV: empty, and with no PGM of
     an earlier run beside it, when all its trials failed."""

@@ -21,7 +21,7 @@ class NoScipy:
 sys.meta_path.insert(0, NoScipy())
 
 from samdyn.data import DataParams, gen_dataset, make_signal
-from samdyn.decomposition import CoeffTracker, basis_from_dataset, oracle_solve
+from samdyn.decomposition import CoeffTracker, oracle_solve
 from samdyn.experiments import GridSpec, run_grid
 from samdyn.network import NetConfig
 from samdyn.optim import TrainConfig, train
@@ -30,7 +30,7 @@ ds = gen_dataset(DataParams(d=60, P=2, mu_norm=2.0), make_signal(60, 2.0), 8, se
 tracker = CoeffTracker(ds, 3)
 cfg = TrainConfig(eta=0.2, B=4, epochs=2, algo="sam", tau=0.05, snapshot_weights=True)
 traj = train(ds, NetConfig(m=3, d=60, init="gaussian", sigma_0=0.05), cfg, hooks=(tracker,))
-sol = oracle_solve(traj.w_final, traj.w0, basis_from_dataset(ds))
+sol = oracle_solve(traj.w_final, traj.w0, ds)
 assert abs(sol.gamma - tracker.coeffs.gamma).max() <= 1e-8
 spec = GridSpec(d_values=(60,), mu_values=(2.0,), seeds=(0,), n=8, P=2, sigma_p=1.0, p=0.0,
                 m=3, train={"sam": TrainConfig(eta=0.4, B=8, epochs=4, algo="sam", tau=0.05)},
