@@ -7,7 +7,8 @@ package are the definitional coefficient patterns in decomposition.py).
 Checkers are pure functions of recorded trajectories and re-running one on
 the same trajectory reproduces the same report.  The coefficient ranges
 are read off the tracked states' C's a block of states at a time, since no
-state stores its gamma, zeta and omega.
+state stores its gamma, zeta and omega.  The deactivation recorder is the
+one hook here: it counts each perturbed step in that step's call.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .data import DataParams, gen_dataset, make_signal
-from .decomposition import BLOCK_BYTES, coeff_blocks
+from .decomposition import coeff_blocks, own_label
 from .network import NetConfig, loss_grad, model_preacts
 from .optim import TrainConfig, Trajectory, train
 from .tables import write_csv
@@ -233,21 +234,19 @@ class SamDeactivationRecorder:
     (j = y_k) whose unperturbed pre-activation is >= 0; it is a violation
     when the perturbed pre-activation is also >= 0 (the perturbation
     failed to deactivate the filter).  Only steps inside the first-stage
-    window are counted when t1_epochs is given.  Each counted step's
-    pre-activations are buffered and counted a block at a time, when the
-    block reaches the coefficient reader's budget
-    (decomposition.BLOCK_BYTES) and whenever events or violations is read,
-    so both are sums over blocks of steps.
+    window are counted when t1_epochs is given.  Each perturbed step is
+    counted in its own call, through the (2, 1, n) own-label mask
+    (decomposition.own_label) taken at its batch.
     """
 
     def __init__(self, y: np.ndarray, t1_epochs: float | None = None):
         self.y = np.asarray(y)
         self.t1_epochs = t1_epochs
-        self._events = 0
-        self._violations = 0
+        self.events = 0
+        self.violations = 0
         self.perturbed_steps = 0
         self.steps = 0
-        self._pending: list[tuple] = []
+        self._own = own_label(self.y)
 
     def __call__(self, event) -> None:
         self.steps += 1
@@ -256,31 +255,9 @@ class SamDeactivationRecorder:
         if event.tau == 0.0:
             return
         self.perturbed_steps += 1
-        self._pending.append((event.batch, event.at_w.noise_pre, event.used.noise_pre))
-        if len(self._pending) * 2 * event.used.noise_pre.nbytes >= BLOCK_BYTES:
-            self._count()
-
-    @property
-    def events(self) -> int:
-        self._count()
-        return self._events
-
-    @property
-    def violations(self) -> int:
-        self._count()
-        return self._violations
-
-    def _count(self) -> None:
-        """Add the buffered steps' events and violations, with their
-        batches joined along the sample axis."""
-        if not self._pending:
-            return
-        batch, pre_w, pre_used = (np.concatenate(a, axis=-1) for a in zip(*self._pending))
-        self._pending = []
-        y = self.y[batch]
-        mask = own_noise_pre(pre_w, y) >= 0
-        self._events += int(mask.sum())
-        self._violations += int((mask & (own_noise_pre(pre_used, y) >= 0)).sum())
+        active = self._own[..., event.batch] & (event.at_w.noise_pre >= 0)  # (2, m, B)
+        self.events += int(np.count_nonzero(active))
+        self.violations += int(np.count_nonzero(active & (event.used.noise_pre >= 0)))
 
 
 def check_sam_deactivation(recorder: SamDeactivationRecorder) -> CheckReport:

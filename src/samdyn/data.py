@@ -388,9 +388,10 @@ def load_dataset(path) -> Dataset:
     """Read a save_dataset container, checking its arrays against the header.
 
     Raises ValueError, naming the file, when the archive lacks one of its
-    keys, a header has the wrong length or a value DataParams refuses, an
-    array's shape disagrees with the header's (d, n), a label is not +-1,
-    or a signal position is outside [0, P).
+    keys, a header has the wrong length or a value DataParams refuses, the
+    seed flag is not 0 or 1, a set seed is one check_header_seed refuses,
+    an array's shape disagrees with the header's (d, n), a label is not
+    +-1, or a signal position is outside [0, P).
     """
     arrays = read_npz(path, ("header_int", "header_float", "mu", "xi", "y", "y_hat",
                              "signal_pos"))
@@ -401,6 +402,10 @@ def load_dataset(path) -> Dataset:
     sigma_p, p, mu_norm = (float(v) for v in arrays["header_float"])
     try:
         params = DataParams(d=d, P=P, sigma_p=sigma_p, p=p, mu_norm=mu_norm)
+        if seed_flag not in (0, 1):
+            raise ValueError(f"seed_flag is {seed_flag}, expected 0 or 1")
+        if seed_flag:
+            check_header_seed(seed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     shapes = {"mu": (d,), "xi": (n, d), "y": (n,), "y_hat": (n,), "signal_pos": (n,)}

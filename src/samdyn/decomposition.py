@@ -12,9 +12,9 @@ weights as w0 + C [mu; xi] (see optim); span_coeffs reads the coefficients
 off C and span_view splits rho by label.  CoeffTracker keeps the C of
 every step as a CoeffState, whose coefficients are read off on demand and
 never stored, so a state costs (2m, n+1) floats and not the 2m (2n+1) of
-gamma, zeta and omega.  coeff_blocks is the one reader of a run's stacked
-C's, of tracked states and of the grid's training records alike, a block
-of BLOCK_BYTES of coefficients at a time.  A least-squares oracle derives
+gamma, zeta and omega.  coeff_blocks reads the coefficients of a run's
+stacked C's a block of BLOCK_BYTES at a time, for the range check and
+coeffs.csv.  A least-squares oracle derives
 the coefficients independently: it solves the (n+1)-dimensional Gram
 system for the drift of each filter on every call.  Every reader of the
 span takes the Dataset and reads mu, xi, y, P and Dataset.gram off it;
@@ -23,10 +23,12 @@ Dataset.checked_cond refuses a degenerate span once per dataset.
 The update rules make the sign split structural: for y_i = j every rho
 increment is >= 0 (zeta never decreases), for y_i = -j every increment is
 <= 0 (omega never increases), and the complementary entries stay zero.
-The paper's coefficient recurrence, which forms those increments from each
-step's loss derivatives and activation indicators, and the inverse map,
-from coefficients back to weights, are the tests' references (track_step
-and reconstruct in tests/helpers.py).
+check_signs asserts the sign split on one state's C as it arrives, with
+no read-off; span_view puts the zeros of the label patterns in place by
+construction.  The paper's coefficient recurrence, which forms those
+increments from each step's loss derivatives and activation indicators,
+and the inverse map, from coefficients back to weights, are the tests'
+references (track_step and reconstruct in tests/helpers.py).
 """
 
 from dataclasses import dataclass
@@ -56,20 +58,8 @@ class Coeffs:
         return Coeffs(self.gamma.copy(), self.zeta.copy(), self.omega.copy())
 
     def check_patterns(self, y: np.ndarray) -> None:
-        """Hard-assert the sign and label-pattern invariants.  A stack of
-        states, (k, 2, m) gamma and (k, 2, m, n) zeta and omega, is checked
-        in one pass and raises through check_patterns of its first failing
-        state."""
-        # per state: zeta < 0, omega > 0, zeta nonzero where y_i != j or omega where y_i == j
-        axes = (-3, -2, -1)
-        bad = ((self.zeta < 0).any(axis=axes) | (self.omega > 0).any(axis=axes)
-               | np.where(_own_label(y), self.omega, self.zeta).any(axis=axes))
-        if not bad.any():
-            return
-        if bad.ndim:  # a stack: name the first failing state's fault
-            s = int(np.argmax(bad))
-            return Coeffs(self.gamma[s], self.zeta[s], self.omega[s]).check_patterns(y)
-        # some invariant failed: find the first, in a fixed order, to name it
+        """Hard-assert the sign and label-pattern invariants of one state,
+        naming the first that fails in a fixed order."""
         if np.any(self.zeta < 0):
             raise InvariantViolation("zeta has a negative entry")
         if np.any(self.omega > 0):
@@ -80,6 +70,23 @@ class Coeffs:
                 raise InvariantViolation(f"zeta nonzero for y_i != {int(j)} in row {row}")
             if np.any(self.omega[row][:, ~mismatched] != 0):
                 raise InvariantViolation(f"omega nonzero for y_i == {int(j)} in row {row}")
+
+
+def check_signs(c: np.ndarray, y: np.ndarray) -> None:
+    """Hard-assert the sign invariants of one state's (2m, n+1) C, with
+    check_patterns' messages, without reading the coefficients off.  The
+    read-off scales the xi_i weight by (P-1) ||xi_i||^2 > 0 and splits it by
+    label, so zeta < 0 is a negative weight in a j-row where y_i = j and
+    omega > 0 a positive one where y_i = -j.  This is at least as strict:
+    it also flags a wrong-signed weight that the read-off rounds to zero.
+    The label patterns hold for span_view by construction."""
+    noise = c[:, 1:].reshape(2, -1, y.size)
+    own = own_label(y)
+    if not np.count_nonzero(np.where(own, noise, -noise) < 0):  # no weight against its label
+        return
+    if (own & (noise < 0)).any():
+        raise InvariantViolation("zeta has a negative entry")
+    raise InvariantViolation("omega has a positive entry")
 
 
 def span_coeffs(c: np.ndarray, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -100,11 +107,11 @@ def span_view(c: np.ndarray, ds: Dataset) -> Coeffs:
     y_i = j): the coefficients of a training record or of a step on ds.
     A stack of C's gives the stacked Coeffs of every one."""
     gamma, rho = span_coeffs(c, ds)
-    own = _own_label(ds.y)
+    own = own_label(ds.y)
     return Coeffs(gamma=gamma, zeta=np.where(own, rho, 0.0), omega=np.where(own, 0.0, rho))
 
 
-def _own_label(y: np.ndarray) -> np.ndarray:
+def own_label(y: np.ndarray) -> np.ndarray:
     """(2, 1, n) mask of y_i == j: where rho is zeta, against a (2, m, n) array."""
     return (y == J_SIGNS[:, None])[:, None, :]
 
@@ -161,17 +168,10 @@ class CoeffState:
         return span_view(self.c, self.ds)
 
 
-# bytes one block holds: of gamma, zeta and omega read off stacked C's
-# (coeff_blocks), or of buffered pre-activations (checks.SamDeactivationRecorder).
-# 19 records of a phase-grid run; four times this left the grid's peak RSS
-# 0.8 MB higher
+# bytes of gamma, zeta and omega that one block of coeff_blocks reads off
+# stacked C's, for check_coeff_bounds and write_coeff_csv: 19 records of a
+# phase-grid run
 BLOCK_BYTES = 128 << 10
-
-
-def _states_per_block(m: int, n: int) -> int:
-    """States of m filters per class and n samples whose gamma, zeta and
-    omega fill BLOCK_BYTES, and at least one."""
-    return max(1, BLOCK_BYTES // (8 * 2 * m * (1 + 2 * n)))
 
 
 def coeff_blocks(states, ds: Dataset):
@@ -179,12 +179,12 @@ def coeff_blocks(states, ds: Dataset):
     anything whose .c is a (2m, n+1) C, CoeffStates or training records.
     coeffs holds the stacked (k, 2, m) gamma and (k, 2, m, n) zeta and
     omega of the block's k states, read off their C's by one span_view; a
-    block holds the states that fill BLOCK_BYTES.  The read-off is
-    elementwise, so a state's values are bitwise its own coeffs whatever
-    the block size."""
+    block holds the states whose coefficients fill BLOCK_BYTES, and at
+    least one.  The read-off is elementwise, so a state's values are
+    bitwise its own coeffs whatever the block size."""
     if not states:
         return
-    per_block = _states_per_block(len(states[0].c) // 2, ds.n)
+    per_block = max(1, BLOCK_BYTES // (8 * len(states[0].c) * (1 + 2 * ds.n)))
     for first in range(0, len(states), per_block):
         block = states[first:first + per_block]
         yield block, span_view(np.stack([st.c for st in block]), ds)
@@ -196,11 +196,10 @@ class CoeffTracker:
     Each call keeps the StepEvent's C, the array itself (training never
     writes to it), as a CoeffState labelled (t, b) = divmod(step, H), in one
     list indexed by step; a state's gamma, zeta and omega are read off its C
-    when its coeffs is read.  With check, the patterns of the states added
-    since the last check are hard-asserted (coeff_blocks) once they fill a
-    block and whenever history, coeffs or state_at is read, so a failure
-    raises at that read, not at its own step.  Without keep_history each
-    check drops all but the last state, and history is empty.
+    when its coeffs is read.  With check, each arriving C's signs are
+    hard-asserted (check_signs) before it is kept, so a failure raises from
+    the call of its own step.  Without keep_history each call replaces the
+    last state, and history is empty.
     """
 
     def __init__(self, ds: Dataset, m: int, keep_history: bool = True, check: bool = True):
@@ -208,38 +207,26 @@ class CoeffTracker:
         self.check = check
         self._keep = keep_history
         self._states = [CoeffState(0, 0, 0, np.zeros((2 * m, ds.n + 1)), ds)]
-        self._checked = 1  # leading states already checked; the zero state passes
-        self._block = _states_per_block(m, ds.n)
 
     def __call__(self, event) -> None:
+        if self.check:
+            check_signs(event.c, self.ds.y)
         step = event.step + 1
         t, b = divmod(step, self.ds.n // len(event.batch))
-        self._states.append(CoeffState(t, b, step, event.c, self.ds))
-        if len(self._states) - self._checked >= self._block:
-            self._check_new()
+        state = CoeffState(t, b, step, event.c, self.ds)
+        if self._keep:
+            self._states.append(state)
+        else:
+            self._states[-1] = state
 
     @property
     def coeffs(self) -> Coeffs:
         """The coefficients after the last step."""
-        self._check_new()
         return self._states[-1].coeffs
 
     @property
     def history(self) -> list[CoeffState]:
-        self._check_new()
         return self._states if self._keep else []
-
-    def _check_new(self) -> None:
-        """Check the patterns of the states added since the last check, if
-        asked, and without keep_history drop all but the last state."""
-        if self._checked == len(self._states):
-            return
-        if self.check:
-            for _, coeffs in coeff_blocks(self._states[self._checked:], self.ds):
-                coeffs.check_patterns(self.ds.y)
-        if not self._keep:
-            del self._states[:-1]
-        self._checked = len(self._states)
 
     def state_at(self, t: int, b: int) -> CoeffState:
         """The state (t, b), at index t H + b.  H, the steps of an epoch, is

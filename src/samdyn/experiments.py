@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataParams, gen_dataset, make_signal
-from .decomposition import InvariantViolation, coeff_blocks
+from .decomposition import InvariantViolation, check_signs, span_view
 from .network import NetConfig, model_margins
 from .optim import TrainConfig, TrainingDivergedError, initial_weights, train
 from .tables import optional, write_csv
@@ -283,11 +283,11 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
     times (data_s, train_s, test_s): building the dataset and its Gram,
     training with the record checks, and the test draw with the scoring.
 
-    Coefficients are read off the records' stacked C's a block at a time
-    (decomposition.coeff_blocks): sign patterns are checked at every
-    record, and max_gamma and max_sum_zeta use the last.  Each variant
-    keeps only its final C and <w, mu>, and the test draw projects onto
-    F = [w0; mu; xi] filled in place, so no d-space array is held twice.
+    The signs of every record's C are checked one C at a time
+    (decomposition.check_signs), and max_gamma and max_sum_zeta are read
+    off the last record's C (span_view).  Each variant keeps only its
+    final C and <w, mu>, and the test draw projects onto F = [w0; mu; xi]
+    filled in place, so no d-space array is held twice.
     Failures are captured in the results, so a grid never aborts on one
     bad cell: an error building the cell fails every variant, a variant
     that diverges or breaks an invariant fails alone, and an error in the
@@ -310,20 +310,21 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
         try:
             cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
             traj = train(ds, net, cfg)
-            for _, coeffs in coeff_blocks(traj.records, ds):
-                coeffs.check_patterns(ds.y)
+            for rec in traj.records:
+                check_signs(rec.c, ds.y)
             rec = traj.records[-1]
             result.train_loss = rec.train_loss
             for epoch_rec in traj.epoch_records():
                 if epoch_rec.train_loss <= spec.loss_target:
                     result.convergence_epoch = epoch_rec.t
                     break
-            result.max_gamma = float(coeffs.gamma[-1].max())
-            result.max_sum_zeta = float(coeffs.zeta[-1].sum(axis=2).max())
+            coeffs = span_view(rec.c, ds)
+            result.max_gamma = float(coeffs.gamma.max())
+            result.max_sum_zeta = float(coeffs.zeta.sum(axis=2).max())
             finals.append((result, rec.c, rec.mu_pre))
         except _TRIAL_ERRORS as exc:
             _fail(result, exc)
-        traj = coeffs = None  # no trajectory, and so no w0, outlives its variant
+        traj = None  # no trajectory, and so no w0, outlives its variant
     t2 = time.perf_counter()
 
     if finals:

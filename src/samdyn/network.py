@@ -159,10 +159,17 @@ def save_weights(path, w: np.ndarray) -> None:
 
 
 def load_weights(path) -> np.ndarray:
+    """Read a save_weights checkpoint.  Raises ValueError, naming the file,
+    when the shape entry is not a 1-D integer array or disagrees with the
+    array's shape, or a weight is not finite."""
     arrays = read_npz(path, ("w", "shape"))
-    w, shape = arrays["w"], tuple(int(v) for v in arrays["shape"])
-    if w.shape != shape:
-        raise ValueError(f"corrupt checkpoint: header {shape} vs array {w.shape}")
+    w, shape = arrays["w"], arrays["shape"]
+    if shape.ndim != 1 or shape.dtype.kind not in "iu":
+        raise ValueError(f"{path}: shape entry has dtype {shape.dtype} and shape "
+                         f"{shape.shape}, expected a 1-D integer array")
+    header = tuple(int(v) for v in shape)
+    if w.shape != header:
+        raise ValueError(f"{path}: corrupt checkpoint: header {header} vs array {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{path}: weights hold a non-finite value")
     return w

@@ -325,6 +325,16 @@ _REFUSALS = {
                                        "ds.npz: header_int has shape (4,), expected (5,)"),
     "decompose-dataset-bad-header-value": (_decompose_run(header_int=[0, 2, 4, 1, 0]),
                                            "ds.npz: d must be >= 1, got 0"),
+    "decompose-dataset-bad-seed-flag": (_decompose_run(header_int=[30, 2, 4, 7, 3]),
+                                        "ds.npz: seed_flag is 7, expected 0 or 1"),
+    "decompose-dataset-negative-seed": (_decompose_run(header_int=[30, 2, 4, 1, -5]),
+                                        "ds.npz: seed -5 is outside [0, 2**63)"),
+    "decompose-weights-shape-mismatch": (
+        _decompose_run(replace={"w.npz": {"shape": np.array([2, 2, 31]), "w": _W}}),
+        "w.npz: corrupt checkpoint: header (2, 2, 31) vs array (2, 2, 30)"),
+    "decompose-weights-bad-shape-entry": (
+        _decompose_run(replace={"w0.npz": {"shape": np.array([[2, 2, 30]]), "w": _W}}),
+        "w0.npz: shape entry has dtype int64 and shape (1, 3), expected a 1-D integer array"),
     "decompose-weights-missing-key": (_decompose_run(replace={"w.npz": {"weights": _W}}),
                                       "w.npz: the archive holds no array 'w'"),
     "decompose-weights-not-an-archive": (_decompose_run(replace={"w0.npz": _W}),

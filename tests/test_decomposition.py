@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import RecurrenceTracker, reconstruct, track_step, zero_coeffs
-from samdyn import decomposition
 from samdyn.data import DataParams, DegenerateBasisError, gen_dataset, make_signal
 from samdyn.decomposition import (
     Coeffs,
@@ -14,6 +13,7 @@ from samdyn.decomposition import (
     CoeffTracker,
     InvariantViolation,
     basis_from_dataset,
+    check_signs,
     oracle_solve,
     span_coeffs,
     span_view,
@@ -300,11 +300,6 @@ def test_track_step_equals_the_per_row_update():
         start = got
 
 
-def _small_blocks(monkeypatch, steps, m, n):
-    """Make CoeffTracker read blocks of the given number of steps."""
-    monkeypatch.setattr(decomposition, "BLOCK_BYTES", steps * 8 * 2 * m * (1 + 2 * n))
-
-
 def _close(a: Coeffs, b: Coeffs) -> bool:
     """a within 1e-12 max(1, |x|) of every entry x of b."""
     return all(getattr(a, f).shape == getattr(b, f).shape and np.all(
@@ -314,15 +309,14 @@ def _close(a: Coeffs, b: Coeffs) -> bool:
 
 @pytest.mark.parametrize("B", [1, 4, 8, 24])
 @pytest.mark.parametrize("algo,tau", [("sgd", 0.0), ("sam", 0.08)])
-def test_tracker_history_matches_the_recurrence(monkeypatch, algo, tau, B):
-    """Every state's gamma, zeta and omega, read in blocks of 7 steps, is
-    within 1e-12 of the paper's recurrence applied one step at a time, and
-    so is every read of coeffs in the middle of a run, between two blocks."""
+def test_tracker_history_matches_the_recurrence(algo, tau, B):
+    """Every state's gamma, zeta and omega is within 1e-12 of the paper's
+    recurrence applied one step at a time, and so is every read of coeffs
+    in the middle of a run."""
     d, n, m = 150, 24, 3
     params = DataParams(d=d, P=3, sigma_p=1.0, p=0.2, mu_norm=1.7)
     ds = gen_dataset(params, make_signal(d, 1.7), n, seed=7)
     net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)
-    _small_blocks(monkeypatch, 7, m, n)
     tracker = CoeffTracker(ds, m)
     last_only = CoeffTracker(ds, m, keep_history=False)
     events, reads = [], []
@@ -391,10 +385,10 @@ def _negated_noise(ev: StepEvent) -> StepEvent:
     return dataclasses.replace(ev, c=c)
 
 
-def test_tracker_raises_on_a_planted_sign_flip_at_the_next_replay(monkeypatch):
+def test_tracker_raises_on_a_planted_sign_flip_at_its_own_step():
     """A step whose C has its noise columns negated raises InvariantViolation,
-    with check_patterns' message, when its block is read; with check=False
-    it does not."""
+    with check_patterns' message, from the tracker call of that step; with
+    check=False it does not."""
     d, n, m = 80, 8, 2
     ds = gen_dataset(DataParams(d=d, P=2, mu_norm=2.0), make_signal(d, 2.0), n, seed=4)
     net = NetConfig(m=m, d=d, init="gaussian", sigma_0=0.05)
@@ -404,32 +398,68 @@ def test_tracker_raises_on_a_planted_sign_flip_at_the_next_replay(monkeypatch):
     with pytest.raises(InvariantViolation) as want:
         span_view(events[5].c, ds).check_patterns(ds.y)
     assert str(want.value) == "zeta has a negative entry"
-    _small_blocks(monkeypatch, 4, m, n)
     tracker = CoeffTracker(ds, m)
-    for ev in events[:7]:
-        tracker(ev)  # the planted step waits in the second block
+    for ev in events[:5]:
+        tracker(ev)
     with pytest.raises(InvariantViolation, match=f"^{want.value}$"):
-        tracker(events[7])
+        tracker(events[5])
+    assert len(tracker.history) == 6  # the planted state is not kept
     unchecked = CoeffTracker(ds, m, check=False)
     for ev in events:
         unchecked(ev)
     assert len(unchecked.history) == len(events) + 1
 
 
-def test_stacked_patterns_name_the_first_failing_state():
-    """check_patterns on a stack of states raises the message of its first
-    failing state, whatever later states break."""
+def test_check_signs_names_zeta_before_omega():
+    """check_signs raises "zeta has a negative entry" while any own-label
+    weight is negative, whatever other-label weights break, then "omega has
+    a positive entry"; the mu column and -0.0 weights pass."""
     y = np.array([1.0, -1.0, 1.0])
-    states = Coeffs(np.zeros((5, 2, 2)), np.zeros((5, 2, 2, 3)), np.zeros((5, 2, 2, 3)))
-    states.check_patterns(y)
-    states.zeta[4, 0, 0, 0] = -1.0
-    states.omega[2, 1, 1, 0] = 0.5
+    c = np.zeros((4, 4))  # m = 2: rows 0-1 are j = +1, rows 2-3 are j = -1
+    c[:, 0] = [-3.0, 2.0, 5.0, -1.0]
+    c[0, 2] = c[3, 1] = -0.0
+    check_signs(c, y)
+    c[3, 2] = -1e-300  # y_1 = -1: an own-label weight in a j = -1 row
+    c[1, 2] = 0.5      # y_1 = -1: an other-label weight in a j = +1 row
+    with pytest.raises(InvariantViolation, match="^zeta has a negative entry$"):
+        check_signs(c, y)
+    c[3, 2] = 0.0
     with pytest.raises(InvariantViolation, match="^omega has a positive entry$"):
-        states.check_patterns(y)
-    states.omega[2, 1, 1, 0] = 0.0
-    states.omega[1, 0, 1, 2] = -0.5  # y_2 = +1: omega must vanish in the j=+1 row
-    with pytest.raises(InvariantViolation, match=r"^omega nonzero for y_i == 1 in row 0$"):
-        states.check_patterns(y)
+        check_signs(c, y)
+
+
+def _planted(c, y, fault):
+    """A copy of C with one fault planted: its noise columns negated, one
+    wrong-signed weight in row 0 (j = +1) in an own-label column (y_i = +1)
+    or in an other-label column, or -0.0 in both such places."""
+    c = c.copy()
+    own, other = 1 + np.flatnonzero(y == 1)[0], 1 + np.flatnonzero(y == -1)[0]
+    if fault == "negated":
+        c[:, 1:] *= -1.0
+    elif fault == "own":
+        c[0, own] = -1e-3
+    elif fault == "other":
+        c[0, other] = 1e-3
+    elif fault == "negative zero":
+        c[0, own] = c[0, other] = -0.0
+    return c
+
+
+@pytest.mark.parametrize("fault,message", [
+    (None, None), ("negated", "zeta has a negative entry"),
+    ("own", "zeta has a negative entry"), ("other", "omega has a positive entry"),
+    ("negative zero", None)])
+def test_check_signs_agrees_with_the_read_off(fault, message):
+    """On a trained C with a planted fault, check_signs raises exactly when
+    check_patterns of its read-off does, with the same message."""
+    ds, _, tracker = _small_run(n=8, B=4, epochs=3)
+    c = _planted(tracker.history[-1].c, ds.y, fault)
+    for check in (lambda: span_view(c, ds).check_patterns(ds.y), lambda: check_signs(c, ds.y)):
+        if message is None:
+            check()
+        else:
+            with pytest.raises(InvariantViolation, match=f"^{message}$"):
+                check()
 
 
 def test_pattern_violations_raise():

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from samdyn import decomposition, experiments, optim
+from samdyn import experiments, optim
 from samdyn.data import DataParams, gen_dataset, make_signal
 from samdyn.decomposition import CoeffTracker
 from samdyn.experiments import (
@@ -210,22 +210,6 @@ def test_cell_holds_each_d_space_array_once():
         tracemalloc.stop()
     assert not any(r.failed for r in results)
     assert peak < 1.6 * filter_bytes, peak / filter_bytes
-
-
-def test_cell_results_do_not_depend_on_the_block_size(monkeypatch):
-    """A reduced-grid cell's records are read off in blocks of one record,
-    of the whole run and of the default size, and its TrialResults are
-    equal field for field: the read-off is elementwise."""
-    spec = phase_grid_spec(reduced=True)
-    runs = []
-    for budget in (1, 1 << 30, None):
-        with monkeypatch.context() as mp:
-            if budget is not None:
-                mp.setattr(decomposition, "BLOCK_BYTES", budget)
-            results, _ = run_cell(spec, 1000, 6.0, 0, ("sgd", "sam"))
-        runs.append(results)
-    assert not any(r.failed for r in runs[-1])
-    assert runs[0] == runs[1] == runs[2]
 
 
 def test_trial_seed_sequence_is_coordinate_hash():
