@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .data import DataParams, gen_dataset, make_signal
+from .data import DELTA, DataParams, gen_dataset, make_signal
 from .decomposition import coeff_blocks, own_label
 from .network import NetConfig, loss_grad, model_preacts
 from .optim import TrainConfig, Trajectory, train
@@ -140,7 +140,7 @@ def check_set_monotonicity(traj: Trajectory, y: np.ndarray, threshold: float) ->
     )
 
 
-def check_logit_ratio(traj: Trajectory, c1: float = 5.0) -> CheckReport:
+def check_logit_ratio(traj: Trajectory, c1: float = TheoryConstants.c1_logit) -> CheckReport:
     """Within-epoch spread of the loss derivatives.
 
     For every epoch with recorded margins, the ratio of the largest to the
@@ -169,18 +169,13 @@ def check_logit_ratio(traj: Trajectory, c1: float = 5.0) -> CheckReport:
     )
 
 
-def check_coeff_bounds(
-    history,
-    consts: TheoryConstants,
-    d: int,
-    delta: float = 0.05,
-) -> list[CheckReport]:
+def check_coeff_bounds(history, consts: TheoryConstants, d: int) -> list[CheckReport]:
     """Ranges of the tracked coefficients over a run: history is a
     CoeffTracker's, one C per state, and is read off a block of states at a
     time (decomposition.coeff_blocks).  An empty history is refused.
 
     zeta must stay in [0, alpha]; omega above
-    -(beta + 10 sqrt(log(6 n^2/delta)/d) n alpha); gamma above -1/12.  The
+    -(beta + 10 sqrt(log(6 n^2/DELTA)/d) n alpha); gamma above -1/12.  The
     gamma upper scale is not asserted: the empirical max of
     gamma/(gamma_hat * alpha) is reported so the hidden constant can be
     read off.
@@ -190,7 +185,7 @@ def check_coeff_bounds(
                          "(a CoeffTracker with keep_history=False keeps none)")
     n = history[0].ds.n
     alpha = consts.alpha
-    omega_floor = -(consts.beta + 10 * math.sqrt(math.log(6 * n**2 / delta) / d) * n * alpha)
+    omega_floor = -(consts.beta + 10 * math.sqrt(math.log(6 * n**2 / DELTA) / d) * n * alpha)
     # one min or max per state and array, over blocks of states read off
     # their stacked C's; a NaN makes its state's value NaN, which fails its
     # check and which the worst values (fmax/fmin from 0.0) skip
@@ -245,11 +240,9 @@ class SamDeactivationRecorder:
         self.events = 0
         self.violations = 0
         self.perturbed_steps = 0
-        self.steps = 0
         self._own = own_label(self.y)
 
     def __call__(self, event) -> None:
-        self.steps += 1
         if self.t1_epochs is not None and event.t > self.t1_epochs:
             return
         if event.tau == 0.0:
@@ -380,6 +373,9 @@ def deactivation_counts(
     return events, violations
 
 
+_TAU_BRACKET = (0.25, 8.0)  # the radius constants calibrate_sam_tau bisects first
+
+
 def calibrate_sam_tau(
     params: DataParams,
     n: int,
@@ -387,16 +383,14 @@ def calibrate_sam_tau(
     eta: float,
     B: int,
     seeds=(0, 1, 2),
-    c_lo: float = 0.25,
-    c_hi: float = 8.0,
     iters: int = 6,
 ) -> tuple[float, float]:
     """Bisect the radius constant until perturbation deactivation holds.
 
     Violations are monotone decreasing in the constant c of
-    tau = c m sqrt(B)/(P sigma_p sqrt(d)); returns the smallest bracketed c
-    with zero violations over the first-stage window on the calibration
-    seeds, together with the corresponding tau.
+    tau = c m sqrt(B)/(P sigma_p sqrt(d)); returns the smallest c, bisected
+    iters times in _TAU_BRACKET, with zero violations over the first-stage
+    window on the calibration seeds, together with the corresponding tau.
     """
     t1 = first_stage_epochs(net.m, B, n, eta, params.mu_norm)
     epochs = int(math.ceil(t1))
@@ -408,7 +402,7 @@ def calibrate_sam_tau(
             [(1000 + s, s) for s in seeds], epochs, t1,
         )[1]
 
-    lo, hi = c_lo, c_hi
+    lo, hi = _TAU_BRACKET
     while violations(hi) > 0:
         lo, hi = hi, hi * 2
         if hi > 1e4:

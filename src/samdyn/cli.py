@@ -30,7 +30,8 @@ from .checks import (
     effective_sigma0,
     write_report_csv,
 )
-from .config import ConfigError, load_grid_spec, load_train_setup, write_manifest
+from .config import (REQUIRED, TRAIN_SCHEMA, ConfigError, load_grid_spec, load_train_setup,
+                     write_manifest)
 from .data import (
     DataParams,
     available_cpus,
@@ -48,27 +49,20 @@ from .optim import train, write_metrics_csv
 from .tables import write_csv
 
 
+# the gen-data flags: TRAIN_SCHEMA's keys of the data and its seed
+_GEN_DATA_KEYS = ("d", "P", "n", "sigma_p", "p", "mu_norm", "seed")
+
+
 def _cmd_gen_data(args) -> int:
     check_header_seed(args.seed)  # before any work, so a refusal leaves nothing
-    params = DataParams(
-        d=args.d, P=args.P, sigma_p=args.sigma_p, p=args.p, mu_norm=args.mu_norm
-    )
-    mu = make_signal(args.d, args.mu_norm)
-    ds = gen_dataset(params, mu, args.n, seed=args.seed)
+    config = {key: getattr(args, key) for key in _GEN_DATA_KEYS}
+    params = DataParams(d=args.d, P=args.P, sigma_p=args.sigma_p, p=args.p, mu_norm=args.mu_norm)
+    ds = gen_dataset(params, make_signal(args.d, args.mu_norm), args.n, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(out, ds)
     rep = concentration_report(ds)
-    write_manifest(
-        out.parent,
-        "gen-data",
-        {
-            "d": args.d, "P": args.P, "n": args.n, "sigma_p": args.sigma_p,
-            "p": args.p, "mu_norm": args.mu_norm, "seed": args.seed,
-        },
-        args.seed,
-        [out],
-    )
+    write_manifest(out.parent, "gen-data", config, args.seed, [out])
     status = "ok" if rep.ok else "concentration violations present"
     print(f"wrote {out} ({args.n} samples, d={args.d}); geometry: {status}")
     return 0
@@ -175,13 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate and save a dataset")
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--P", type=int, default=2)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--sigma-p", dest="sigma_p", type=float, default=1.0)
-    g.add_argument("--p", type=float, default=0.0)
-    g.add_argument("--mu-norm", dest="mu_norm", type=float, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    for key in _GEN_DATA_KEYS:
+        parse, default = TRAIN_SCHEMA[key]
+        required = default is REQUIRED
+        g.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, required=required,
+                       default=None if required else default)
     g.add_argument("--out", required=True, help="output .npz path")
     g.set_defaults(func=_cmd_gen_data)
 

@@ -8,11 +8,13 @@ names a key of neither the train nor the grid schema is an error too, and
 one that names only the other schema's key is ignored.
 
 TRAIN_SCHEMA and GRID_SCHEMA are the one table of keys: each maps a key to
-its parser and its default (REQUIRED for none).  Lists are comma separated
-(`d_values = 1000, 5000, 20000`); optional keys read an empty value as
-None (tables.optional).  The loaders build each dataclass from the keys
-that share its field names, so a new setting is a dataclass field and its
-schema line.
+its parser and its default (REQUIRED for none), which is the default of
+the dataclass field the key sets; only the grid's algo and tau lists,
+train_variants parameters, have their own.  gen-data's flags are
+TRAIN_SCHEMA's.  Lists are comma separated (`d_values = 1000, 5000,
+20000`); optional keys read an empty value as None (tables.optional).  The
+loaders build each dataclass from the keys that share its field names, so
+a new setting is a dataclass field and its schema line.
 """
 
 import dataclasses
@@ -92,22 +94,22 @@ def list_of(parse):
 # NetConfig, TrainConfig or GridSpec, or a parameter of train_variants
 TRAIN_SCHEMA: dict[str, tuple] = {
     "d": (int, REQUIRED),
-    "P": (int, 2),
+    "P": (int, DataParams.P),
     "n": (int, REQUIRED),
-    "sigma_p": (float, 1.0),
-    "p": (float, 0.0),
+    "sigma_p": (float, DataParams.sigma_p),
+    "p": (float, DataParams.p),
     "mu_norm": (float, REQUIRED),
     "m": (int, REQUIRED),
-    "init": (str, "uniform_fan_in"),
-    "sigma_0": (float, 0.01),
-    "algo": (str, "sgd"),
+    "init": (str, NetConfig.init),
+    "sigma_0": (float, NetConfig.sigma_0),
+    "algo": (str, TrainConfig.algo),
     "eta": (float, REQUIRED),
     "B": (int, REQUIRED),
     "epochs": (int, REQUIRED),
-    "tau": (float, 0.0),
-    "seed": (int, 0),
-    "record_every": (optional(int), None),
-    "sam_phase_iters": (optional(int), None),
+    "tau": (float, TrainConfig.tau),
+    "seed": (int, TrainConfig.seed),
+    "record_every": (optional(int), TrainConfig.record_every),
+    "sam_phase_iters": (optional(int), TrainConfig.sam_phase_iters),
 }
 
 GRID_SCHEMA: dict[str, tuple] = {
@@ -115,20 +117,20 @@ GRID_SCHEMA: dict[str, tuple] = {
     "mu_values": (list_of(float), REQUIRED),
     "seeds": (list_of(int), REQUIRED),
     "n": (int, REQUIRED),
-    "P": (int, 2),
-    "sigma_p": (float, 1.0),
-    "p": (float, 0.0),
+    "P": (int, DataParams.P),
+    "sigma_p": (float, DataParams.sigma_p),
+    "p": (float, DataParams.p),
     "m": (int, REQUIRED),
-    "init": (str, "uniform_fan_in"),
-    "sigma_0": (optional(float), None),
+    "init": (str, GridSpec.init),
+    "sigma_0": (optional(float), GridSpec.sigma_0),
     "algo": (list_of(str), ("sgd", "sam")),
     "eta": (list_of(float), REQUIRED),
     "B": (list_of(int), REQUIRED),
     "epochs": (list_of(int), REQUIRED),
     "tau": (list_of(float), (0.03,)),
     "n_test": (int, REQUIRED),
-    "loss_target": (float, 0.05),
-    "base_seed": (int, 0),
+    "loss_target": (float, GridSpec.loss_target),
+    "base_seed": (int, GridSpec.base_seed),
 }
 
 

@@ -60,6 +60,7 @@ class DegenerateBasisError(ValueError):
 
 
 _COND_LIMIT = 1e12  # Gram condition number above which the oracle refuses the basis
+DELTA = 0.05  # failure probability of the concentration and coefficient bounds
 
 
 @dataclass
@@ -269,7 +270,6 @@ class ConcentrationReport:
 
     n: int
     d: int
-    delta: float
     norm_violations: list[int] = field(default_factory=list)
     cross_violations: list[tuple[int, int]] = field(default_factory=list)
     mu_violations: list[int] = field(default_factory=list)
@@ -297,8 +297,9 @@ class ConcentrationReport:
         ]
 
 
-def concentration_report(ds: Dataset, delta: float = 0.05) -> ConcentrationReport:
-    """Check the high-probability geometry of a generated dataset (ds.gram).
+def concentration_report(ds: Dataset) -> ConcentrationReport:
+    """Check the high-probability geometry of a generated dataset (ds.gram),
+    at failure probability delta = DELTA.
 
     Per sample: sigma_p^2 d/2 <= ||xi_i||^2 <= 3 sigma_p^2 d/2.
     Per pair:   |<xi_i, xi_k>| <= 2 sigma_p^2 sqrt(d log(6 n^2/delta)).
@@ -313,26 +314,26 @@ def concentration_report(ds: Dataset, delta: float = 0.05) -> ConcentrationRepor
     n, d = ds.xi.shape
     sp2 = prm.sigma_p**2
 
-    rep = ConcentrationReport(n=n, d=d, delta=delta)
+    rep = ConcentrationReport(n=n, d=d)
 
     gram = ds.gram
     norms = np.diag(gram)[1:]
     bad = (norms < sp2 * d / 2) | (norms > 3 * sp2 * d / 2)
     rep.norm_violations = list(np.flatnonzero(bad))
 
-    cross_bound = 2 * sp2 * math.sqrt(d * math.log(6 * n**2 / delta))
+    cross_bound = 2 * sp2 * math.sqrt(d * math.log(6 * n**2 / DELTA))
     iu = np.triu_indices(n, k=1)
     bad_pairs = np.abs(gram[1:, 1:][iu]) > cross_bound
     rep.cross_violations = [
         (int(i), int(k)) for i, k in zip(iu[0][bad_pairs], iu[1][bad_pairs])
     ]
 
-    mu_bound = prm.mu_norm * prm.sigma_p * math.sqrt(2 * math.log(6 * n / delta))
+    mu_bound = prm.mu_norm * prm.sigma_p * math.sqrt(2 * math.log(6 * n / DELTA))
     rep.mu_violations = list(np.flatnonzero(np.abs(gram[1:, 0]) > mu_bound))
 
     clean = ds.y == ds.y_hat
     rep.n_flipped = int(np.sum(~clean))
-    slack = math.sqrt((n / 2) * math.log(8 / delta))
+    slack = math.sqrt((n / 2) * math.log(8 / DELTA))
     ok = True
     for yval in (1.0, -1.0):
         n_clean = int(np.sum(clean & (ds.y == yval)))
@@ -388,13 +389,15 @@ def load_dataset(path) -> Dataset:
     """Read a save_dataset container, checking its arrays against the header.
 
     Raises ValueError, naming the file, when the archive lacks one of its
-    keys, a header has the wrong length or a value DataParams refuses, the
-    seed flag is not 0 or 1, a set seed is one check_header_seed refuses,
-    an array's shape disagrees with the header's (d, n), a label is not
-    +-1, or a signal position is outside [0, P).
+    keys, mu, xi or header_float is not a real floating array or another
+    array not an integer one, a header has the wrong length or a value
+    DataParams refuses, the seed flag is not 0 or 1, a set seed is one
+    check_header_seed refuses, an array's shape disagrees with the header's
+    (d, n), a label is not +-1, or a signal position is outside [0, P).
     """
-    arrays = read_npz(path, ("header_int", "header_float", "mu", "xi", "y", "y_hat",
-                             "signal_pos"))
+    arrays = read_npz(path, {"header_int": np.integer, "header_float": np.floating,
+                             "mu": np.floating, "xi": np.floating, "y": np.integer,
+                             "y_hat": np.integer, "signal_pos": np.integer})
     for key, size in (("header_int", 5), ("header_float", 3)):
         if arrays[key].shape != (size,):
             raise ValueError(f"{path}: {key} has shape {arrays[key].shape}, expected ({size},)")

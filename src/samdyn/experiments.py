@@ -87,8 +87,8 @@ class GridSpec:
     m: int
     train: dict  # variant name -> TrainConfig template (seed ignored)
     n_test: int
-    init: str = "uniform_fan_in"
-    sigma_0: float | None = None  # None + gaussian -> 1/(P sigma_p sqrt(d))
+    init: str = NetConfig.init
+    sigma_0: float | None = None  # read by gaussian only; None -> 1/(P sigma_p sqrt(d))
     loss_target: float = 0.05
     base_seed: int = 0
 
@@ -131,12 +131,10 @@ class GridSpec:
         return DataParams(d=d, P=self.P, sigma_p=self.sigma_p, p=self.p, mu_norm=mu_norm)
 
     def net_config(self, d: int) -> NetConfig:
-        if self.init == "gaussian":
-            s0 = self.sigma_0
-            if s0 is None:
-                s0 = 1.0 / (self.P * self.sigma_p * math.sqrt(d))
-            return NetConfig(m=self.m, d=d, init="gaussian", sigma_0=s0)
-        return NetConfig(m=self.m, d=d, init="uniform_fan_in")
+        if self.init != "gaussian":
+            return NetConfig(m=self.m, d=d, init=self.init)
+        s0 = 1.0 / (self.P * self.sigma_p * math.sqrt(d)) if self.sigma_0 is None else self.sigma_0
+        return NetConfig(m=self.m, d=d, init=self.init, sigma_0=s0)
 
     def cells(self) -> list[tuple]:
         return [

@@ -67,19 +67,17 @@ def _check_dims(w: np.ndarray, x: np.ndarray) -> None:
         raise ValueError(f"input dim {x.shape[-1]} does not match weight dim {w.shape[-1]}")
 
 
-def loss(z) -> np.ndarray | float:
-    """log(1 + exp(-z)), overflow-safe on both tails."""
+def loss(z) -> np.ndarray:
+    """log(1 + exp(-z)), overflow-safe on both tails; a float64 for a scalar z."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.log1p(np.exp(-np.abs(z))) + np.maximum(-z, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.log1p(np.exp(-np.abs(z))) + np.maximum(-z, 0.0)
 
 
-def loss_grad(z) -> np.ndarray | float:
-    """d/dz log(1 + exp(-z)) = -1/(1 + exp(z)), always in (-1, 0)."""
+def loss_grad(z) -> np.ndarray:
+    """d/dz log(1 + exp(-z)) = -1/(1 + exp(z)), in (-1, 0); a float64 for a scalar z."""
     z = np.asarray(z, dtype=np.float64)
     t = np.exp(-np.abs(z))
-    out = np.where(z >= 0, -t, -1.0) / (1.0 + t)
-    return float(out) if out.ndim == 0 else out
+    return np.where(z >= 0, -t, -1.0) / (1.0 + t)
 
 
 @dataclass(frozen=True)
@@ -160,11 +158,11 @@ def save_weights(path, w: np.ndarray) -> None:
 
 def load_weights(path) -> np.ndarray:
     """Read a save_weights checkpoint.  Raises ValueError, naming the file,
-    when the shape entry is not a 1-D integer array or disagrees with the
-    array's shape, or a weight is not finite."""
-    arrays = read_npz(path, ("w", "shape"))
+    when w is not a real floating array, the shape entry is not a 1-D
+    integer array or disagrees with w's shape, or a weight is not finite."""
+    arrays = read_npz(path, {"w": np.floating, "shape": np.integer})
     w, shape = arrays["w"], arrays["shape"]
-    if shape.ndim != 1 or shape.dtype.kind not in "iu":
+    if shape.ndim != 1:
         raise ValueError(f"{path}: shape entry has dtype {shape.dtype} and shape "
                          f"{shape.shape}, expected a 1-D integer array")
     header = tuple(int(v) for v in shape)

@@ -219,24 +219,20 @@ def initial_weights(net: NetConfig, seed: int) -> np.ndarray:
 def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory:
     """Run epochs x batches of SGD or SAM over the dataset.
 
-    Records the state before every due batch step plus the final state,
-    calls each hook after every step, and aborts on non-finite loss.
+    Records the state before every cfg.record_every-th batch step (every
+    epoch's first when it is None) plus the final state, calls each hook
+    after every step, and aborts on non-finite loss.
     """
     n = ds.n
     if n % cfg.B != 0:
         raise ValueError(f"B={cfg.B} does not divide n={n}")
-    H = n // cfg.B
+    stride = cfg.record_every or n // cfg.B
 
     span = _Span(initial_weights(net, cfg.seed), ds)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
     c = np.zeros_like(span.base)
 
     traj = Trajectory(span)
-
-    def due(s: int) -> bool:
-        if cfg.record_every is None:
-            return s % H == 0
-        return s % cfg.record_every == 0
 
     def record(t: int, b: int) -> None:
         mu_pre, noise_pre, margins, train_loss = _state_stats(span, c)
@@ -260,7 +256,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
         batches = epoch_schedule(n, cfg.B, shuffle_rng)
         traj.schedules.append(batches)
         for b, idx in enumerate(batches):
-            if due(s):
+            if s % stride == 0:
                 record(t, b)
             sam_now = cfg.algo == "sam" and (
                 cfg.sam_phase_iters is None or s < cfg.sam_phase_iters

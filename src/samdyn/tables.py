@@ -36,15 +36,22 @@ def optional(parse):
     return parse_optional
 
 
-def read_npz(path, keys) -> dict:
-    """The arrays of the .npz archive at path under keys.  Raises
+def read_npz(path, kinds) -> dict:
+    """The arrays of the .npz archive at path under the keys of kinds, each
+    of the numpy type its key maps to (np.floating or np.integer).  Raises
     ValueError naming the file when it holds a lone array (.npy) and not
-    an archive, or naming the first key it lacks."""
+    an archive, or naming the first key it lacks or whose array is of
+    another type."""
     z = np.load(path)
     if not isinstance(z, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: not an .npz archive")
+    arrays = {}
     with z:
-        for key in keys:
+        for key, kind in kinds.items():
             if key not in z.files:
                 raise ValueError(f"{path}: the archive holds no array {key!r}")
-        return {key: z[key] for key in keys}
+            arrays[key] = z[key]
+            if not np.issubdtype(arrays[key].dtype, kind):
+                raise ValueError(f"{path}: {key} has dtype {arrays[key].dtype}, "
+                                 f"expected {kind.__name__}")
+    return arrays

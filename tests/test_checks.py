@@ -25,7 +25,7 @@ from samdyn.checks import (
     scaled_tau,
     write_report_csv,
 )
-from samdyn.data import DataParams, Dataset, gen_dataset, make_signal
+from samdyn.data import DELTA, DataParams, Dataset, gen_dataset, make_signal
 from samdyn.decomposition import (COEFF_COLUMNS, CoeffState, CoeffTracker, coeff_rows,
                                   write_coeff_csv)
 from samdyn.network import NetConfig
@@ -130,12 +130,12 @@ def test_coeff_bounds_benign_run_within_alpha():
     assert "empirical_upper_ratio" in reports["gamma_range"].detail
 
 
-def _coeff_bounds_one_state_at_a_time(history, consts, d, delta=0.05):
+def _coeff_bounds_one_state_at_a_time(history, consts, d):
     """check_coeff_bounds as a loop of five reductions per state: the
     reference for its block reduction."""
     n = history[0].coeffs.zeta.shape[2]
     alpha = consts.alpha
-    omega_floor = -(consts.beta + 10 * math.sqrt(math.log(6 * n**2 / delta) / d) * n * alpha)
+    omega_floor = -(consts.beta + 10 * math.sqrt(math.log(6 * n**2 / DELTA) / d) * n * alpha)
     zeta_viol = omega_viol = gamma_viol = 0
     zeta_max = omega_min = gamma_min = gamma_max = 0.0
     for st in history:
@@ -325,8 +325,8 @@ def test_good_batch_fractions_is_bitwise_the_per_batch_loop():
 
 
 def _per_step_deactivations(events, y, t1_epochs):
-    """SamDeactivationRecorder's (events, violations, perturbed_steps,
-    steps), counted one step at a time: the reference for its block sums."""
+    """SamDeactivationRecorder's (events, violations, perturbed_steps) and
+    the steps seen, counted one step at a time: the reference for its sums."""
     counts = [0, 0, 0, 0]
     for ev in events:
         counts[3] += 1
@@ -362,7 +362,7 @@ def test_deactivation_counts_are_the_per_step_counts(B, t1):
 
     train(ds, net, cfg, hooks=(rec, read_midway))
     want = _per_step_deactivations(events, ds.y, t1)
-    assert [rec.events, rec.violations, rec.perturbed_steps, rec.steps] == want
+    assert [rec.events, rec.violations, rec.perturbed_steps] == want[:3]
     assert want[0] > want[1] > 0 and 0 < want[2] < want[3]
     for step, n_events, n_violations in reads:
         assert [n_events, n_violations] == _per_step_deactivations(events[:step + 1], ds.y, t1)[:2]
@@ -432,8 +432,7 @@ def test_first_stage_epochs_rejects_unbounded_window(eta, mu_norm, name):
 def test_calibrate_sam_tau_small_instance():
     params = DataParams(d=800, P=2, sigma_p=1.0, p=0.0, mu_norm=2.0)
     net = NetConfig(m=4, d=800, init="gaussian", sigma_0=1.0 / (2 * math.sqrt(800)))
-    c, tau = calibrate_sam_tau(params, n=8, net=net, eta=1e-3, B=4, seeds=(0, 1),
-                               c_lo=0.25, c_hi=8.0, iters=4)
+    c, tau = calibrate_sam_tau(params, n=8, net=net, eta=1e-3, B=4, seeds=(0, 1), iters=4)
     assert 0.25 <= c <= 8.0
     assert tau == pytest.approx(scaled_tau(c, 4, 4, 2, 1.0, 800))
 

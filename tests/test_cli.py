@@ -266,12 +266,12 @@ def _config_run(command, text, *flags):
     return lambda tmp_path: [command, "--config", str(write_cfg(tmp_path, text)), *flags]
 
 
-def _decompose_run(w=_W, w0=_W, xi_first=None, replace=None, header_int=None):
+def _decompose_run(w=_W, w0=_W, xi_first=None, replace=None, saved=None):
     """A refusal row's argv before --out: decompose checkpoints w and w0
-    against a d=30 dataset, whose first xi entry is xi_first and whose
-    saved header_int is header_int, if given; replace maps a file name
-    (ds.npz, w.npz, w0.npz) to what is written in its place: the arrays of
-    a dict as an archive, an array alone as .npy."""
+    against a d=30 dataset, whose first xi entry is xi_first, if given, and
+    whose saved arrays are replaced by those of the dict saved; replace
+    maps a file name (ds.npz, w.npz, w0.npz) to what is written in its
+    place: the arrays of a dict as an archive, an array alone as .npy."""
     def run(tmp_path):
         ds = gen_dataset(DataParams(d=30, mu_norm=2.0), make_signal(30, 2.0), 4, seed=0)
         if xi_first is not None:
@@ -280,9 +280,9 @@ def _decompose_run(w=_W, w0=_W, xi_first=None, replace=None, header_int=None):
         save_weights(tmp_path / "w.npz", w)
         save_weights(tmp_path / "w0.npz", w0)
         files = dict(replace or {})
-        if header_int is not None:
-            with np.load(tmp_path / "ds.npz") as saved:
-                files["ds.npz"] = {**saved, "header_int": np.array(header_int)}
+        if saved is not None:
+            with np.load(tmp_path / "ds.npz") as arrays:
+                files["ds.npz"] = {**arrays, **{k: np.array(v) for k, v in saved.items()}}
         for name, content in files.items():
             with open(tmp_path / name, "wb") as fh:  # a path would gain a suffix
                 if isinstance(content, dict):
@@ -306,6 +306,8 @@ _REFUSALS = {
     "check-negative-seed": (_config_run("check", TINY_TRAIN.replace("seed = 1", "seed = -5")),
                             "seed must be >= 0, got -5"),
     "grid-nan-sigma-p": (_config_run("grid", TINY_GRID + "sigma_p = nan\n"), "sigma_p"),
+    "grid-misspelt-init": (_config_run("grid", TINY_GRID + "init = gausian\n"),
+                           "init must be gaussian or uniform_fan_in, got 'gausian'"),
     "grid-repeated-seed": (_config_run("grid", TINY_GRID.replace("seeds = 0", "seeds = 0, 0")),
                            "seeds repeats"),
     "grid-negative-seeds": (_config_run("grid", TINY_GRID.replace("seeds = 0", "seeds = -1, 0")),
@@ -321,13 +323,13 @@ _REFUSALS = {
     "decompose-inf-xi": (_decompose_run(xi_first=np.inf), "basis vector xi_0 has non-finite norm"),
     "decompose-dataset-missing-key": (_decompose_run(replace={"ds.npz": {"mu": _W[0, 0]}}),
                                       "ds.npz: the archive holds no array 'header_int'"),
-    "decompose-dataset-short-header": (_decompose_run(header_int=[30, 2, 4, 1]),
+    "decompose-dataset-short-header": (_decompose_run(saved={"header_int": [30, 2, 4, 1]}),
                                        "ds.npz: header_int has shape (4,), expected (5,)"),
-    "decompose-dataset-bad-header-value": (_decompose_run(header_int=[0, 2, 4, 1, 0]),
+    "decompose-dataset-bad-header-value": (_decompose_run(saved={"header_int": [0, 2, 4, 1, 0]}),
                                            "ds.npz: d must be >= 1, got 0"),
-    "decompose-dataset-bad-seed-flag": (_decompose_run(header_int=[30, 2, 4, 7, 3]),
+    "decompose-dataset-bad-seed-flag": (_decompose_run(saved={"header_int": [30, 2, 4, 7, 3]}),
                                         "ds.npz: seed_flag is 7, expected 0 or 1"),
-    "decompose-dataset-negative-seed": (_decompose_run(header_int=[30, 2, 4, 1, -5]),
+    "decompose-dataset-negative-seed": (_decompose_run(saved={"header_int": [30, 2, 4, 1, -5]}),
                                         "ds.npz: seed -5 is outside [0, 2**63)"),
     "decompose-weights-shape-mismatch": (
         _decompose_run(replace={"w.npz": {"shape": np.array([2, 2, 31]), "w": _W}}),
@@ -335,6 +337,17 @@ _REFUSALS = {
     "decompose-weights-bad-shape-entry": (
         _decompose_run(replace={"w0.npz": {"shape": np.array([[2, 2, 30]]), "w": _W}}),
         "w0.npz: shape entry has dtype int64 and shape (1, 3), expected a 1-D integer array"),
+    "decompose-dataset-float-header": (_decompose_run(saved={"header_int": [30.0, 2, 4, 1, 0]}),
+                                       "ds.npz: header_int has dtype float64, expected integer"),
+    "decompose-dataset-complex-xi": (_decompose_run(saved={"xi": np.ones((4, 30), complex)}),
+                                     "ds.npz: xi has dtype complex128, expected floating"),
+    "decompose-dataset-float-label": (_decompose_run(saved={"y": [1.0, -1.0, 1.0, -1.0]}),
+                                      "ds.npz: y has dtype float64, expected integer"),
+    "decompose-dataset-float-signal-pos": (
+        _decompose_run(saved={"signal_pos": [0.5, 0.5, 0.5, 0.5]}),
+        "ds.npz: signal_pos has dtype float64, expected integer"),
+    "decompose-weights-complex": (_decompose_run(w=_W.astype(complex)),
+                                  "w.npz: w has dtype complex128, expected floating"),
     "decompose-weights-missing-key": (_decompose_run(replace={"w.npz": {"weights": _W}}),
                                       "w.npz: the archive holds no array 'w'"),
     "decompose-weights-not-an-archive": (_decompose_run(replace={"w0.npz": _W}),
@@ -646,12 +659,23 @@ def test_script_help_exits_zero(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_leaves_multiprocessing_unloaded():
-    """import samdyn.cli does not load multiprocessing: only a pooled grid
-    needs it, and it loads with the process pool."""
+# modules a fresh import samdyn.cli must not load: each adds set-up time to
+# every run, and none is needed before a command asks for it (multiprocessing
+# loads with a grid's process pool, the executors with their first pool)
+_DENIED_AT_IMPORT = (
+    "multiprocessing", "subprocess", "statistics", "decimal", "fractions",
+    "importlib.metadata", "unittest", "email",
+    "numpy.testing", "numpy.fft", "numpy.polynomial", "scipy",
+    "concurrent.futures.thread", "concurrent.futures.process",
+)
+
+
+def test_cli_import_leaves_set_up_heavy_modules_unloaded():
+    """import samdyn.cli loads none of _DENIED_AT_IMPORT."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    code = "import sys, samdyn.cli; print('multiprocessing' in sys.modules)"
+    code = ("import sys, samdyn.cli; "
+            f"print(sorted(set({list(_DENIED_AT_IMPORT)!r}) & sys.modules.keys()))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -139,7 +139,7 @@ def test_dataset_clean_setup_shape():
 def test_concentration_large_d_passes():
     params = DataParams(d=10_000, P=2, p=0.0, mu_norm=1.0)
     ds = gen_dataset(params, make_signal(10_000, 1.0), 20, seed=3)
-    rep = concentration_report(ds, delta=0.05)
+    rep = concentration_report(ds)
     assert rep.ok
     assert rep.n_flipped == 0  # p = 0 -> no flipped labels, exactly
 
@@ -147,7 +147,7 @@ def test_concentration_large_d_passes():
 def test_concentration_small_d_reports_failures():
     params = DataParams(d=4, P=2, p=0.0, mu_norm=1.0)
     ds = gen_dataset(params, make_signal(4, 1.0), 20, seed=0)
-    rep = concentration_report(ds, delta=0.05)
+    rep = concentration_report(ds)
     assert rep.norm_violations  # chi-square with 4 dof strays outside [d/2, 3d/2]
     assert not rep.ok
     rows = dict((r[0], r[1]) for r in rep.rows())
@@ -173,7 +173,7 @@ def test_concentration_report_reads_the_gram():
     """The report's bounds are checked against ds.gram's entries."""
     params = DataParams(d=6, P=2, p=0.0, mu_norm=3.0)
     ds = gen_dataset(params, make_signal(6, 3.0), 12, seed=2)
-    rep = concentration_report(ds, delta=0.05)
+    rep = concentration_report(ds)
     norms = np.diag(ds.gram)[1:]
     assert rep.norm_violations  # chi-square with 6 dof strays outside [3, 9]
     assert rep.norm_violations == list(np.flatnonzero((norms < 3) | (norms > 9)))
