@@ -3,12 +3,14 @@
 
 Runs, through samdyn's own CLI and into OUT: the reduced phase grid at
 --jobs 1 and 2, the train and check demos, a decompose of the train
-demo's checkpoints, and a gen-data at its default settings.  samdyn's
-messages go to stderr; stdout gets one "sha256  relative/path" line per
-output file, sorted by path, leaving out manifest.json and timings.csv,
-which record the run rather than its numbers; for each manifest.json it
-gets a "sha256  relative/manifest.json:config" line instead, the digest of
-the run's resolved settings as sorted JSON.  A refactor is pure when two
+demo's checkpoints, and a gen-data at its default settings; then the
+deactivation study at --seeds 3 on its default config, its stdout going
+to OUT/deactivation_study.txt.  samdyn's messages go to stderr; stdout
+gets one "sha256  relative/path" line per output file, sorted by path,
+leaving out manifest.json and timings.csv, which record the run rather
+than its numbers; for each manifest.json it gets a "sha256
+relative/manifest.json:config" line instead, the digest of the run's
+resolved settings as sorted JSON.  A refactor is pure when two
 checkouts list the same lines:
 
     PYTHONPATH=src python scripts/output_digests.py /tmp/a > a.txt
@@ -23,12 +25,14 @@ import contextlib
 import hashlib
 import json
 import os
+import runpy
 import sys
 from pathlib import Path
 
 from samdyn.cli import main as samdyn
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+STUDY = Path(__file__).resolve().parent / "run_deactivation_study.py"
 UNDIGESTED = {"manifest.json", "timings.csv"}
 
 
@@ -63,6 +67,12 @@ def main() -> int:
         if code:
             print(f"error: samdyn {' '.join(argv)} exited {code}", file=sys.stderr)
             return 1
+    argv, sys.argv = sys.argv, [str(STUDY), "--seeds", "3"]
+    try:
+        with open("deactivation_study.txt", "w") as fh, contextlib.redirect_stdout(fh):
+            runpy.run_path(str(STUDY), run_name="__main__")
+    finally:
+        sys.argv = argv
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         if path.name == "manifest.json":
             config = json.loads(path.read_text())["config"]

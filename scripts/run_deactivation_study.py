@@ -1,48 +1,47 @@
 #!/usr/bin/env python3
 """Calibrate the perturbation radius for noise-deactivation and verify it.
 
-Bisects the constant c in tau = c m sqrt(B)/(P sigma_p sqrt(d)) until the
-ascent perturbation deactivates every same-class activated filter over the
-whole first stage, then re-verifies at a 1.25x safety margin across fresh
-seeds and prints the violation counts per radius.
+Reads the run, its data, network, step size eta and batch size B, from a
+train config (its SAMDYN_ overrides applied; its algo, tau, epochs and
+seed are not read).  Bisects the constant c in
+tau = c m sqrt(B)/(P sigma_p sqrt(d)) until the ascent perturbation
+deactivates every same-class activated filter over the whole first stage,
+then re-verifies at a 1.25x safety margin across --seeds fresh seeds and
+prints the violation counts per radius.
 
-    python scripts/run_deactivation_study.py
+    python scripts/run_deactivation_study.py [--config configs/check_demo.cfg] [--seeds 10]
 """
 
 import argparse
 import math
+from pathlib import Path
 
 from samdyn.checks import calibrate_sam_tau, deactivation_counts, first_stage_epochs, scaled_tau
-from samdyn.data import DataParams
-from samdyn.network import NetConfig
+from samdyn.config import load_train_setup
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "check_demo.cfg"
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--d", type=int, default=3000)
-    ap.add_argument("--n", type=int, default=16)
-    ap.add_argument("--B", type=int, default=8)
-    ap.add_argument("--m", type=int, default=8)
-    ap.add_argument("--mu-norm", type=float, default=3.0)
-    ap.add_argument("--eta", type=float, default=2e-4)
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--config", type=Path, default=DEFAULT_CONFIG)
     ap.add_argument("--seeds", type=int, default=10)
     args = ap.parse_args()
+    setup = load_train_setup(args.config)
+    params, n, net, eta, B = setup.params, setup.n, setup.net, setup.train.eta, setup.train.B
 
-    params = DataParams(d=args.d, P=2, sigma_p=1.0, p=0.0, mu_norm=args.mu_norm)
-    sigma_0 = 1.0 / (params.P * params.sigma_p * math.sqrt(args.d))
-    net = NetConfig(m=args.m, d=args.d, init="gaussian", sigma_0=sigma_0)
-    t1 = first_stage_epochs(args.m, args.B, args.n, args.eta, args.mu_norm)
-    print(f"first stage: {t1:.1f} epochs, sigma_0 = {sigma_0:.5f}")
+    t1 = first_stage_epochs(net.m, B, n, eta, params.mu_norm)
+    print(f"first stage: {t1:.1f} epochs, sigma_0 = {net.sigma_0}")
 
-    c_cal, tau_cal = calibrate_sam_tau(params, args.n, net, args.eta, args.B,
-                                       seeds=(0, 1, 2))
+    c_cal, tau_cal = calibrate_sam_tau(params, n, net, eta, B, seeds=(0, 1, 2))
     print(f"calibrated constant c = {c_cal:.4f} (tau = {tau_cal:.4f})")
 
     epochs = int(math.ceil(t1))
     for c in (0.5 * c_cal, c_cal, 1.25 * c_cal):
-        tau = scaled_tau(c, args.m, args.B, params.P, params.sigma_p, args.d)
+        tau = scaled_tau(c, net.m, B, params.P, params.sigma_p, params.d)
         events, violations = deactivation_counts(
-            params, args.n, net, args.eta, args.B, tau,
+            params, n, net, eta, B, tau,
             [(3000 + s, s) for s in range(args.seeds)], epochs, t1)
         rate = violations / events if events else 0.0
         print(f"c = {c:.4f} (tau = {tau:.4f}): {violations}/{events} violations "

@@ -10,7 +10,9 @@ one that names only the other schema's key is ignored.
 TRAIN_SCHEMA and GRID_SCHEMA are the one table of keys: each maps a key to
 its parser and its default (REQUIRED for none), which is the default of
 the dataclass field the key sets; only the grid's algo and tau lists,
-train_variants parameters, have their own.  gen-data's flags are
+train_variants parameters, have their own.  sigma_0 goes with init =
+gaussian alone (NetConfig refuses it with uniform_fan_in); a grid's
+gaussian init defaults it to 1/(P sigma_p sqrt(d)).  gen-data's flags are
 TRAIN_SCHEMA's.  Lists are comma separated (`d_values = 1000, 5000,
 20000`); optional keys read an empty value as None (tables.optional).  The
 loaders build each dataclass from the keys that share its field names, so
@@ -101,7 +103,7 @@ TRAIN_SCHEMA: dict[str, tuple] = {
     "mu_norm": (float, REQUIRED),
     "m": (int, REQUIRED),
     "init": (str, NetConfig.init),
-    "sigma_0": (float, NetConfig.sigma_0),
+    "sigma_0": (optional(float), NetConfig.sigma_0),
     "algo": (str, TrainConfig.algo),
     "eta": (float, REQUIRED),
     "B": (int, REQUIRED),

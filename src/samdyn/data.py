@@ -274,7 +274,6 @@ class ConcentrationReport:
     cross_violations: list[tuple[int, int]] = field(default_factory=list)
     mu_violations: list[int] = field(default_factory=list)
     label_count_ok: bool = True
-    label_counts: dict = field(default_factory=dict)
     n_flipped: int = 0
 
     @property
@@ -338,7 +337,6 @@ def concentration_report(ds: Dataset) -> ConcentrationReport:
     for yval in (1.0, -1.0):
         n_clean = int(np.sum(clean & (ds.y == yval)))
         n_flip = int(np.sum(~clean & (ds.y == yval)))
-        rep.label_counts[int(yval)] = {"clean": n_clean, "flipped": n_flip}
         if abs(n_clean - (1 - prm.p) * n / 2) > slack:
             ok = False
         if abs(n_flip - prm.p * n / 2) > slack:

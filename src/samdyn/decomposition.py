@@ -98,7 +98,7 @@ def span_coeffs(c: np.ndarray, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     gram = ds.gram
     # + 0.0 turns the -0.0 of a zero mu weight in a j = -1 row into 0.0
     gamma = (c[..., 0] * gram[0, 0]).reshape(lead + (2, m)) * J_SIGNS[:, None] + 0.0
-    rho = (c[..., 1:] * (ds.params.P - 1) * np.diag(gram)[None, 1:]).reshape(lead + (2, m, -1))
+    rho = (c[..., 1:] * ((ds.params.P - 1) * np.diag(gram)[1:])).reshape(lead + (2, m, -1))
     return gamma, rho
 
 
@@ -196,7 +196,8 @@ class CoeffTracker:
 
     Each call keeps the StepEvent's C, the array itself (training never
     writes to it), as a CoeffState labelled (t, b) = divmod(step, H), in one
-    list indexed by step; a state's gamma, zeta and omega are read off its C
+    list indexed by step, where H = n // B is the steps of an epoch at the
+    call's batch size B; a state's gamma, zeta and omega are read off its C
     when its coeffs is read.  With check, each arriving C's signs are
     hard-asserted (check_signs) before it is kept, so a failure raises from
     the call of its own step.  Without keep_history each call replaces the
@@ -208,12 +209,14 @@ class CoeffTracker:
         self.check = check
         self._keep = keep_history
         self._states = [CoeffState(0, 0, 0, np.zeros((2 * m, ds.n + 1)), ds)]
+        self._epoch_steps = 1  # H of the calls; the initial state alone is (0, 0)
 
     def __call__(self, event) -> None:
         if self.check:
             check_signs(event.c, self.ds.y)
         step = event.step + 1
-        t, b = divmod(step, self.ds.n // len(event.batch))
+        self._epoch_steps = self.ds.n // len(event.batch)
+        t, b = divmod(step, self._epoch_steps)
         state = CoeffState(t, b, step, event.c, self.ds)
         if self._keep:
             self._states.append(state)
@@ -230,15 +233,10 @@ class CoeffTracker:
         return self._states if self._keep else []
 
     def state_at(self, t: int, b: int) -> CoeffState:
-        """The state (t, b), at index t H + b.  H, the steps of an epoch, is
-        read off the last state's label; before the first epoch ends every
-        state is (0, b) and H is taken as the number of states."""
-        states = self.history
-        if states:
-            last = states[-1]
-            H = (last.step - last.b) // last.t if last.t else len(states)
-            if 0 <= b < H and 0 <= t * H + b < len(states):
-                return states[t * H + b]
+        """The state (t, b), at index t H + b of the history."""
+        states, H = self.history, self._epoch_steps
+        if 0 <= b < H and 0 <= t * H + b < len(states):
+            return states[t * H + b]
         raise KeyError(f"no tracked coefficients at state ({t}, {b})")
 
 

@@ -88,7 +88,7 @@ class GridSpec:
     train: dict  # variant name -> TrainConfig template (seed ignored)
     n_test: int
     init: str = NetConfig.init
-    sigma_0: float | None = None  # read by gaussian only; None -> 1/(P sigma_p sqrt(d))
+    sigma_0: float | None = None  # gaussian only, which defaults it to 1/(P sigma_p sqrt(d))
     loss_target: float = 0.05
     base_seed: int = 0
 
@@ -131,9 +131,9 @@ class GridSpec:
         return DataParams(d=d, P=self.P, sigma_p=self.sigma_p, p=self.p, mu_norm=mu_norm)
 
     def net_config(self, d: int) -> NetConfig:
-        if self.init != "gaussian":
-            return NetConfig(m=self.m, d=d, init=self.init)
-        s0 = 1.0 / (self.P * self.sigma_p * math.sqrt(d)) if self.sigma_0 is None else self.sigma_0
+        s0 = self.sigma_0
+        if s0 is None and self.init == "gaussian":
+            s0 = 1.0 / (self.P * self.sigma_p * math.sqrt(d))
         return NetConfig(m=self.m, d=d, init=self.init, sigma_0=s0)
 
     def cells(self) -> list[tuple]:
@@ -147,10 +147,10 @@ class GridSpec:
 
 
 @dataclass
-class TrialResult:
+class TrialResult:  # one trial's row of results.csv: the fields are its columns, in order
+    algo: str
     d: int
     mu_norm: float
-    algo: str
     seed: int
     train_loss: float = math.nan
     test_error: float = math.nan
@@ -497,8 +497,8 @@ def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> li
     and timings.csv (per cell: data_s, train_s and test_s as run_cell
     measures them) under out_dir.  With resume=True, existing trial files
     are loaded instead of re-run, and timings.csv keeps its rows for the
-    cells this run did not execute.  check_grid_run's refusals come before
-    anything is written.
+    spec's cells this run did not execute.  check_grid_run's refusals come
+    before anything is written.
     """
     done = check_grid_run(spec, out_dir, jobs, resume)
     out = Path(out_dir)
@@ -539,19 +539,17 @@ def run_grid(spec: GridSpec, out_dir, jobs: int = 1, resume: bool = False) -> li
     results = [done[c] for c in cells]
     write_results_csv(out / "results.csv", results)
     export_heatmap(results, out)
+    kept = {(r.d, r.mu_norm, r.seed) for r in results}  # no earlier row of a cell the spec lost
     write_csv(out / "timings.csv", _TIMING_COLUMNS,
-              [(*cell, *seconds) for cell, seconds in sorted(timings.items())])
+              [(*cell, *seconds) for cell, seconds in sorted(timings.items()) if cell in kept])
     return results
 
 
-# results.csv columns, in order, each with the reader of its TrialResult field
-_CSV_READERS = {
-    "algo": str, "d": int, "mu_norm": float, "seed": int, "train_loss": float,
-    "test_error": float, "test_stderr": float, "convergence_epoch": optional(int),
-    "max_gamma": float, "max_sum_zeta": float, "invariant_violations": int,
-    "failed": lambda value: bool(int(value)), "error": str,
-}
-_CSV_COLUMNS = tuple(_CSV_READERS)
+# results.csv columns, the TrialResult fields, each read by the parser of its
+# type: a bool is written 0/1 and None empty (tables.write_csv)
+_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialResult))
+_PARSERS = {bool: lambda value: bool(int(value)), int | None: optional(int)}
+_CSV_READERS = {f.name: _PARSERS.get(f.type, f.type) for f in dataclasses.fields(TrialResult)}
 
 
 def write_results_csv(path, results: list[TrialResult]) -> None:

@@ -38,7 +38,7 @@ class NetConfig:
     m: int
     d: int
     init: str = "uniform_fan_in"  # "gaussian" | "uniform_fan_in"
-    sigma_0: float = 0.01
+    sigma_0: float | None = None  # the gaussian init's std, set exactly when init is gaussian
 
     def __post_init__(self):
         if self.m < 1:
@@ -47,7 +47,10 @@ class NetConfig:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.init not in ("gaussian", "uniform_fan_in"):
             raise ValueError(f"init must be gaussian or uniform_fan_in, got {self.init!r}")
-        if not (math.isfinite(self.sigma_0) and self.sigma_0 >= 0):
+        if (self.sigma_0 is None) == (self.init == "gaussian"):
+            raise ValueError(f"sigma_0 must be set with init = gaussian and only then, "
+                             f"got init = {self.init}, sigma_0 = {self.sigma_0}")
+        if self.sigma_0 is not None and not (math.isfinite(self.sigma_0) and self.sigma_0 >= 0):
             raise ValueError(f"sigma_0 must be finite and >= 0, got {self.sigma_0}")
 
 

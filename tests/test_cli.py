@@ -173,7 +173,7 @@ _TRAIN_KEYS = {
     "p": ("0.1", {"params.p"}),
     "mu_norm": ("4.0", {"params.mu_norm"}),
     "m": ("4", {"net.m"}),
-    "init": ("gaussian", {"net.init"}),
+    "init": ("gaussian", {"net.init", "net.sigma_0"}),
     "sigma_0": ("0.02", {"net.sigma_0"}),
     "algo": ("sgd", {"train.algo"}),
     "eta": ("0.5", {"train.eta"}),
@@ -209,6 +209,16 @@ _GRID_KEYS = {
 }
 
 
+# (kind, key) -> (under, paired): the settings a row's key needs beside it,
+# under in both configs and paired in the changed one only; sigma_0 is set
+# exactly with a gaussian init, which a train config must give it
+_PAIRED = {
+    ("train", "init"): ({}, {"sigma_0": "0.02"}),
+    ("train", "sigma_0"): ({"init": "gaussian", "sigma_0": "0.01"}, {}),
+    ("grid", "sigma_0"): ({"init": "gaussian"}, {}),
+}
+
+
 def _settings(obj, path=""):
     """Every leaf setting of a loaded TrainSetup or GridSpec by dotted path;
     the manifest's dict, raw, is not a setting."""
@@ -240,8 +250,9 @@ def test_each_config_key_sets_exactly_its_setting(tmp_path, kind, key):
     a value that lands in another setting would pass unnoticed."""
     base, keys = (_TRAIN_BASE, _TRAIN_KEYS) if kind == "train" else (_GRID_BASE, _GRID_KEYS)
     value, changed = keys[key]
+    under, paired = _PAIRED.get((kind, key), ({}, {}))
     loaded = []
-    for settings in (base, {**base, key: value}):
+    for settings in ({**base, **under}, {**base, **under, key: value, **paired}):
         text = "".join(f"{k} = {v}\n" for k, v in settings.items())
         obj, raw = _load_with_raw(kind, write_cfg(tmp_path, text))
         loaded.append((_settings(obj), raw))
@@ -249,7 +260,7 @@ def test_each_config_key_sets_exactly_its_setting(tmp_path, kind, key):
     absent = object()
     assert {p for p in before.keys() | after.keys()
             if before.get(p, absent) != after.get(p, absent)} == changed
-    assert {k for k in raw_before if raw_before[k] != raw_after[k]} == {key}
+    assert {k for k in raw_before if raw_before[k] != raw_after[k]} == {key, *paired}
 
 
 _W = np.random.default_rng(0).normal(size=(2, 2, 30))  # a checkpoint of the decompose rows
@@ -306,6 +317,13 @@ _REFUSALS = {
     "check-negative-seed": (_config_run("check", TINY_TRAIN.replace("seed = 1", "seed = -5")),
                             "seed must be >= 0, got -5"),
     "grid-nan-sigma-p": (_config_run("grid", TINY_GRID + "sigma_p = nan\n"), "sigma_p"),
+    "train-sigma-0-with-uniform-init": (_config_run("train", TINY_TRAIN + "sigma_0 = 0.5\n"),
+                                        "got init = uniform_fan_in, sigma_0 = 0.5"),
+    "train-gaussian-init-without-sigma-0": (
+        _config_run("train", TINY_TRAIN + "init = gaussian\n"),
+        "got init = gaussian, sigma_0 = None"),
+    "grid-sigma-0-with-uniform-init": (_config_run("grid", TINY_GRID + "sigma_0 = 0.5\n"),
+                                       "got init = uniform_fan_in, sigma_0 = 0.5"),
     "grid-misspelt-init": (_config_run("grid", TINY_GRID + "init = gausian\n"),
                            "init must be gaussian or uniform_fan_in, got 'gausian'"),
     "grid-repeated-seed": (_config_run("grid", TINY_GRID.replace("seeds = 0", "seeds = 0, 0")),
@@ -627,7 +645,7 @@ _SHIPPED = {
     }),
     "train_demo.cfg": TrainSetup(
         params=DataParams(d=1000, P=2, sigma_p=1.0, p=0.0, mu_norm=10.0), n=20,
-        net=NetConfig(m=10, d=1000, init="uniform_fan_in", sigma_0=0.01),
+        net=NetConfig(m=10, d=1000, init="uniform_fan_in"),
         train=TrainConfig(eta=0.2, B=20, epochs=100, algo="sgd", seed=0), raw=None),
     "check_demo.cfg": TrainSetup(
         params=DataParams(d=3000, P=2, sigma_p=1.0, p=0.0, mu_norm=3.0), n=16,

@@ -514,6 +514,15 @@ def test_run_grid_writes_part_timings_beside_results(tmp_path):
         assert _csv_rows(tmp_path / "timings.csv") == rows[:1]
 
 
+def test_resume_keeps_the_timings_of_the_spec_cells_only(tmp_path):
+    """A resume after the grid lost a d value writes no timings.csv row
+    for that d's cell, as results.csv has no row of it."""
+    run_grid(tiny_spec(d_values=(60, 120), mu_values=(2.0,), seeds=(0,)), tmp_path)
+    run_grid(tiny_spec(d_values=(60,), mu_values=(2.0,), seeds=(0,)), tmp_path, resume=True)
+    assert [row[:3] for row in _csv_rows(tmp_path / "timings.csv")[1:]] == [["60", "2.0", "0"]]
+    assert {r.d for r in load_results_csv(tmp_path / "results.csv")} == {60}
+
+
 def test_resume_marks_a_nan_test_error_failed(tmp_path):
     """A trial file read back with a NaN test_error and failed = false
     reads failed, naming the field, and every output is still written."""

@@ -179,7 +179,7 @@ def test_train_starts_from_initial_weights(init):
     """train's w0 is initial_weights(net, seed) bit for bit, so a caller
     can draw a run's w0 again without training."""
     ds, _ = _toy_setup()
-    net = NetConfig(m=3, d=ds.params.d, init=init, sigma_0=0.05)
+    net = NetConfig(m=3, d=ds.params.d, init=init, sigma_0=0.05 if init == "gaussian" else None)
     cfg = TrainConfig(eta=0.2, B=4, epochs=2, seed=11)
     w0 = train(ds, net, cfg).w0
     assert w0.tobytes() == initial_weights(net, cfg.seed).tobytes()
@@ -355,7 +355,7 @@ def test_metrics_csv(tmp_path):
     lambda: TrainConfig(eta=float("inf"), B=1, epochs=1),
     lambda: DataParams(d=3, mu_norm=float("nan")),
     lambda: DataParams(d=3, sigma_p=float("inf")),
-    lambda: NetConfig(m=1, d=3, sigma_0=float("nan")),
+    lambda: NetConfig(m=1, d=3, init="gaussian", sigma_0=float("nan")),
     lambda: make_signal(3, float("nan")),
 ], ids=["tau_nan", "eta_inf", "mu_norm_nan", "sigma_p_inf", "sigma_0_nan", "signal_nan"])
 def test_non_finite_parameters_rejected(build):
