@@ -2,7 +2,8 @@
 """List the sha256 of every output of the reference runs, for a purity check.
 
 Runs, through samdyn's own CLI and into OUT: the reduced phase grid at
---jobs 1 and 2, the train and check demos, a decompose of the train
+--jobs 1 and 2, the minibatch step-size ablation grid (four variants a
+cell) at --jobs 2, the train and check demos, a decompose of the train
 demo's checkpoints, and a gen-data at its default settings; then the
 deactivation study at --seeds 3 on its default config, its stdout going
 to OUT/deactivation_study.txt.  samdyn's messages go to stderr; stdout
@@ -42,6 +43,8 @@ def runs() -> list[list[str]]:
     return [
         ["grid", "--config", reduced, "--out", "grid_j1", "--jobs", "1"],
         ["grid", "--config", reduced, "--out", "grid_j2", "--jobs", "2"],
+        ["grid", "--config", str(CONFIGS / "lr_ablation.cfg"), "--out", "lr_ablation",
+         "--jobs", "2"],
         ["train", "--config", str(CONFIGS / "train_demo.cfg"), "--out", "train"],
         ["check", "--config", str(CONFIGS / "check_demo.cfg"), "--out", "check"],
         ["decompose", "--data", "train/dataset.npz", "--weights", "train/w_final.npz",

@@ -10,9 +10,10 @@ one that names only the other schema's key is ignored.
 TRAIN_SCHEMA and GRID_SCHEMA are the one table of keys: each maps a key to
 its parser and its default (REQUIRED for none), which is the default of
 the dataclass field the key sets; only the grid's algo and tau lists,
-train_variants parameters, have their own.  sigma_0 goes with init =
-gaussian alone (NetConfig refuses it with uniform_fan_in); a grid's
-gaussian init defaults it to 1/(P sigma_p sqrt(d)).  gen-data's flags are
+train_variants parameters, have their own, and tau's is None: there is no
+implicit SAM radius.  sigma_0 goes with init = gaussian alone (NetConfig
+refuses it with uniform_fan_in); a grid's gaussian init defaults it to
+1/(P sigma_p sqrt(d)).  gen-data's flags are
 TRAIN_SCHEMA's.  Lists are comma separated (`d_values = 1000, 5000,
 20000`); optional keys read an empty value as None (tables.optional).  The
 loaders build each dataclass from the keys that share its field names, so
@@ -129,7 +130,7 @@ GRID_SCHEMA: dict[str, tuple] = {
     "eta": (list_of(float), REQUIRED),
     "B": (list_of(int), REQUIRED),
     "epochs": (list_of(int), REQUIRED),
-    "tau": (list_of(float), (0.03,)),
+    "tau": (list_of(float), None),
     "n_test": (int, REQUIRED),
     "loss_target": (float, GridSpec.loss_target),
     "base_seed": (int, GridSpec.base_seed),

@@ -17,18 +17,17 @@ training variant, so per-seed differences between variants are paired
 comparisons of the algorithms alone.
 
 The unit of work is therefore the (d, mu, seed) cell, not the trial:
-run_cell generates the cell's dataset, and with it the Gram matrix, once,
-trains each pending variant on it without hooks and keeps each final
-record's C and <w, mu>, but no trajectory and so no w0.  It then fills
-F = [w0's 2m filters; mu; xi_1..xi_n] in place: mu and xi are copied in,
-the dataset is dropped, and only then is w0 drawn again
-(optim.initial_weights) into the first 2m rows, so the cell holds each
-d-space array once and peaks at about F plus one w0 (1.5 times F's bytes
-on the phase grid).  It draws the cell's test set once and projects its
-noise onto F, a (2m+1+n)-row matrix T.  Every variant's weights are
-w0 + C [mu; xi], so its test pre-activations are T[:2m] + C T[2m:]
-(span_test_error): one projection scores every variant, and no d-space
-final weights are formed.
+run_cell generates the cell's dataset once, copies mu and xi into
+F = [w0's 2m filters; mu; xi_1..xi_n] in place of the dataset's own
+arrays and draws w0 (optim.initial_weights) into the first 2m rows, so the
+cell holds each d-space array once and peaks at about F plus one w0 (1.5
+times F's bytes on the phase grid).  Each pending variant trains without
+hooks on one SpanProblem on F's rows, whose Gram matrix and projections of
+w0 are formed once, and keeps its final record's C and <w, mu>.  The
+cell's test set is drawn once and its noise projected onto F, a
+(2m+1+n)-row matrix T.  Every variant's weights are w0 + C [mu; xi], so
+its test pre-activations are T[:2m] + C T[2m:] (span_test_error): one
+projection scores every variant, and no d-space final weights are formed.
 Each variant would have drawn that same set from the same stream, so
 scoring it once is exact: every trial's numbers are those of a run of the
 variant alone.  run_grid hands the pool one run_cell task per cell with
@@ -67,7 +66,7 @@ import numpy as np
 from .data import DataParams, gen_dataset, make_signal
 from .decomposition import InvariantViolation, check_signs, span_view
 from .network import NetConfig, model_margins
-from .optim import TrainConfig, TrainingDivergedError, initial_weights, train
+from .optim import SpanProblem, TrainConfig, TrainingDivergedError, initial_weights, run
 from .tables import optional, write_csv
 
 _SEED_TAG = 88261599  # fixed domain tag for trial seed derivation
@@ -278,14 +277,16 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
     """Train each listed variant on the (d, mu_norm, seed) cell and score
     them all on one test draw.  Returns one TrialResult per variant, in
     order, each deterministic given its coordinates, and the cell's wall
-    times (data_s, train_s, test_s): building the dataset and its Gram,
-    training with the record checks, and the test draw with the scoring.
+    times (data_s, train_s, test_s): building the dataset, filling F and
+    drawing w0, the Gram matrix and the projections of w0; training with
+    the record checks; and the test draw with the scoring.
 
-    The signs of every record's C are checked one C at a time
-    (decomposition.check_signs), and max_gamma and max_sum_zeta are read
-    off the last record's C (span_view).  Each variant keeps only its
-    final C and <w, mu>, and the test draw projects onto F = [w0; mu; xi]
-    filled in place, so no d-space array is held twice.
+    Every variant runs on one SpanProblem whose w0, mu and xi are the rows
+    of F = [w0; mu; xi], filled before training, so no d-space array is
+    held twice.  The signs of every record's C are checked one C at a time
+    (decomposition.check_signs), max_gamma and max_sum_zeta are read off
+    the last record's C (span_view), and each variant keeps only its final
+    C and <w, mu>.
     Failures are captured in the results, so a grid never aborts on one
     bad cell: an error building the cell fails every variant, a variant
     that diverges or breaks an invariant fails alone, and an error in the
@@ -296,7 +297,13 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
     t0 = time.perf_counter()
     try:
         ds, net, train_seed, test_ss = _cell_inputs(spec, d, mu_norm, seed)
-        ds.gram  # formed here, so data_s counts it
+        # mu and xi move into F before w0 is drawn, so no d-space array is held twice
+        two_m = 2 * net.m
+        filters = np.empty((two_m + 1 + spec.n, d))
+        filters[two_m], filters[two_m + 1:] = ds.mu, ds.xi
+        ds = dataclasses.replace(ds, mu=filters[two_m], xi=filters[two_m + 1:])
+        filters[:two_m] = initial_weights(net, train_seed).reshape(two_m, d)
+        problem = SpanProblem(filters[:two_m].reshape(2, net.m, d), ds)
     except _TRIAL_ERRORS as exc:
         for result in results:
             _fail(result, exc)
@@ -306,35 +313,24 @@ def run_cell(spec: GridSpec, d: int, mu_norm: float, seed: int, variants):
     finals = []  # (result, C, mu_pre) of each trained variant's final record
     for result in results:
         try:
-            cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
-            traj = train(ds, net, cfg)
+            traj = run(problem, dataclasses.replace(spec.train[result.algo], seed=train_seed))
             for rec in traj.records:
                 check_signs(rec.c, ds.y)
             rec = traj.records[-1]
             result.train_loss = rec.train_loss
-            for epoch_rec in traj.epoch_records():
-                if epoch_rec.train_loss <= spec.loss_target:
-                    result.convergence_epoch = epoch_rec.t
-                    break
+            result.convergence_epoch = next((r.t for r in traj.epoch_records()
+                                             if r.train_loss <= spec.loss_target), None)
             coeffs = span_view(rec.c, ds)
             result.max_gamma = float(coeffs.gamma.max())
             result.max_sum_zeta = float(coeffs.zeta.sum(axis=2).max())
             finals.append((result, rec.c, rec.mu_pre))
         except _TRIAL_ERRORS as exc:
             _fail(result, exc)
-        traj = None  # no trajectory, and so no w0, outlives its variant
     t2 = time.perf_counter()
 
     if finals:
         try:
-            # F = [w0's 2m filters; mu; xi], filled in place: the dataset goes
-            # before w0 is drawn again, so no two d-space copies coexist
-            two_m = 2 * net.m
-            filters = np.empty((two_m + 1 + spec.n, d))
-            filters[two_m], filters[two_m + 1:] = ds.mu, ds.xi
-            params, ds = ds.params, None
-            filters[:two_m] = initial_weights(net, train_seed).reshape(two_m, d)
-            draw = estimate_test_error(filters, params, spec.n_test,
+            draw = estimate_test_error(filters, ds.params, spec.n_test,
                                        np.random.default_rng(test_ss))
         except _TRIAL_ERRORS as exc:
             for result, _, _ in finals:
@@ -610,9 +606,9 @@ def aggregate(results: list[TrialResult]) -> list[CellAggregate]:
 
 
 def export_heatmap(results: list[TrialResult], out_dir) -> list[Path]:
-    """Write per-variant aggregates as CSV and a PGM render: one CSV for
-    every variant in results, empty and with no PGM when none of its
-    trials survived.
+    """Write per-variant aggregates as CSV and a PGM render in place of
+    every heatmap file in out_dir: one CSV for every variant in results,
+    empty and with no PGM when none of its trials survived.
 
     The graymap uses gray = round(255 * (1 - clamp(error, 0, 1))), so low
     test error renders bright; rows are d ascending (top row = smallest d),
@@ -626,6 +622,8 @@ def export_heatmap(results: list[TrialResult], out_dir) -> list[Path]:
     for a in aggs:
         by_algo.setdefault(a.algo, []).append(a)
 
+    for stale in [*out.glob("heatmap_*.csv"), *out.glob("heatmap_*.pgm")]:
+        stale.unlink()  # no table or render of an earlier run outlives this one
     written = []
     for algo in sorted({r.algo for r in results}):
         cells = by_algo.get(algo, [])
@@ -633,10 +631,9 @@ def export_heatmap(results: list[TrialResult], out_dir) -> list[Path]:
         write_csv(csv_path, [f.name for f in dataclasses.fields(CellAggregate)],
                   map(dataclasses.astuple, sorted(cells, key=lambda a: (a.d, a.mu_norm))))
         written.append(csv_path)
-        pgm_path = out / f"heatmap_{algo}.pgm"
         if not cells:
-            pgm_path.unlink(missing_ok=True)  # no render of an earlier run beside an empty table
             continue
+        pgm_path = out / f"heatmap_{algo}.pgm"
         ds = sorted({a.d for a in cells})
         mus = sorted({a.mu_norm for a in cells})
         grid = {(a.d, a.mu_norm): a.mean_test_error for a in cells}
@@ -659,10 +656,13 @@ def train_variants(algo, eta, B, epochs, tau) -> dict:
     """One TrainConfig per combination of the listed values, each a tuple,
     by variant name: the algorithm plus _<key><value:g> for each of eta, B,
     epochs and tau that lists more than one value.  tau is read by sam
-    only, so sgd variants run at tau = 0 and their names omit it.  Two
-    variants of one name are refused, naming it."""
+    only, so sgd variants run at tau = 0 and their names omit it; a sam
+    variant without tau (None) is refused.  Two variants of one name are
+    refused, naming it."""
     variants = {}
     for a in algo:
+        if a == "sam" and tau is None:
+            raise ValueError("algo = sam needs tau, the SAM radius, which has no default")
         axes = {"eta": eta, "B": B, "epochs": epochs, "tau": tau if a == "sam" else (0.0,)}
         for values in itertools.product(*axes.values()):
             setting = dict(zip(axes, values))

@@ -12,12 +12,13 @@ are bitwise equal to SGD runs.
 
 Training runs in span{mu, xi_1..xi_n}.  Every update moves a filter by a
 combination of mu and the batch's xi_i, so the weights are kept as
-w0 + C [mu; xi] with a (2m, n+1) coefficient matrix C.  The Gram matrix G
-of [mu; xi] is the dataset's own (Dataset.gram) and the projections of w0
-onto [mu; xi] are computed once per run; after that every pre-activation a
-step or record needs is <w0, v_k> + C G_k, the gradient is a coefficient
-matrix (network.model_grad_coeffs), the SAM norm is ||g||_F^2 = sum (g G) * g
-and the SAM perturbation shifts C on the batch columns.  A step therefore
+w0 + C [mu; xi] with a (2m, n+1) coefficient matrix C.  A SpanProblem
+holds w0, the dataset, its Gram matrix G of [mu; xi] (Dataset.gram) and
+the projections of w0 onto [mu; xi], computed once for every run on it
+(run; train builds the problem of one run).  Every pre-activation a step
+or record needs is <w0, v_k> + C G_k, the gradient is a coefficient matrix
+(network.model_grad_coeffs), the SAM norm is ||g||_F^2 = sum (g G) * g and
+the SAM perturbation shifts C on the batch columns.  A step therefore
 costs O(m n B) whatever d is; d-vectors are formed only when a record's
 weights are read (snapshot_weights) and, on first access,
 Trajectory.w_final.  G is multiplied, never inverted, so mu = 0 or n >= d
@@ -109,7 +110,7 @@ class TrajectoryRecord:
     mu_pre: np.ndarray     # (2, m) <w_{j,r}, mu>
     noise_pre: np.ndarray  # (2, m, n) <w_{j,r}, xi_i>
     c: np.ndarray          # (2m, n+1) coefficients: w = w0 + C [mu; xi]
-    span: "_Span | None" = None  # the run's span, under snapshot_weights
+    span: "SpanProblem | None" = None  # the run's problem, under snapshot_weights
 
     @property
     def weights(self) -> np.ndarray | None:
@@ -134,10 +135,10 @@ def epoch_schedule(n: int, B: int, rng: np.random.Generator) -> list[np.ndarray]
     return list(perm.reshape(n // B, B))
 
 
-class _Span:
-    """The weights w0 + C [mu; xi] of one run, for coefficients C of
-    shape (2m, n+1): the dataset's Gram matrix and the (2m, n+1) inner
-    products of w0's filters with [mu; xi_1..xi_n], computed once."""
+class SpanProblem:
+    """Training from w0 on the dataset ds: its Gram matrix and the (2m, n+1)
+    inner products base of w0's filters with [mu; xi_1..xi_n], computed
+    once, and the weights w0 + C [mu; xi] at coefficients C (weights)."""
 
     def __init__(self, w0: np.ndarray, ds: Dataset):
         self.w0, self.ds, self.gram = w0, ds, ds.gram
@@ -151,7 +152,7 @@ class _Span:
 
 @dataclass
 class Trajectory:
-    span: _Span
+    span: SpanProblem
     records: list[TrajectoryRecord] = field(default_factory=list)
     schedules: list[list[np.ndarray]] = field(default_factory=list)
 
@@ -174,14 +175,14 @@ def _split(pre: np.ndarray):
     return pre[:, 0].reshape(2, m), pre[:, 1:].reshape(2, m, -1)
 
 
-def _step(span: _Span, c: np.ndarray, idx, eta: float, tau: float):
+def _step(problem: SpanProblem, c: np.ndarray, idx, eta: float, tau: float):
     """One descent step on rows idx of the dataset from the coefficients c;
     returns (c_next, terms_at_w, terms_used, perturbed)."""
-    ds = span.ds
+    ds = problem.ds
     cols = np.concatenate(([0], idx + 1))
-    gram = span.gram[:, cols]
+    gram = problem.gram[:, cols]
     batch = (ds.y[idx], ds.y_hat[idx], ds.params.P)
-    pre = span.base[:, cols] + c @ gram
+    pre = problem.base[:, cols] + c @ gram
     g, at_w = model_grad_coeffs(*_split(pre), *batch)
     perturbed = False
     g_used, used = g, at_w
@@ -199,11 +200,11 @@ def _step(span: _Span, c: np.ndarray, idx, eta: float, tau: float):
     return c_next, at_w, used, perturbed
 
 
-def _state_stats(span: _Span, c: np.ndarray):
+def _state_stats(problem: SpanProblem, c: np.ndarray):
     """Pre-activations, margins and loss over the whole dataset at the
     coefficients c."""
-    ds = span.ds
-    mu_pre, noise_pre = _split(span.base + c @ span.gram)
+    ds = problem.ds
+    mu_pre, noise_pre = _split(problem.base + c @ problem.gram)
     margins = model_margins(mu_pre, noise_pre, ds.y, ds.y_hat, ds.params.P)
     train_loss = float(np.mean(loss(margins)))
     return mu_pre, noise_pre, margins, train_loss
@@ -217,39 +218,35 @@ def initial_weights(net: NetConfig, seed: int) -> np.ndarray:
 
 
 def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory:
-    """Run epochs x batches of SGD or SAM over the dataset.
+    """Train on ds from the weights initial_weights(net, cfg.seed): run on that problem."""
+    return run(SpanProblem(initial_weights(net, cfg.seed), ds), cfg, hooks)
+
+
+def run(problem: SpanProblem, cfg: TrainConfig, hooks=()) -> Trajectory:
+    """Run epochs x batches of SGD or SAM on the problem, shuffling the
+    batches by the second stream SeedSequence(cfg.seed) spawns.
 
     Records the state before every cfg.record_every-th batch step (every
     epoch's first when it is None) plus the final state, calls each hook
     after every step, and aborts on non-finite loss.
     """
-    n = ds.n
+    n = problem.ds.n
     if n % cfg.B != 0:
         raise ValueError(f"B={cfg.B} does not divide n={n}")
     stride = cfg.record_every or n // cfg.B
 
-    span = _Span(initial_weights(net, cfg.seed), ds)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
-    c = np.zeros_like(span.base)
+    c = np.zeros_like(problem.base)
 
-    traj = Trajectory(span)
+    traj = Trajectory(problem)
 
     def record(t: int, b: int) -> None:
-        mu_pre, noise_pre, margins, train_loss = _state_stats(span, c)
+        mu_pre, noise_pre, margins, train_loss = _state_stats(problem, c)
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(f"non-finite train loss at state ({t}, {b})")
-        traj.records.append(
-            TrajectoryRecord(
-                t=t,
-                b=b,
-                train_loss=train_loss,
-                margins=margins,
-                mu_pre=mu_pre,
-                noise_pre=noise_pre,
-                c=c,
-                span=span if cfg.snapshot_weights else None,
-            )
-        )
+        traj.records.append(TrajectoryRecord(
+            t=t, b=b, train_loss=train_loss, margins=margins, mu_pre=mu_pre,
+            noise_pre=noise_pre, c=c, span=problem if cfg.snapshot_weights else None))
 
     s = 0
     for t in range(cfg.epochs):
@@ -262,7 +259,7 @@ def train(ds: Dataset, net: NetConfig, cfg: TrainConfig, hooks=()) -> Trajectory
                 cfg.sam_phase_iters is None or s < cfg.sam_phase_iters
             )
             tau_eff = cfg.tau if sam_now else 0.0
-            c_next, at_w, used, perturbed = _step(span, c, idx, cfg.eta, tau_eff)
+            c_next, at_w, used, perturbed = _step(problem, c, idx, cfg.eta, tau_eff)
             if not np.all(np.isfinite(used.margins)):
                 raise TrainingDivergedError(f"non-finite margins at state ({t}, {b})")
             if hooks:

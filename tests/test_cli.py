@@ -185,7 +185,7 @@ _TRAIN_KEYS = {
     "sam_phase_iters": ("3", {"train.sam_phase_iters"}),
 }
 _GRID_BASE = {"d_values": "50", "mu_values": "2.0", "seeds": "0", "n": "8", "m": "3",
-              "eta": "0.3", "B": "8", "epochs": "4", "n_test": "100"}
+              "eta": "0.3", "B": "8", "epochs": "4", "tau": "0.03", "n_test": "100"}
 _BOTH_VARIANTS = {"train.sgd", "train.sam"}
 _GRID_KEYS = {
     "d_values": ("50, 60", {"d_values"}),
@@ -317,6 +317,9 @@ _REFUSALS = {
     "check-negative-seed": (_config_run("check", TINY_TRAIN.replace("seed = 1", "seed = -5")),
                             "seed must be >= 0, got -5"),
     "grid-nan-sigma-p": (_config_run("grid", TINY_GRID + "sigma_p = nan\n"), "sigma_p"),
+    "grid-sam-without-tau": (
+        _config_run("grid", TINY_GRID.replace("algo = sgd", "algo = sgd, sam")),
+        "algo = sam needs tau"),
     "train-sigma-0-with-uniform-init": (_config_run("train", TINY_TRAIN + "sigma_0 = 0.5\n"),
                                         "got init = uniform_fan_in, sigma_0 = 0.5"),
     "train-gaussian-init-without-sigma-0": (
@@ -490,7 +493,8 @@ def test_grid_cli_end_to_end(tmp_path):
 
 def test_grid_cli_jobs_one_and_two_give_identical_results(tmp_path):
     cfg = write_cfg(tmp_path, TINY_GRID.replace("d_values = 50", "d_values = 50, 20000")
-                    .replace("seeds = 0", "seeds = 0, 1").replace("algo = sgd", "algo = sgd, sam"))
+                    .replace("seeds = 0", "seeds = 0, 1")
+                    .replace("algo = sgd", "algo = sgd, sam\ntau = 0.03"))
     for jobs in ("1", "2"):
         assert main(["grid", "--config", str(cfg), "--out", str(tmp_path / jobs),
                      "--jobs", jobs]) == 0

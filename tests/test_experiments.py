@@ -197,8 +197,9 @@ def test_projection_part_projects_onto_the_trained_w0(monkeypatch, init):
 
 def test_cell_holds_each_d_space_array_once():
     """A d=20000 cell of the reduced grid peaks below 1.6x the bytes of
-    its filter matrix F: F is filled in place and the dataset is dropped
-    before w0 is drawn again, so no two copies of w0, mu or xi coexist."""
+    its filter matrix F: mu and xi move into F before w0 is drawn into it,
+    once, and every variant trains on F's rows, so no two copies of w0, mu
+    or xi coexist."""
     spec = phase_grid_spec(reduced=True)
     d = 20000
     filter_bytes = (2 * spec.m + 1 + spec.n) * d * 8
@@ -266,16 +267,18 @@ def test_cell_variant_failure_leaves_others_unchanged():
 
 
 def test_run_cell_trains_without_hooks(monkeypatch):
-    """The grid reads its coefficients from the records' C: no per-step hook."""
+    """The grid reads its coefficients from the records' C: no per-step
+    hook.  Both variants run on one problem."""
     calls = []
 
-    def spy(ds, net, cfg, hooks=()):
-        calls.append(tuple(hooks))
-        return train(ds, net, cfg, hooks=hooks)
+    def spy(problem, cfg, hooks=()):
+        calls.append((problem, tuple(hooks)))
+        return optim.run(problem, cfg, hooks=hooks)
 
-    monkeypatch.setattr(experiments, "train", spy)
+    monkeypatch.setattr(experiments, "run", spy)
     results, _ = run_cell(tiny_spec(), 60, 4.0, 0, ("sam", "sgd"))
-    assert calls == [(), ()]
+    assert [hooks for _, hooks in calls] == [(), ()]
+    assert calls[0][0] is calls[1][0]
     assert not any(r.failed for r in results)
     assert all(r.max_gamma > 0 and r.max_sum_zeta > 0 for r in results)
 
@@ -296,19 +299,23 @@ def test_run_cell_catches_a_sign_flipped_noise_coefficient(monkeypatch):
 
 
 def test_run_cell_coefficients_match_the_tracker():
-    """max_gamma and max_sum_zeta equal the coefficient tracker's final values."""
-    spec = tiny_spec()
+    """train_loss, max_gamma and max_sum_zeta are, bit for bit, those of
+    train's final record and the coefficient tracker's final values, for
+    full-batch variants and a minibatch one: the problem on F's rows
+    trains as train does."""
+    mini = TrainConfig(eta=0.4, B=4, epochs=12, algo="sam", tau=0.05)
+    spec = tiny_spec(train={**tiny_spec().train, "mini": mini})
     ds = gen_dataset(spec.data_params(120, 4.0), make_signal(120, 4.0), spec.n,
                      seed=trial_seed_sequence(0, 120, 4.0, 1).spawn(3)[0])
     train_seed = int(trial_seed_sequence(0, 120, 4.0, 1).spawn(3)[1].generate_state(1)[0])
-    for result in run_cell(spec, 120, 4.0, 1, ("sam", "sgd"))[0]:
+    for result in run_cell(spec, 120, 4.0, 1, ("mini", "sam", "sgd"))[0]:
         tracker = CoeffTracker(ds, spec.m)
         cfg = dataclasses.replace(spec.train[result.algo], seed=train_seed)
-        train(ds, spec.net_config(120), cfg, hooks=(tracker,))
-        want_gamma = float(tracker.coeffs.gamma.max())
-        want_zeta = float(tracker.coeffs.zeta.sum(axis=2).max())
-        assert result.max_gamma == pytest.approx(want_gamma, rel=1e-12)
-        assert result.max_sum_zeta == pytest.approx(want_zeta, rel=1e-12)
+        rec = train(ds, spec.net_config(120), cfg, hooks=(tracker,)).records[-1]
+        assert not result.failed and rec.c is tracker.history[-1].c
+        assert result.train_loss == rec.train_loss
+        assert result.max_gamma == float(tracker.coeffs.gamma.max())
+        assert result.max_sum_zeta == float(tracker.coeffs.zeta.sum(axis=2).max())
 
 
 def test_run_cell_draws_no_test_set_when_every_variant_fails(monkeypatch):
@@ -462,17 +469,17 @@ def test_run_grid_resume_runs_only_pending_variant(tmp_path, monkeypatch):
     shutil.copytree(tmp_path / "full" / "trials", partial / "trials")
     (partial / "trials" / "sam_d120_mu4.0_s1.json").unlink()
     calls = []
-    trainer, project = experiments.train, experiments.estimate_test_error
+    trainer, project = experiments.run, experiments.estimate_test_error
 
-    def train_spy(ds, net, cfg):
-        calls.append(("train", ds.params.d, ds.params.mu_norm, cfg.algo))
-        return trainer(ds, net, cfg)
+    def train_spy(problem, cfg):
+        calls.append(("train", problem.ds.params.d, problem.ds.params.mu_norm, cfg.algo))
+        return trainer(problem, cfg)
 
     def project_spy(filters, params, *args):
         calls.append(("test", params.d, params.mu_norm))
         return project(filters, params, *args)
 
-    monkeypatch.setattr(experiments, "train", train_spy)
+    monkeypatch.setattr(experiments, "run", train_spy)
     monkeypatch.setattr(experiments, "estimate_test_error", project_spy)
     run_grid(spec, partial, resume=True)
     assert calls == [("train", 120, 4.0, "sam"), ("test", 120, 4.0)]
@@ -729,6 +736,19 @@ def test_export_heatmap_writes_a_table_for_a_variant_with_no_survivor(tmp_path):
     assert (tmp_path / "heatmap_sgd.csv").read_text().splitlines() == [
         "d,mu_norm,algo,mean_test_error,stderr,n_seeds"]
     assert not (tmp_path / "heatmap_sgd.pgm").exists()
+
+
+def test_rerun_removes_the_heatmaps_of_variants_the_spec_lost(tmp_path):
+    """A resume with fewer variants leaves no heatmap of a dropped one
+    beside its results.csv; the kept variant's heatmap stays."""
+    spec = tiny_spec(d_values=(60,), mu_values=(4.0,), seeds=(0,))
+    run_grid(spec, tmp_path)
+    (tmp_path / "heatmap_sam_old.csv").write_text("stale")
+    run_grid(tiny_spec(d_values=(60,), mu_values=(4.0,), seeds=(0,),
+                       train={"sgd": spec.train["sgd"]}), tmp_path, resume=True)
+    assert sorted(p.name for p in tmp_path.glob("heatmap_*")) == ["heatmap_sgd.csv",
+                                                                   "heatmap_sgd.pgm"]
+    assert [r.algo for r in load_results_csv(tmp_path / "results.csv")] == ["sgd"]
 
 
 def test_export_heatmap_empty(tmp_path):

@@ -10,9 +10,9 @@ from samdyn.decomposition import CoeffTracker
 from samdyn.experiments import phase_grid_spec, run_cell
 from samdyn.network import NetConfig, model_grad_coeffs, model_preacts
 from samdyn.optim import (
+    SpanProblem,
     TrainConfig,
     TrainingDivergedError,
-    _Span,
     _split,
     _step,
     epoch_schedule,
@@ -28,7 +28,7 @@ def _all(ds):
 
 def _run_step(w, ds, idx, eta, tau):
     """(weights after one step from w, the step's outputs)."""
-    span = _Span(w, ds)
+    span = SpanProblem(w, ds)
     out = _step(span, np.zeros_like(span.base), idx, eta, tau)
     return span.weights(out[0]), out
 
@@ -136,7 +136,7 @@ def test_sam_perturbation_zero_cases():
 def test_sam_step_tau_zero_is_sgd_bitwise():
     rng = np.random.default_rng(3)
     w, _, y, ds = random_instance(rng, B=4)
-    span = _Span(w, ds)
+    span = SpanProblem(w, ds)
     c0 = np.zeros_like(span.base)
     g = model_grad_coeffs(*_split(span.base), y, ds.y_hat, ds.params.P)[0]
     a = c0 - 0.05 * g
@@ -176,8 +176,8 @@ def test_train_zero_epochs_only_initial_state():
 
 @pytest.mark.parametrize("init", ["gaussian", "uniform_fan_in"])
 def test_train_starts_from_initial_weights(init):
-    """train's w0 is initial_weights(net, seed) bit for bit, so a caller
-    can draw a run's w0 again without training."""
+    """train's w0 is initial_weights(net, seed) bit for bit, so run on a
+    SpanProblem from initial_weights trains as train does."""
     ds, _ = _toy_setup()
     net = NetConfig(m=3, d=ds.params.d, init=init, sigma_0=0.05 if init == "gaussian" else None)
     cfg = TrainConfig(eta=0.2, B=4, epochs=2, seed=11)
